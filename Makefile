@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check doclint test race bench bench-cluster fuzz-smoke ci \
+.PHONY: all build vet fmt-check doclint test race bench-test bench bench-cluster fuzz-smoke ci \
 	counterd serve cluster-smoke cluster-demo windowed-demo wire-smoke grow-smoke \
 	distinct-smoke \
 	metrics-smoke manifest-check
@@ -56,6 +56,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is a module of its own (bench/, see its README), so
+# ./... does not reach it: its unit tests — tables vs BENCHMARK.json, the
+# statistics, the pacer — run here.
+bench-test:
+	$(GO) test -C bench .
 
 # The cluster integration suite under the race detector: 3-node loopback
 # ring, replication, forwarding, crash/recovery convergence, and the live
@@ -128,4 +134,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDistinctSnapshot -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzF2Snapshot -fuzztime=5s ./internal/engine
 
-ci: build vet fmt-check doclint manifest-check race metrics-smoke fuzz-smoke
+ci: build vet fmt-check doclint manifest-check race bench-test metrics-smoke fuzz-smoke

@@ -82,7 +82,7 @@ func main() {
 	wg.Wait()
 
 	// The exact bank *is* the truth (32-bit registers never saturate here),
-	// so accuracy falls out of comparing the two read-mostly views.
+	// so accuracy falls out of comparing the two estimate vectors.
 	est := approx.EstimateAll()
 	truth := exactB.EstimateAll()
 

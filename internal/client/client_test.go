@@ -126,10 +126,7 @@ func TestClientRoutesToOwners(t *testing.T) {
 	for p := 0; p < testParts; p++ {
 		lo, hi := snapcodec.PartitionRange(testN, testParts, p)
 		owner := byID[ring.Primary(p)]
-		regs, err := owner.st.Bank().ExportRange(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		regs := owner.st.Bank().ExportState().Registers[lo:hi]
 		var sum uint64
 		for _, v := range regs {
 			sum += v
@@ -147,10 +144,7 @@ func TestClientRoutesToOwners(t *testing.T) {
 			if other == owner {
 				continue
 			}
-			oregs, err := other.st.Bank().ExportRange(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
+			oregs := other.st.Bank().ExportState().Registers[lo:hi]
 			for i, v := range oregs {
 				if v != 0 {
 					t.Fatalf("partition %d key %d: non-owner %s has register %d",
@@ -214,10 +208,7 @@ func TestClientFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All events landed on n0.
-	regs, err := n0.st.Bank().ExportRange(0, testN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	regs := n0.st.Bank().ExportState().Registers
 	zero := 0
 	for _, v := range regs {
 		if v == 0 {

@@ -278,9 +278,16 @@ func (n *Node) syncPartitionDelta(p int, peer string) (done bool, err error) {
 		}
 	}
 	if len(diff) == 0 {
-		// The register hashes diverged (that is why we are here) but every
-		// block matches now — the peer caught up between the hash check and
-		// this exchange. Converged; nothing to ship.
+		// The partition hashes diverged (that is why we are here) but every
+		// register block matches now. Usually the peer caught up between
+		// the hash check and this exchange: converged, nothing to ship. If
+		// the partition hashes still differ, what diverged is not a
+		// register — a windowed shard whose ring a merge advanced ahead of
+		// the node's own tick keeps stale slot epochs over equal registers —
+		// and only the full exchange, which carries the payload, realigns it.
+		if same, err := n.hashMatches(p, peer); err == nil && !same {
+			return false, nil
+		}
 		n.aeDeltaSyncs.Inc()
 		return true, nil
 	}

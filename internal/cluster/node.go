@@ -789,11 +789,15 @@ func (s nodeSink) ReplAt(keys []int, epoch uint64) (int, error) {
 // FNV-1a hash per snapcodec block — the exchange that lets delta
 // anti-entropy transfer only divergent blocks.
 func (s nodeSink) BlockHashes(partition int) (uint64, []uint64, error) {
+	// Version BEFORE hashes, as syncPartitionDelta reads its own: the peer
+	// pushes back conditional on this version, and a write landing between
+	// the two reads must fail that push, not pass it against a stale diff.
+	ver := s.n.st.PartitionVersion(partition)
 	hashes, err := s.n.st.PartitionBlockHashes(partition)
 	if err != nil {
 		return 0, nil, err
 	}
-	return s.n.st.PartitionVersion(partition), hashes, nil
+	return ver, hashes, nil
 }
 
 // BlockDelta serves BDELTA frames: a snapcodec delta snapshot of the
@@ -986,6 +990,8 @@ func (n *Node) Handler() http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad partition: %w", err))
 			return
 		}
+		// Version BEFORE hashes (see nodeSink.BlockHashes).
+		ver := n.st.PartitionVersion(p)
 		h, err := n.st.PartitionHash(p)
 		if err != nil {
 			httpError(w, statusFor(err), err)
@@ -994,7 +1000,7 @@ func (n *Node) Handler() http.Handler {
 		reply := map[string]any{
 			"partition": p,
 			"hash":      fmt.Sprintf("%016x", h),
-			"version":   fmt.Sprintf("%016x", n.st.PartitionVersion(p)),
+			"version":   fmt.Sprintf("%016x", ver),
 		}
 		if r.URL.Query().Get("blocks") == "1" {
 			// Per-block hashes for delta anti-entropy (the HTTP fallback of

@@ -82,49 +82,44 @@ func (e *BankEngine) Estimate(key int) float64 { return e.b.Estimate(key) }
 // EstimateAll implements Engine.
 func (e *BankEngine) EstimateAll() []float64 { return e.b.EstimateAll() }
 
-// TopK implements Engine by ranking the range's estimates — an O(hi−lo)
-// scan over the read-mostly estimate cache; the bank tracks every key, so
-// unlike the top-k engine the answer is exact w.r.t. the registers.
+// TopK implements Engine by ranking the range's raw registers in place
+// (shardbank.TopRegisters) — every register algorithm's estimate is
+// strictly increasing in its register, so the ranking is the ranking by
+// estimate — and converting only the k winners. The bank tracks every key,
+// so unlike the top-k engine the answer is exact w.r.t. the registers.
 func (e *BankEngine) TopK(k, lo, hi int) ([]Entry, error) {
-	if lo < 0 || hi > e.b.Len() || lo > hi {
-		return nil, fmt.Errorf("engine: key range [%d, %d) outside [0, %d)", lo, hi, e.b.Len())
+	top, err := e.b.TopRegisters(k, lo, hi)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	if k <= 0 {
-		return []Entry{}, nil
-	}
-	// k comes straight off the HTTP query string — cap the buffer at the
-	// range size so a hostile k cannot allocate gigabytes.
-	if k > hi-lo {
-		k = hi - lo
-	}
-	est := e.b.EstimateAll()
-	out := make([]Entry, 0, k+1)
-	for key := lo; key < hi; key++ {
-		if v := est[key]; v > 0 {
-			out = topkPush(out, k, key, v)
-		}
+	alg := e.b.Algorithm()
+	out := make([]Entry, len(top))
+	for i, t := range top {
+		out[i] = Entry{Key: t.Key, Estimate: alg.Estimate(t.Reg)}
 	}
 	return out, nil
 }
 
 // HashRange implements Engine with the FNV-1a register fold the
-// pre-engine Store.PartitionHash used.
+// pre-engine Store.PartitionHash used, read off a packed view of the range.
 func (e *BankEngine) HashRange(lo, hi int) (uint64, error) {
-	regs, err := e.b.ExportRange(lo, hi)
+	v, err := e.b.FreezeRange(lo, hi)
 	if err != nil {
 		return 0, err
 	}
 	h := newFNV()
-	for _, v := range regs {
-		h.word(v)
-	}
+	snapcodec.EachBlock(v, func(block []uint64) {
+		for _, reg := range block {
+			h.word(reg)
+		}
+	})
 	return h.sum(), nil
 }
 
-// Snapshot implements Engine. Whole-bank snapshots (parts == 0) export a
-// globally consistent state cut; partition snapshots export the range's
-// registers per shard lock (consistent per shard, monotone overall — what
-// the max-join anti-entropy needs).
+// Snapshot implements Engine. The register section is a packed view of the
+// bank (shardbank.FreezeRange) — a globally consistent cut the encoder reads
+// block by block — so a snapshot costs the bank's packed size, never a
+// []uint64 of every register.
 func (e *BankEngine) Snapshot(part, parts int, withState bool) (*snapcodec.Snapshot, error) {
 	snap := &snapcodec.Snapshot{
 		N:      e.b.Len(),
@@ -134,25 +129,23 @@ func (e *BankEngine) Snapshot(part, parts int, withState bool) (*snapcodec.Snaps
 	if err := snap.SetAlg(e.b.Algorithm()); err != nil {
 		return nil, err
 	}
-	if parts == 0 {
-		state := e.b.ExportState()
-		snap.Registers = state.Registers
+	lo, hi := 0, e.b.Len()
+	if parts != 0 {
 		if withState {
-			snap.RNG = state.RNG
+			return nil, fmt.Errorf("engine: partition snapshots cannot carry generator state")
 		}
-		return snap, nil
+		lo, hi = snapcodec.PartitionRange(e.b.Len(), parts, part)
+		snap.Partition = part
+		snap.Parts = parts
 	}
-	if withState {
-		return nil, fmt.Errorf("engine: partition snapshots cannot carry generator state")
-	}
-	lo, hi := snapcodec.PartitionRange(e.b.Len(), parts, part)
-	regs, err := e.b.ExportRange(lo, hi)
+	v, err := e.b.FreezeRange(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	snap.Partition = part
-	snap.Parts = parts
-	snap.Registers = regs
+	snap.Source = v
+	if withState {
+		snap.RNG = v.RNG()
+	}
 	return snap, nil
 }
 
@@ -163,6 +156,10 @@ func (e *BankEngine) Snapshot(part, parts int, withState bool) (*snapcodec.Snaps
 func (e *BankEngine) CheckPeer(snap *snapcodec.Snapshot, disjoint bool) error {
 	if snap.IsEngine() {
 		return fmt.Errorf("engine kind mismatch: peer %q, local %q", snap.Engine, KindBank)
+	}
+	if snap.Source != nil {
+		// The joins below read snap.Registers; a live view would merge nothing.
+		return fmt.Errorf("peer snapshot is a live view, not a decoded snapshot")
 	}
 	if disjoint {
 		if _, ok := e.b.Algorithm().(bank.MergeAlgorithm); !ok {
@@ -236,16 +233,16 @@ func (e *BankEngine) MarkDirty(blocks []uint32) { e.b.MarkDirtyBlocks(blocks) }
 func (e *BankEngine) DirtyCount() int { return e.b.DirtyBlocks() }
 
 // BlockHashes implements Engine: per-block FNV-1a fingerprints of the
-// partition's register export — the same registers (and the same fold)
-// HashRange digests, cut at snapcodec block boundaries.
+// partition's registers — the same registers (and the same fold) HashRange
+// digests, cut at snapcodec block boundaries.
 func (e *BankEngine) BlockHashes(part, parts int) ([]uint64, error) {
 	lo, hi := 0, e.b.Len()
 	if parts != 0 {
 		lo, hi = snapcodec.PartitionRange(e.b.Len(), parts, part)
 	}
-	regs, err := e.b.ExportRange(lo, hi)
+	v, err := e.b.FreezeRange(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return blockHashes(regs), nil
+	return blockHashes(v), nil
 }

@@ -232,3 +232,42 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	*w += countingWriter(len(p))
 	return len(p), nil
 }
+
+// loadedBankEngine is a 1M-key Morris bank after a Zipf stream — the
+// wire_bank benchmark workload's shape.
+func loadedBankEngine(b *testing.B) *BankEngine {
+	const n = 1 << 20
+	e := NewBank(shardbank.New(n, bank.NewMorrisAlg(0.005, 14), 256, 42))
+	for _, batch := range batches(zipfKeys(n, 1_000_000, 1.05, 9), 4096) {
+		e.ApplyBatch(batch)
+	}
+	return e
+}
+
+// A top-10 over the whole bank, each one right after a write (what a
+// dashboard polling a loaded node pays): a walk of the packed words.
+func BenchmarkBankTopK(b *testing.B) {
+	e := loadedBankEngine(b)
+	batch := benchBatch(e.Len(), 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ApplyBatch(batch)
+		if _, err := e.TopK(10, 0, e.Len()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// GET /v1/snapshot of the whole bank: freeze the packed words, encode off
+// them. B/op is the transient memory a snapshot costs.
+func BenchmarkBankSnapshotStream(b *testing.B) {
+	e := loadedBankEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SnapshotTo(io.Discard, e, 0, 0, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

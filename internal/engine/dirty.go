@@ -93,22 +93,17 @@ func (d *dirtySet) count() int {
 	return total
 }
 
-// blockHashes folds regs into per-block FNV-1a fingerprints — one hash per
-// snapcodec.BlockLen span, the granule the block-diff anti-entropy compares
-// across replicas before pulling a delta.
-func blockHashes(regs []uint64) []uint64 {
-	nb := (len(regs) + snapcodec.BlockLen - 1) / snapcodec.BlockLen
-	out := make([]uint64, 0, nb)
-	for lo := 0; lo < len(regs); lo += snapcodec.BlockLen {
-		hi := lo + snapcodec.BlockLen
-		if hi > len(regs) {
-			hi = len(regs)
-		}
+// blockHashes folds a register section into per-block FNV-1a fingerprints —
+// one hash per snapcodec.BlockLen span, the granule the block-diff
+// anti-entropy compares across replicas before pulling a delta.
+func blockHashes(regs snapcodec.RegisterSource) []uint64 {
+	out := make([]uint64, 0, snapcodec.NumBlocks(regs.Len()))
+	snapcodec.EachBlock(regs, func(block []uint64) {
 		h := newFNV()
-		for _, v := range regs[lo:hi] {
+		for _, v := range block {
 			h.word(v)
 		}
 		out = append(out, h.sum())
-	}
+	})
 	return out
 }

@@ -773,7 +773,7 @@ func (c *distinctCore) BlockHashes(part, parts int) ([]uint64, error) {
 		}
 		sh.mu.Unlock()
 	}
-	return blockHashes(regs), nil
+	return blockHashes(snapcodec.RegisterSlice(regs)), nil
 }
 
 // --- Windowed methods (DistinctWindowEngine only) ------------------------

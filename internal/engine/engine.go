@@ -107,8 +107,8 @@ type Engine interface {
 	// Estimate returns N̂ for one (validated) key; engines that track only
 	// a subset of keys (top-k) return 0 for untracked ones.
 	Estimate(key int) float64
-	// EstimateAll returns all n estimates in key order. The slice may be
-	// shared with future callers — treat as read-only.
+	// EstimateAll returns all n estimates in key order, in a fresh slice
+	// the caller owns.
 	EstimateAll() []float64
 	// TopK returns up to k keys of the range [lo, hi) ranked by descending
 	// estimate (ties toward the smaller key). The range must be aligned

@@ -77,12 +77,8 @@ func TestBankEngineSnapshotBytesPinned(t *testing.T) {
 	// One partition (the anti-entropy exchange unit).
 	const parts = 4
 	lo, hi := snapcodec.PartitionRange(n, parts, 2)
-	regs, err := ref.ExportRange(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantP := &snapcodec.Snapshot{N: n, Shards: shards, Seed: seed,
-		Partition: 2, Parts: parts, Registers: regs}
+		Partition: 2, Parts: parts, Registers: state.Registers[lo:hi]}
 	if err := wantP.SetAlg(alg); err != nil {
 		t.Fatal(err)
 	}

@@ -854,7 +854,7 @@ func (e *WindowEngine) BlockHashes(part, parts int) ([]uint64, error) {
 		}
 		sh.mu.Unlock()
 	}
-	return blockHashes(regs), nil
+	return blockHashes(snapcodec.RegisterSlice(regs)), nil
 }
 
 func (e *WindowEngine) merge(snap *snapcodec.Snapshot, disjoint bool) error {

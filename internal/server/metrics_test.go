@@ -107,6 +107,11 @@ func TestMetricNamesPinned(t *testing.T) {
 	if err := st.Apply([]int{1, 2, 3}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
+	for i := 0; i < 2; i++ { // one scan, one memo hit: both label values render
+		if _, err := st.PartitionHash(0); err != nil {
+			t.Fatalf("partition hash: %v", err)
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := st.Metrics().WritePrometheus(&buf); err != nil {
@@ -131,6 +136,7 @@ func TestMetricNamesPinned(t *testing.T) {
 		{"counterd_store_start_time_seconds", "gauge"},
 		{"counterd_store_stale_hint_keys_total", "counter"},
 		{"counterd_store_dirty_blocks", "gauge"},
+		{"counterd_store_partition_hash_total", "counter"},
 		{"counterd_checkpoint_seconds", "histogram"},
 		{"counterd_checkpoint_seq", "gauge"},
 		{"counterd_checkpoint_last_unixtime", "gauge"},
@@ -151,6 +157,17 @@ func TestMetricNamesPinned(t *testing.T) {
 		if !strings.Contains(body, decl) {
 			t.Errorf("pinned metric %s (%s) missing or re-typed", p.name, p.typ)
 		}
+	}
+	for _, series := range []string{
+		`counterd_store_partition_hash_total{source="scan"} 1`,
+		`counterd_store_partition_hash_total{source="memo"} 1`,
+	} {
+		if !strings.Contains(body, series+"\n") {
+			t.Errorf("exposition is missing %q", series)
+		}
+	}
+	if err := metrics.LintExposition(strings.NewReader(body)); err != nil {
+		t.Errorf("invalid exposition: %v", err)
 	}
 }
 

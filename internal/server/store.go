@@ -167,6 +167,14 @@ type Store struct {
 	// should not be force-merged (see internal/cluster).
 	partVer []atomic.Uint64
 
+	// hashMemo and blockMemo remember each partition's last PartitionHash
+	// and PartitionBlockHashes answer together with the partVer it was
+	// computed at, so probing a partition nobody wrote to touches no
+	// register. Every mutation bumps partVer after it lands, which is what
+	// retires an entry.
+	hashMemo  []atomic.Pointer[memo[uint64]]
+	blockMemo []atomic.Pointer[memo[[]uint64]]
+
 	// Rebalance ownership state (internal/cluster): the last RecOwn epoch
 	// minus installs observed since (merge records carry the partition they
 	// landed in), plus the partitions still held frozen for surrender.
@@ -199,6 +207,8 @@ type Store struct {
 	ticks     *metrics.Counter
 	deltaMaxs *metrics.Counter
 	stales    *metrics.Counter
+	hashMemos *metrics.Counter   // partition hash probes answered from the memo
+	hashScans *metrics.Counter   // partition hash probes that read the registers
 	mApply    *metrics.Histogram // durable apply latency (stage+apply+commit)
 	mBatchLen *metrics.Histogram // keys per applied batch
 	mCkpt     *metrics.Histogram // checkpoint duration
@@ -369,6 +379,8 @@ func Open(cfg Config) (*Store, error) {
 	}
 
 	st.partVer = make([]atomic.Uint64, st.cfg.Partitions)
+	st.hashMemo = make([]atomic.Pointer[memo[uint64]], st.cfg.Partitions)
+	st.blockMemo = make([]atomic.Pointer[memo[[]uint64]], st.cfg.Partitions)
 	st.ownPending = make(map[int]bool)
 	st.ownFrozen = make(map[int]bool)
 	st.ownOwned = make(map[int]bool)
@@ -425,6 +437,10 @@ func (st *Store) initMetrics(reg *metrics.Registry) {
 	st.deltaMaxs = mv.With("delta")
 	st.stales = reg.Counter("counterd_store_stale_hint_keys_total",
 		"Epoch-tagged hint keys dropped because their origin bucket rotated out in transit.")
+	hv := reg.CounterVec("counterd_store_partition_hash_total",
+		"Partition hash and block-hash probes, by source: memo (partition unwritten since the last probe, no register read) or scan (registers re-read and re-hashed).", "source")
+	st.hashMemos = hv.With("memo")
+	st.hashScans = hv.With("scan")
 	st.evicts = reg.Counter("counterd_store_evicts_total",
 		"Partitions truncated after a rebalance surrender.")
 	st.ticks = reg.Counter("counterd_store_ticks_total",
@@ -657,7 +673,7 @@ func (st *Store) materializeLocked(d *snapcodec.Snapshot) (*snapcodec.Snapshot, 
 	if err != nil {
 		return nil, err
 	}
-	full, err := snapcodec.MaterializeDelta(d, base.Registers)
+	full, err := snapcodec.MaterializeDelta(d, base.Regs())
 	if err != nil {
 		return nil, err
 	}
@@ -872,16 +888,46 @@ func (st *Store) PartitionVersion(p int) uint64 {
 	return st.partVer[p].Load()
 }
 
+// memo is one memoised per-partition answer and the partition write version
+// it holds for.
+type memo[T any] struct {
+	ver uint64
+	val T
+}
+
+// memoised answers a per-partition probe from slot when the partition has
+// not been written since the slot was filled, and otherwise runs scan and
+// refills it. The version is read BEFORE the scan and the result kept only
+// if it is unchanged after, so an entry is never newer than its version
+// says: a caller that reads PartitionVersion first and finds it equal to a
+// later read saw the hashes of exactly that version.
+func memoised[T any](st *Store, slot *atomic.Pointer[memo[T]], p int, scan func() (T, error)) (T, error) {
+	ver := st.partVer[p].Load()
+	if m := slot.Load(); m != nil && m.ver == ver {
+		st.hashMemos.Inc()
+		return m.val, nil
+	}
+	st.hashScans.Inc()
+	val, err := scan()
+	if err == nil && st.partVer[p].Load() == ver {
+		slot.Store(&memo[T]{ver: ver, val: val})
+	}
+	return val, err
+}
+
 // PartitionHash returns an order-dependent 64-bit hash of partition p's
 // engine state — equal hashes across replicas mean (up to hash collision)
 // identical state, which is what the cluster's anti-entropy checks before
-// deciding a merge is needed.
+// deciding a merge is needed. Memoised against PartitionVersion(p): a
+// partition unwritten since the last call answers without a register read.
 func (st *Store) PartitionHash(p int) (uint64, error) {
 	if p < 0 || p >= st.cfg.Partitions {
 		return 0, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
 	}
-	lo, hi := snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, p)
-	return st.eng.HashRange(lo, hi)
+	return memoised(st, &st.hashMemo[p], p, func() (uint64, error) {
+		lo, hi := snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, p)
+		return st.eng.HashRange(lo, hi)
+	})
 }
 
 // Merge ingests a peer snapshot (snapcodec bytes, whole or one partition)
@@ -999,16 +1045,19 @@ func (st *Store) MergeMaxDelta(blob []byte, wantVer uint64) error {
 // p's snapshot register section — the block-granular refinement of
 // PartitionHash the delta anti-entropy diffs to decide which blocks to
 // ship. Engines without a register block layout (top-k) return ErrBadInput;
-// callers fall back to whole-partition sync.
+// callers fall back to whole-partition sync. Memoised like PartitionHash;
+// the returned slice is shared with later callers — treat it as read-only.
 func (st *Store) PartitionBlockHashes(p int) ([]uint64, error) {
 	if p < 0 || p >= st.cfg.Partitions {
 		return nil, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
 	}
-	hashes, err := st.eng.BlockHashes(p, st.cfg.Partitions)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	return hashes, nil
+	return memoised(st, &st.blockMemo[p], p, func() ([]uint64, error) {
+		hashes, err := st.eng.BlockHashes(p, st.cfg.Partitions)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
+		}
+		return hashes, nil
+	})
 }
 
 // PartitionDeltaTo streams a block delta of partition p restricted to the
@@ -1023,7 +1072,7 @@ func (st *Store) PartitionDeltaTo(w io.Writer, p int, blocks []uint32) error {
 	if err != nil {
 		return err
 	}
-	if len(snap.Registers) == 0 {
+	if snap.Regs().Len() == 0 {
 		return fmt.Errorf("%w: engine %q snapshots carry no register blocks", ErrBadInput, st.eng.Kind())
 	}
 	d, err := snapcodec.MakeDelta(snap, 0, blocks)
@@ -1244,8 +1293,8 @@ func (st *Store) Estimate(key int) (float64, error) {
 	return st.eng.Estimate(key), nil
 }
 
-// EstimateAll returns all estimates (shared read-only slice for the bank
-// engine; see engine.Engine.EstimateAll).
+// EstimateAll returns all estimates in a fresh slice (see
+// engine.Engine.EstimateAll).
 func (st *Store) EstimateAll() []float64 { return st.eng.EstimateAll() }
 
 // TopK returns the top-k keys of one partition (partition >= 0) or of the
@@ -1444,9 +1493,10 @@ func (st *Store) PartitionSnapshotTo(w io.Writer, p int) error {
 func (st *Store) Checkpoint() error {
 	ckptStart := time.Now()
 	defer func() { st.mCkpt.ObserveSince(ckptStart) }()
-	// Rotation, state export, and the dirty-block drain happen under
+	// Rotation, state capture, and the dirty-block drain happen under
 	// writeMu so no write lands between "records before S", "engine state
-	// at S", and "blocks dirtied before S".
+	// at S", and "blocks dirtied before S". The bank engine's capture is a
+	// memcpy of its packed words; encoding runs after the lock is released.
 	st.writeMu.Lock()
 	seq, err := st.log.Rotate()
 	if err != nil {
@@ -1502,10 +1552,11 @@ func (st *Store) Checkpoint() error {
 	}
 
 	base := st.ckptSeq.Load()
-	useDelta := tracked && base > 0 && len(snap.Registers) > 0 &&
+	nregs := snap.Regs().Len()
+	useDelta := tracked && base > 0 && nregs > 0 &&
 		st.cfg.DeltaFraction >= 0 &&
 		st.chainLen.Load() < int64(st.maxDeltaChain()) &&
-		float64(len(dirty)) <= st.deltaFraction()*float64(snapcodec.NumBlocks(len(snap.Registers)))
+		float64(len(dirty)) <= st.deltaFraction()*float64(snapcodec.NumBlocks(nregs))
 	path := snapPath(st.cfg.Dir, seq)
 	if useDelta {
 		d, derr := snapcodec.MakeDelta(snap, base, dirty)

@@ -71,6 +71,9 @@ func (b *Bank) markDirtyRange(lo, hi int) {
 // serialize TakeDirty against appliers themselves. Returns nil when clean.
 func (b *Bank) TakeDirty() []uint32 {
 	var out []uint32
+	if n := b.DirtyBlocks(); n > 0 {
+		out = make([]uint32, 0, n) // one exact allocation, not a doubling chain
+	}
 	for wi := range b.dirty {
 		w := b.dirty[wi].Swap(0)
 		for w != 0 {

@@ -1,8 +1,9 @@
-// Key-range operations for the sharded bank: exporting and merging a
-// contiguous slice of the key space. These are the storage half of the
-// cluster's partition exchange (internal/cluster): a partition is a key
-// range [lo, hi), anti-entropy ships its registers as a compressed snapshot,
-// and the receiver folds them in with one of two joins —
+// Key-range operations for the sharded bank: merging into and resetting a
+// contiguous slice of the key space (reading one is view.go's FreezeRange).
+// These are the storage half of the cluster's partition exchange
+// (internal/cluster): a partition is a key range [lo, hi), anti-entropy
+// ships its registers as a compressed snapshot, and the receiver folds them
+// in with one of two joins —
 //
 //   - MergeRange: the paper's Remark 2.4 merge, for counters that absorbed
 //     DISJOINT streams (cross-cluster ingest, examples/distributed). The
@@ -34,34 +35,6 @@ func (b *Bank) firstInShard(lo, si int) int {
 	return lo + (si-lo%p+p)&int(b.mask)
 }
 
-// ExportRange returns the registers of keys [lo, hi) in key order. Each
-// shard is read under its lock, so the result is consistent per shard but
-// not a global point-in-time cut (registers are monotone under increments,
-// which is all the cluster's max-join anti-entropy needs); use ExportState
-// for a globally consistent image.
-func (b *Bank) ExportRange(lo, hi int) ([]uint64, error) {
-	if err := b.checkRange(lo, hi); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, hi-lo)
-	if lo == hi {
-		return out, nil
-	}
-	p := len(b.shards)
-	for si, s := range b.shards {
-		first := b.firstInShard(lo, si)
-		if first >= hi {
-			continue
-		}
-		s.mu.Lock()
-		for k := first; k < hi; k += p {
-			out[k-lo] = s.arr.Get(k >> b.shift)
-		}
-		s.mu.Unlock()
-	}
-	return out, nil
-}
-
 // MergeMaxRange folds regs (the registers of keys [lo, lo+len(regs)) from a
 // replica of identical shape) into the bank as a register-wise maximum. It
 // draws no randomness and is idempotent, so replicas exchanging ranges in
@@ -85,18 +58,13 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 		if first >= hi {
 			continue
 		}
-		changed := false
 		s.mu.Lock()
 		for k := first; k < hi; k += p {
 			local := k >> b.shift
 			if v := regs[k-lo]; v > s.arr.Get(local) {
 				s.arr.Set(local, v)
 				b.markDirty(k)
-				changed = true
 			}
-		}
-		if changed {
-			s.version.Add(1)
 		}
 		s.mu.Unlock()
 	}
@@ -129,7 +97,6 @@ func (b *Bank) ResetRange(lo, hi int) error {
 				b.markDirty(k)
 			}
 		}
-		s.version.Add(1)
 		s.mu.Unlock()
 	}
 	return nil
@@ -172,7 +139,6 @@ func (b *Bank) MergeRange(lo int, regs []uint64) error {
 				b.markDirty(k)
 			}
 		}
-		s.version.Add(1)
 		s.mu.Unlock()
 	}
 	return nil

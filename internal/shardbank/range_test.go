@@ -27,32 +27,16 @@ func loadedBank(t *testing.T, n, shards int, seed uint64, events int) *Bank {
 	return b
 }
 
-func TestExportRangeMatchesState(t *testing.T) {
-	b := loadedBank(t, 10_000, 16, 7, 200_000)
-	full := b.ExportState().Registers
-	for _, r := range [][2]int{{0, 10_000}, {0, 1}, {9_999, 10_000}, {1234, 5678}, {5000, 5000}} {
-		got, err := b.ExportRange(r[0], r[1])
-		if err != nil {
-			t.Fatalf("ExportRange(%d, %d): %v", r[0], r[1], err)
-		}
-		if len(got) != r[1]-r[0] {
-			t.Fatalf("ExportRange(%d, %d): %d registers", r[0], r[1], len(got))
-		}
-		for i, v := range got {
-			if v != full[r[0]+i] {
-				t.Fatalf("ExportRange(%d, %d): key %d = %d, want %d", r[0], r[1], r[0]+i, v, full[r[0]+i])
-			}
-		}
+// rangeRegs reads the registers of keys [lo, hi) through the packed view.
+func rangeRegs(t *testing.T, b *Bank, lo, hi int) []uint64 {
+	t.Helper()
+	v, err := b.FreezeRange(lo, hi)
+	if err != nil {
+		t.Fatalf("FreezeRange(%d, %d): %v", lo, hi, err)
 	}
-	if _, err := b.ExportRange(-1, 5); err == nil {
-		t.Fatal("negative lo accepted")
-	}
-	if _, err := b.ExportRange(0, 10_001); err == nil {
-		t.Fatal("hi past n accepted")
-	}
-	if _, err := b.ExportRange(7, 3); err == nil {
-		t.Fatal("inverted range accepted")
-	}
+	regs := make([]uint64, v.Len())
+	v.ReadRegisters(regs, 0)
+	return regs
 }
 
 // MergeMaxRange is the anti-entropy join: after exchanging ranges in both
@@ -64,16 +48,16 @@ func TestMergeMaxRangeConverges(t *testing.T) {
 	b := loadedBank(t, n, 8, 22, 150_000)
 
 	lo, hi := 1000, 4000
-	aRegs, _ := a.ExportRange(lo, hi)
-	bRegs, _ := b.ExportRange(lo, hi)
+	aRegs := rangeRegs(t, a, lo, hi)
+	bRegs := rangeRegs(t, b, lo, hi)
 	if err := a.MergeMaxRange(lo, bRegs); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.MergeMaxRange(lo, aRegs); err != nil {
 		t.Fatal(err)
 	}
-	aAfter, _ := a.ExportRange(lo, hi)
-	bAfter, _ := b.ExportRange(lo, hi)
+	aAfter := rangeRegs(t, a, lo, hi)
+	bAfter := rangeRegs(t, b, lo, hi)
 	for i := range aAfter {
 		if aAfter[i] != bAfter[i] {
 			t.Fatalf("key %d: replicas diverge after exchange: %d vs %d", lo+i, aAfter[i], bAfter[i])
@@ -86,16 +70,16 @@ func TestMergeMaxRangeConverges(t *testing.T) {
 	if err := a.MergeMaxRange(lo, bAfter); err != nil {
 		t.Fatal(err)
 	}
-	again, _ := a.ExportRange(lo, hi)
+	again := rangeRegs(t, a, lo, hi)
 	for i := range again {
 		if again[i] != aAfter[i] {
 			t.Fatalf("key %d: repeated max join changed register", lo+i)
 		}
 	}
 	// Keys outside the range are untouched.
-	outside, _ := a.ExportRange(0, lo)
+	outside := rangeRegs(t, a, 0, lo)
 	orig := loadedBank(t, n, 8, 11, 150_000)
-	origOutside, _ := orig.ExportRange(0, lo)
+	origOutside := rangeRegs(t, orig, 0, lo)
 	for i := range outside {
 		if outside[i] != origOutside[i] {
 			t.Fatalf("key %d outside range modified", i)
@@ -121,7 +105,7 @@ func TestMergeRangeMatchesFullMerge(t *testing.T) {
 	a1, b1 := mk()
 	a2, _ := mk()
 
-	donor, _ := b1.ExportRange(0, n)
+	donor := rangeRegs(t, b1, 0, n)
 	if err := a1.Merge(b1); err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,16 @@
 //     division, no interface call. Unknown algorithms fall back to the
 //     generic Algorithm.Step path.
 //
-// Reads have two tiers. Estimate/Register lock one shard. EstimateAll is a
-// read-mostly fast path: it maintains an atomically published cache of all
-// n estimates, validated against per-shard version counters, so on a quiet
-// bank it returns without taking any lock. Snapshot takes every shard lock
-// simultaneously and emits the registers as one contiguous packed payload in
-// global key order — byte-compatible with bank.Bank's snapshot format, so
-// the merged view can be restored into a single-mutex Bank. Two shard banks
-// of identical shape fold together with Merge, register by register, via the
-// paper's Remark 2.4 merge — the merged bank is distributed exactly as one
-// that saw both banks' streams.
+// Reads come in two sizes. Estimate/Register lock one shard. Bulk readers
+// — snapshots, checkpoints, range hashes, top-k — go through the packed read
+// path in view.go: Freeze copies the shards' packed words under all locks
+// and serves registers off the copy, TopRegisters ranks registers in place.
+// Snapshot takes every shard lock simultaneously and emits the registers as
+// one contiguous packed payload in global key order — byte-compatible with
+// bank.Bank's snapshot format, so the merged view can be restored into a
+// single-mutex Bank. Two shard banks of identical shape fold together with
+// Merge, register by register, via the paper's Remark 2.4 merge — the merged
+// bank is distributed exactly as one that saw both banks' streams.
 package shardbank
 
 import (
@@ -133,8 +133,7 @@ func fixedProb(p float64) uint64 {
 
 // shard is one lock stripe: a packed register array and a private rng. The
 // trailing pad keeps adjacent shards off each other's cache line so that
-// lock and version traffic on one stripe does not false-share with its
-// neighbors.
+// lock traffic on one stripe does not false-share with its neighbors.
 type shard struct {
 	mu  sync.Mutex
 	arr *bitpack.Array
@@ -143,17 +142,9 @@ type shard struct {
 	// xo is the shard's raw generator; rng wraps it for the generic
 	// Algorithm.Step path and merges. The table path draws from xo
 	// directly so the call devirtualizes and inlines.
-	xo      *xrand.Xoshiro256
-	rng     *xrand.Rand
-	version atomic.Uint64
-	_       [16]byte
-}
-
-// estCache is an immutable published snapshot of all estimates, tagged with
-// the per-shard versions it was computed at.
-type estCache struct {
-	versions []uint64
-	vals     []float64
+	xo  *xrand.Xoshiro256
+	rng *xrand.Rand
+	_   [24]byte
 }
 
 // Bank is a lock-striped, batched counter bank. The zero value is not
@@ -167,8 +158,7 @@ type Bank struct {
 	mask    uint64          // len(shards) − 1; len is a power of two
 	shift   uint            // log2(len(shards))
 	dirty   []atomic.Uint64 // changed-block bitmap; see dirty.go
-	cache   atomic.Pointer[estCache]
-	scratch sync.Pool // *batchScratch, reused across IncrementBatch calls
+	scratch sync.Pool       // *batchScratch, reused across IncrementBatch calls
 }
 
 // New allocates a Bank of n registers striped across the given shard count
@@ -281,7 +271,6 @@ func (b *Bank) Increment(i int) {
 	reg := s.arr.Get(local)
 	if next := b.step(reg, s); next != reg {
 		s.arr.Set(local, next)
-		s.version.Add(1)
 		b.markDirty(i)
 	}
 	s.mu.Unlock()
@@ -298,7 +287,6 @@ func (b *Bank) IncrementBy(i int, k uint64) {
 	}
 	if reg != reg0 {
 		s.arr.Set(local, reg)
-		s.version.Add(1)
 		b.markDirty(i)
 	}
 	s.mu.Unlock()
@@ -322,9 +310,7 @@ func (b *Bank) IncrementBatch(keys []int) {
 		}
 		s := b.shards[0]
 		s.mu.Lock()
-		if applyKeys(b, s, keys) {
-			s.version.Add(1)
-		}
+		applyKeys(b, s, keys)
 		s.mu.Unlock()
 		return
 	}
@@ -359,9 +345,7 @@ func (b *Bank) IncrementBatch(keys []int) {
 		}
 		s := b.shards[si]
 		s.mu.Lock()
-		if applyKeys(b, s, sorted[lo:hi]) {
-			s.version.Add(1)
-		}
+		applyKeys(b, s, sorted[lo:hi])
 		s.mu.Unlock()
 	}
 	b.scratch.Put(sc)
@@ -377,11 +361,8 @@ func (b *Bank) IncrementBatch(keys []int) {
 // invariants hold by construction — and TestBatchedMatchesUnbatched pins
 // this loop bit-for-bit to the checked single-increment path. It is generic
 // so the sharded path can feed it the compact int32 scatter buffer while
-// the single-shard path passes the caller's []int straight through. The
-// return reports whether any register changed, so callers only bump the
-// shard version (and invalidate the EstimateAll cache) on real mutations.
-func applyKeys[K int | int32](b *Bank, s *shard, keys []K) bool {
-	changed := false
+// the single-shard path passes the caller's []int straight through.
+func applyKeys[K int | int32](b *Bank, s *shard, keys []K) {
 	t := b.table
 	if t == nil {
 		for _, k := range keys {
@@ -390,10 +371,9 @@ func applyKeys[K int | int32](b *Bank, s *shard, keys []K) bool {
 			if next := b.alg.Step(reg, s.rng); next != reg {
 				s.arr.Set(local, next)
 				b.markDirty(int(k))
-				changed = true
 			}
 		}
-		return changed
+		return
 	}
 	words := s.words
 	xo := s.xo
@@ -415,10 +395,8 @@ func applyKeys[K int | int32](b *Bank, s *shard, keys []K) bool {
 			words[idx] = w0&^(mask<<off) | reg<<off
 			words[idx+1] = w1&^(mask>>(64-off)) | reg>>(64-off)
 			b.markDirty(int(k))
-			changed = true
 		}
 	}
-	return changed
 }
 
 // batchScratch holds the reusable counting-sort buffers for IncrementBatch.
@@ -494,41 +472,20 @@ func (b *Bank) Register(i int) uint64 {
 	return reg
 }
 
-// EstimateAll returns all n estimates. It is the read-mostly fast path: the
-// result vector is cached and republished atomically, validated against
-// per-shard version counters, so when no increments have landed since the
-// last call it returns without taking any lock. The returned slice is
-// shared with future fast-path callers — treat it as read-only.
+// EstimateAll returns all n estimates in a fresh slice the caller owns.
 //
 // The view is consistent per shard (each stripe is read under its lock) but
-// not a global point-in-time snapshot; use Snapshot for that.
+// not a global point-in-time snapshot; use Freeze for that.
 func (b *Bank) EstimateAll() []float64 {
-	if c := b.cache.Load(); c != nil {
-		fresh := true
-		for s, sh := range b.shards {
-			if sh.version.Load() != c.versions[s] {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			return c.vals
-		}
-	}
-	c := &estCache{
-		versions: make([]uint64, len(b.shards)),
-		vals:     make([]float64, b.n),
-	}
+	vals := make([]float64, b.n)
 	for si, s := range b.shards {
 		s.mu.Lock()
-		c.versions[si] = s.version.Load()
 		for local, i := 0, si; i < b.n; local, i = local+1, i+len(b.shards) {
-			c.vals[i] = b.alg.Estimate(s.arr.Get(local))
+			vals[i] = b.alg.Estimate(s.arr.Get(local))
 		}
 		s.mu.Unlock()
 	}
-	b.cache.Store(c)
-	return c.vals
+	return vals
 }
 
 // lockAll acquires every shard lock in stripe order; unlockAll releases.
@@ -603,7 +560,6 @@ func (b *Bank) Merge(other *Bank) error {
 				b.markDirty(local<<b.shift | si)
 			}
 		}
-		s.version.Add(1)
 		o.mu.Unlock()
 		s.mu.Unlock()
 	}

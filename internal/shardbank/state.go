@@ -99,9 +99,6 @@ func (b *Bank) RestoreState(st State) error {
 			s.xo.SetState(st.RNG[si])
 		}
 	}
-	for _, s := range b.shards {
-		s.version.Add(1) // invalidate the EstimateAll cache
-	}
 	// A restore rewrites the whole register section; conservatively mark
 	// every block so the next checkpoint cannot miss restored state. The
 	// store's recovery path drains the bitmap right after construction when

@@ -97,7 +97,7 @@ func TestRestoreStateInvalidatesEstimateCache(t *testing.T) {
 	alg := bank.NewExactAlg(8)
 	b := New(16, alg, 4, 1)
 	b.Increment(0)
-	_ = b.EstimateAll() // populate cache
+	_ = b.EstimateAll()
 	regs := make([]uint64, 16)
 	regs[3] = 200
 	if err := b.RestoreState(State{Registers: regs}); err != nil {
@@ -105,6 +105,6 @@ func TestRestoreStateInvalidatesEstimateCache(t *testing.T) {
 	}
 	est := b.EstimateAll()
 	if est[3] != 200 || est[0] != 0 {
-		t.Fatalf("EstimateAll served stale cache after RestoreState: %v", est[:4])
+		t.Fatalf("EstimateAll served stale estimates after RestoreState: %v", est[:4])
 	}
 }

@@ -69,23 +69,45 @@ func (s *Snapshot) validateDelta() error {
 		prev = int(bi)
 		expect += blockSpan(s.DeltaRegs, BlockLen, int(bi))
 	}
-	if len(s.Registers) != expect {
-		return fmt.Errorf("snapcodec: delta blocks span %d registers, got %d", expect, len(s.Registers))
+	if got := s.Regs().Len(); got != expect {
+		return fmt.Errorf("snapcodec: delta blocks span %d registers, got %d", expect, got)
 	}
 	return nil
+}
+
+// blockSubset presents the listed blocks of a full register section back to
+// back — the register section of a delta, read through to the full section
+// without copying it. Every listed block is BlockLen long except possibly
+// the section's final one, which can only come last.
+type blockSubset struct {
+	full   RegisterSource
+	blocks []uint32
+	n      int
+}
+
+func (b blockSubset) Len() int { return b.n }
+
+func (b blockSubset) ReadRegisters(dst []uint64, at int) {
+	for len(dst) > 0 {
+		in := at % BlockLen
+		n := min(len(dst), BlockLen-in)
+		b.full.ReadRegisters(dst[:n], int(b.blocks[at/BlockLen])*BlockLen+in)
+		dst, at = dst[n:], at+n
+	}
 }
 
 // MakeDelta builds a delta snapshot from a full snapshot: the header,
 // payload, and rng sections are shared (not copied), the register section
 // is restricted to the listed blocks, and the result applies on top of the
 // base identified by baseID. blocks must be strictly ascending indices into
-// full's register section; the returned snapshot's Registers are a fresh
-// slice, so full stays usable.
+// full's register section. The delta reads its blocks through full's
+// section rather than copying them, so encoding it touches only the listed
+// blocks and full must stay unmodified while the delta is in use.
 func MakeDelta(full *Snapshot, baseID uint64, blocks []uint32) (*Snapshot, error) {
 	if full.Delta {
 		return nil, errors.New("snapcodec: delta of a delta snapshot")
 	}
-	total := len(full.Registers)
+	total := full.Regs().Len()
 	if total == 0 {
 		return nil, errors.New("snapcodec: delta of a snapshot without registers")
 	}
@@ -121,12 +143,21 @@ func MakeDelta(full *Snapshot, baseID uint64, blocks []uint32) (*Snapshot, error
 		expect += blockSpan(total, BlockLen, int(bi))
 		d.DeltaBlocks = append(d.DeltaBlocks, bi)
 	}
-	d.Registers = make([]uint64, 0, expect)
+	d.Source = blockSubset{full: full.Regs(), blocks: d.DeltaBlocks, n: expect}
+	return d, nil
+}
+
+// spliceDelta overwrites the blocks d lists in regs, a full section of
+// d.DeltaRegs registers, with d's values.
+func spliceDelta(regs []uint64, d *Snapshot) {
+	src := d.Regs()
+	off := 0
 	for _, bi := range d.DeltaBlocks {
 		lo := int(bi) * BlockLen
-		d.Registers = append(d.Registers, full.Registers[lo:lo+blockSpan(total, BlockLen, int(bi))]...)
+		sz := blockSpan(d.DeltaRegs, BlockLen, int(bi))
+		src.ReadRegisters(regs[lo:lo+sz], off)
+		off += sz
 	}
-	return d, nil
 }
 
 // MaterializeDelta builds the full snapshot a delta describes from the
@@ -135,14 +166,14 @@ func MakeDelta(full *Snapshot, baseID uint64, blocks []uint32) (*Snapshot, error
 // anti-entropy materializes a peer's delta against locally exported
 // registers, and the peers may legitimately differ in seed (replica joins
 // never compare seeds), so the result's header — including the seed — is
-// the delta's, verbatim. baseRegs must span exactly d.DeltaRegs values; it
-// is copied, never aliased, so the caller's slice stays untouched.
-func MaterializeDelta(d *Snapshot, baseRegs []uint64) (*Snapshot, error) {
+// the delta's, verbatim. base must span exactly d.DeltaRegs values; it is
+// read into a fresh slice, never aliased.
+func MaterializeDelta(d *Snapshot, base RegisterSource) (*Snapshot, error) {
 	if !d.Delta {
 		return nil, errors.New("snapcodec: MaterializeDelta of a non-delta snapshot")
 	}
-	if len(baseRegs) != d.DeltaRegs {
-		return nil, fmt.Errorf("snapcodec: delta addresses %d registers, base has %d", d.DeltaRegs, len(baseRegs))
+	if base.Len() != d.DeltaRegs {
+		return nil, fmt.Errorf("snapcodec: delta addresses %d registers, base has %d", d.DeltaRegs, base.Len())
 	}
 	full := &Snapshot{
 		AlgName:   d.AlgName,
@@ -158,15 +189,9 @@ func MaterializeDelta(d *Snapshot, baseRegs []uint64) (*Snapshot, error) {
 		Payload:   d.Payload,
 		RNG:       d.RNG,
 	}
-	full.Registers = make([]uint64, len(baseRegs))
-	copy(full.Registers, baseRegs)
-	off := 0
-	for _, bi := range d.DeltaBlocks {
-		lo := int(bi) * BlockLen
-		sz := blockSpan(d.DeltaRegs, BlockLen, int(bi))
-		copy(full.Registers[lo:lo+sz], d.Registers[off:off+sz])
-		off += sz
-	}
+	full.Registers = make([]uint64, d.DeltaRegs)
+	base.ReadRegisters(full.Registers, 0)
+	spliceDelta(full.Registers, d)
 	return full, nil
 }
 
@@ -199,13 +224,7 @@ func ApplyDelta(base, d *Snapshot) error {
 	if len(base.Registers) != d.DeltaRegs {
 		return fmt.Errorf("snapcodec: delta addresses %d registers, base has %d", d.DeltaRegs, len(base.Registers))
 	}
-	off := 0
-	for _, bi := range d.DeltaBlocks {
-		lo := int(bi) * BlockLen
-		sz := blockSpan(d.DeltaRegs, BlockLen, int(bi))
-		copy(base.Registers[lo:lo+sz], d.Registers[off:off+sz])
-		off += sz
-	}
+	spliceDelta(base.Registers, d)
 	base.Payload = d.Payload
 	base.RNG = d.RNG
 	return nil

@@ -72,7 +72,7 @@ func TestMaterializeDelta(t *testing.T) {
 	}
 	// Materializing against a base with a different seed succeeds — the
 	// result's header, including the seed, is the delta's.
-	got, err := MaterializeDelta(d, baseRegs)
+	got, err := MaterializeDelta(d, RegisterSlice(baseRegs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestMaterializeDelta(t *testing.T) {
 	if baseRegs[0] == 1<<60 {
 		t.Fatal("MaterializeDelta aliased the caller's base registers")
 	}
-	if _, err := MaterializeDelta(d, baseRegs[:999]); err == nil {
+	if _, err := MaterializeDelta(d, RegisterSlice(baseRegs[:999])); err == nil {
 		t.Fatal("short base accepted")
 	}
-	if _, err := MaterializeDelta(full, baseRegs); err == nil {
+	if _, err := MaterializeDelta(full, RegisterSlice(baseRegs)); err == nil {
 		t.Fatal("non-delta snapshot accepted")
 	}
 }
@@ -190,7 +190,7 @@ func FuzzDeltaSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		mat, err := MaterializeDelta(got, base.Registers)
+		mat, err := MaterializeDelta(got, base.Regs())
 		if err != nil {
 			t.Fatalf("materialize: %v", err)
 		}

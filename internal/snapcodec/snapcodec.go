@@ -162,7 +162,49 @@ type Snapshot struct {
 	// count for a version-4 engine snapshot (empty for version-3 engines).
 	// For a delta snapshot it holds only the listed blocks' values.
 	Registers []uint64
-	RNG       [][4]uint64 // len Shards or nil (whole-bank snapshots only)
+	// Source, when non-nil, is the register section in place of Registers
+	// (which must then be empty): the encoder pulls it a block at a time,
+	// so a snapshot of packed registers never inflates them. The decoder
+	// always fills Registers. Read either through Regs.
+	Source RegisterSource
+	RNG    [][4]uint64 // len Shards or nil (whole-bank snapshots only)
+}
+
+// RegisterSource is a register section read in place, a span at a time —
+// what lets a bank hand the encoder its packed words (shardbank.View)
+// instead of a []uint64 of every register.
+type RegisterSource interface {
+	// Len returns the number of registers in the section.
+	Len() int
+	// ReadRegisters fills dst with registers [at, at+len(dst)).
+	ReadRegisters(dst []uint64, at int)
+}
+
+// RegisterSlice adapts a []uint64 to RegisterSource.
+type RegisterSlice []uint64
+
+func (r RegisterSlice) Len() int                           { return len(r) }
+func (r RegisterSlice) ReadRegisters(dst []uint64, at int) { copy(dst, r[at:]) }
+
+// Regs returns the snapshot's register section: Source when set, else
+// Registers.
+func (s *Snapshot) Regs() RegisterSource {
+	if s.Source != nil {
+		return s.Source
+	}
+	return RegisterSlice(s.Registers)
+}
+
+// EachBlock calls fn on every BlockLen-register block of src in order (the
+// last may be short), reading each into one reused buffer — the single
+// register loop the encoder and the range hashes share.
+func EachBlock(src RegisterSource, fn func(block []uint64)) {
+	var buf [BlockLen]uint64
+	for at, n := 0, src.Len(); at < n; at += BlockLen {
+		block := buf[:min(BlockLen, n-at)]
+		src.ReadRegisters(block, at)
+		fn(block)
+	}
 }
 
 // IsEngine reports whether s is an engine snapshot (opaque payload) rather
@@ -274,8 +316,13 @@ func (s *Snapshot) setParam(p uint64) error {
 	return nil
 }
 
-// validate checks a Snapshot before encoding.
+// validate checks a Snapshot before encoding. Register values are checked
+// against the header width by the encoder, block by block, as it reads them.
 func (s *Snapshot) validate() error {
+	if s.Source != nil && len(s.Registers) != 0 {
+		return errors.New("snapcodec: both Source and Registers set")
+	}
+	nregs := s.Regs().Len()
 	if len(s.AlgName) == 0 || len(s.AlgName) > maxAlgName {
 		return fmt.Errorf("snapcodec: algorithm name length %d out of [1, %d]", len(s.AlgName), maxAlgName)
 	}
@@ -295,8 +342,8 @@ func (s *Snapshot) validate() error {
 		if len(s.Payload) > MaxEnginePayload {
 			return fmt.Errorf("snapcodec: engine payload %d bytes exceeds %d", len(s.Payload), MaxEnginePayload)
 		}
-		if len(s.Registers) > MaxRegisters {
-			return fmt.Errorf("snapcodec: engine register count %d exceeds %d", len(s.Registers), MaxRegisters)
+		if nregs > MaxRegisters {
+			return fmt.Errorf("snapcodec: engine register count %d exceeds %d", nregs, MaxRegisters)
 		}
 		if s.RNG != nil {
 			return errors.New("snapcodec: engine snapshots encode generator state in the payload")
@@ -309,15 +356,15 @@ func (s *Snapshot) validate() error {
 			return fmt.Errorf("snapcodec: partition %d out of [0, %d)", s.Partition, s.Parts)
 		}
 		lo, hi := PartitionRange(s.N, s.Parts, s.Partition)
-		if !s.IsEngine() && !s.Delta && len(s.Registers) != hi-lo {
+		if !s.IsEngine() && !s.Delta && nregs != hi-lo {
 			return fmt.Errorf("snapcodec: partition %d/%d of %d keys spans %d registers, got %d",
-				s.Partition, s.Parts, s.N, hi-lo, len(s.Registers))
+				s.Partition, s.Parts, s.N, hi-lo, nregs)
 		}
 		if s.RNG != nil {
 			return errors.New("snapcodec: partition snapshots cannot carry rng state")
 		}
-	} else if !s.IsEngine() && !s.Delta && s.N != len(s.Registers) {
-		return fmt.Errorf("snapcodec: N = %d but %d registers", s.N, len(s.Registers))
+	} else if !s.IsEngine() && !s.Delta && s.N != nregs {
+		return fmt.Errorf("snapcodec: N = %d but %d registers", s.N, nregs)
 	}
 	if s.Delta {
 		if err := s.validateDelta(); err != nil {
@@ -331,14 +378,6 @@ func (s *Snapshot) validate() error {
 	}
 	if s.RNG != nil && len(s.RNG) != s.Shards {
 		return fmt.Errorf("snapcodec: %d rng streams for %d shards", len(s.RNG), s.Shards)
-	}
-	if s.Width < 64 {
-		lim := uint64(1)<<uint(s.Width) - 1
-		for i, v := range s.Registers {
-			if v > lim {
-				return fmt.Errorf("snapcodec: register %d = %d exceeds %d-bit width", i, v, s.Width)
-			}
-		}
 	}
 	return nil
 }
@@ -374,17 +413,20 @@ func DecodeCapped(data []byte, maxRegisters int) (*Snapshot, error) {
 }
 
 // EncodeTo streams the snapshot wire format to w: header, packed register
-// blocks, optional rng section, CRC32C trailer. Writes are buffered; the
-// whole encode makes no allocation proportional to n beyond a per-block
-// scratch buffer.
+// blocks, optional rng section, CRC32C trailer. Writes are buffered and the
+// register section is pulled from s.Regs() one block at a time, so the
+// whole encode makes no allocation proportional to n. A register wider than
+// the header width fails the encode at its block; bytes before it may
+// already have reached w.
 func EncodeTo(w io.Writer, s *Snapshot) error {
 	if err := s.validate(); err != nil {
 		return err
 	}
+	regs := s.Regs()
 	bw := bufio.NewWriter(w)
 	h := crc32.New(castagnoli)
 	mw := io.MultiWriter(bw, h)
-	e := &encoder{w: mw}
+	e := &encoder{w: mw, width: s.Width}
 
 	e.write(magic[:])
 	// Stamp the lowest version whose features the snapshot uses: whole-bank
@@ -394,7 +436,7 @@ func EncodeTo(w io.Writer, s *Snapshot) error {
 	switch {
 	case s.Delta:
 		e.writeByte(5)
-	case s.IsEngine() && len(s.Registers) > 0:
+	case s.IsEngine() && regs.Len() > 0:
 		e.writeByte(4)
 	case s.IsEngine():
 		e.writeByte(3)
@@ -457,27 +499,15 @@ func EncodeTo(w io.Writer, s *Snapshot) error {
 		// version-3 engine snapshot has no registers and no count field, so
 		// its bytes are unchanged. A delta snapshot's count lives in the
 		// delta section instead.
-		if len(s.Registers) > 0 && !s.Delta {
-			e.writeUvarint(uint64(len(s.Registers)))
+		if regs.Len() > 0 && !s.Delta {
+			e.writeUvarint(uint64(regs.Len()))
 		}
 	}
 
-	if s.Delta {
-		off := 0
-		for _, bi := range s.DeltaBlocks {
-			sz := blockSpan(s.DeltaRegs, BlockLen, int(bi))
-			e.block(s.Registers[off : off+sz])
-			off += sz
-		}
-	} else {
-		for lo := 0; lo < len(s.Registers); lo += BlockLen {
-			hi := lo + BlockLen
-			if hi > len(s.Registers) {
-				hi = len(s.Registers)
-			}
-			e.block(s.Registers[lo:hi])
-		}
-	}
+	// A delta's section is its listed blocks back to back; only the full
+	// section's final block can be short and it sorts last, so BlockLen
+	// strides cut a delta at the same boundaries as a full section.
+	EachBlock(regs, e.block)
 
 	if s.RNG != nil {
 		for _, st := range s.RNG {
@@ -502,6 +532,8 @@ func EncodeTo(w io.Writer, s *Snapshot) error {
 type encoder struct {
 	w       io.Writer
 	err     error
+	width   int // header register width every block is checked against
+	regs    int // registers encoded so far, for error positions
 	scratch [4 + BlockLen + BlockLen*8 + BlockLen*8]byte
 	varbuf  [binary.MaxVarintLen64]byte
 }
@@ -542,6 +574,15 @@ func (e *encoder) block(vals []uint64) {
 			maxw = l
 		}
 	}
+	if maxw > e.width && e.err == nil {
+		for i, v := range vals {
+			if bits.Len64(v) > e.width {
+				e.err = fmt.Errorf("snapcodec: register %d = %d exceeds %d-bit width", e.regs+i, v, e.width)
+				break
+			}
+		}
+	}
+	e.regs += cnt
 	// exceeding[b] = number of values with bit length > b.
 	var exceeding [65]int
 	for b := maxw - 1; b >= 0; b-- {
