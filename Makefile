@@ -133,5 +133,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDistinctSnapshot -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzF2Snapshot -fuzztime=5s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzRingSnapshot -fuzztime=5s ./internal/engine
 
 ci: build vet fmt-check doclint manifest-check race bench-test metrics-smoke fuzz-smoke

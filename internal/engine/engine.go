@@ -33,6 +33,11 @@
 //     partition, median-of-means estimation, cell-wise addition as the
 //     disjoint join. F2WindowEngine is the windowed flavor.
 //
+// Window, distinct and f2 are cell types over one bucket ring (ring.go):
+// the ring owns rotation, the shard router, windowed reads, the epoch-aligned
+// joins, dirty tracking and the payload codec; each engine is what one
+// bucket stores plus an estimator.
+//
 // The contract an Engine signs up for, in exchange for durability and
 // replication "for free":
 //
@@ -77,8 +82,9 @@ type Entry struct {
 // use; the store serializes mutations (ApplyBatch, Merge, MergeMax) under
 // its write lock so WAL order equals apply order.
 type Engine interface {
-	// Kind names the engine family ("bank", "topk") — the dispatch tag in
-	// snapshot headers and the -engine flag vocabulary.
+	// Kind names the engine family ("bank", "topk", "window", "distinct",
+	// "f2") — the dispatch tag in snapshot headers and the -engine flag
+	// vocabulary.
 	Kind() string
 	// Len returns the key-space size n.
 	Len() int
@@ -86,7 +92,8 @@ type Engine interface {
 	// replay universe.
 	Seed() uint64
 	// Shards returns the engine's internal stripe count (lock stripes for
-	// the bank, per-partition summaries for top-k).
+	// the bank, per-partition summaries for top-k, per-partition bucket
+	// rings for window, distinct and f2).
 	Shards() int
 	// SizeBytes returns the physical footprint of the sketch state.
 	SizeBytes() int
@@ -152,8 +159,9 @@ type Engine interface {
 	// TakeDirty drains the engine's changed-block set: the
 	// snapcodec.BlockLen-register blocks of the WHOLE-snapshot register
 	// layout touched since the previous drain, strictly ascending. ok is
-	// false for engines without block-addressable register sections (top-k);
-	// such engines always checkpoint in full. The store calls this under its
+	// false for engines without block-addressable register sections (top-k,
+	// f2: their state rides the engine payload); such engines always
+	// checkpoint in full. The store calls this under its
 	// write lock together with Snapshot, so the drained set covers exactly
 	// the state the snapshot captured. Marking may overshoot (a listed block
 	// whose registers are unchanged) but never undershoots.
@@ -193,9 +201,10 @@ type WindowRangeEstimator interface {
 
 // PeerRegisterCapper is an optional Engine extension declaring the decode
 // cap for peer snapshot blobs. The store sizes it from Len() by default,
-// which undershoots for engines whose register sections are not
-// key-proportional — a distinct engine's layout is shards × buckets × 2^p,
-// possibly far larger than Len(). The codec applies the cap to the
+// which undershoots for engines whose register sections are not one
+// register per key — a window engine's is buckets × Len(), a distinct
+// engine's shards × buckets × 2^p. The bucket ring answers for every engine
+// built on it. The codec applies the cap to the
 // header's key-space field as well as the register count, so
 // implementations return at least Len().
 type PeerRegisterCapper interface {
@@ -233,8 +242,8 @@ func SnapshotTo(w io.Writer, e Engine, part, parts int, withState bool) error {
 
 // topkPush inserts (key, v) into out, a ≤ k-entry buffer kept sorted by
 // descending estimate with ties toward the smaller key — the shared
-// selection-by-insertion accumulator of the scanning TopK implementations
-// (bank, window). k is a report size, not a scan size, so insertion into a
+// selection-by-insertion accumulator of the bucket ring's TopK (keys for
+// window, partitions for distinct and f2). k is a report size, not a scan size, so insertion into a
 // small sorted buffer beats any heap bookkeeping.
 func topkPush(out []Entry, k, key int, v float64) []Entry {
 	if len(out) == k && v <= out[k-1].Estimate {

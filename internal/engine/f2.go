@@ -2,11 +2,8 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bank"
 	"repro/internal/snapcodec"
@@ -39,62 +36,43 @@ const f2AlgWidth = 62
 // which is what CheckPeer's algorithm-equality test wants.
 func f2Alg() bank.Algorithm { return bank.NewExactAlg(f2AlgWidth) }
 
-// f2Core is the shared implementation behind both f2 engine flavors: the
-// AMS ("Tug-of-War") second frequency moment Σ_k f_k², the servable
-// promotion of the internal/freqmoments experiment. Per partition shard,
-// each time bucket holds rows × cols signed cells; every applied key adds
-// its ±1 sign — a fixed seed-keyed hash of (cell salt, key) — to every
-// cell. One cell's square is an unbiased F₂ estimate; a row averages cols
-// cells to shrink variance, and the estimate is the median across rows
-// (median-of-means). Everything is a pure function of (seed, key): the
-// engine draws no randomness after construction.
+// f2Core is the shared surface of both f2 engine flavors: the bucket ring
+// (see ring) over AMS cells, plus the scalar query — the AMS ("Tug-of-War")
+// second frequency moment Σ_k f_k², the servable promotion of the
+// internal/freqmoments experiment. Per partition shard, each time bucket
+// holds rows × cols signed cells; every applied key adds its ±1 sign — a
+// fixed seed-keyed hash of (cell salt, key) — to every cell. One cell's
+// square is an unbiased F₂ estimate; a row averages cols cells to shrink
+// variance, and the estimate is the median across rows (median-of-means).
+// Everything is a pure function of (seed, key): the engine draws no
+// randomness after construction.
 //
 // Like the top-k engine, f2 is payload-only: snapshots carry the cells in
 // the engine payload with an empty register section, so there is no
-// block-level dirty tracking and anti-entropy always exchanges whole
-// partition sketches (a few KiB).
+// block-level dirty tracking (TakeDirty reports ok=false, every checkpoint
+// is full) and anti-entropy always exchanges whole partition sketches (a
+// few KiB).
+//
+// Like the distinct engine, the sketch answers per partition: a key's
+// Estimate is its owning partition's F₂, TopK ranks partitions by moment
+// (entries keyed by the partition's lowest key) — "which key ranges carry
+// the most skew".
 type f2Core struct {
-	n           int
-	parts       int
-	rows        int
-	cols        int
-	cells       int // rows × cols
-	seed        uint64
-	salts       []uint64 // one sign-hash salt per cell
-	windowed    bool
-	buckets     int
-	bucketNanos int64
-
-	clock  atomic.Uint64
-	shards []*f2Shard
-	alg    bank.Algorithm
+	*ring
+	ams *amsType
 }
 
-// f2Shard is one partition's ring: B bucket sketches over the key range
-// [lo, hi), under the same slot-epoch invariant as the window engine
-// (slot j live iff epochs[j]%B == j; rotation zeroes before relabelling).
-type f2Shard struct {
-	mu       sync.Mutex
-	lo, hi   int
-	cur      uint64
-	epochs   []uint64
-	lens     []uint64 // per-bucket stream length
-	counters []int64  // B × cells, bucket j at [j·cells, (j+1)·cells)
-}
-
-// F2Engine is the cumulative second-moment engine. Like the distinct
-// engine, the sketch answers per partition: a key's Estimate is its owning
-// partition's F₂, TopK ranks partitions by moment (entries keyed by the
-// partition's lowest key), and RangeEstimate serves the scalar surface —
-// exactly additive across partitions, since they tile disjoint key ranges
-// and F₂ of a disjoint union of key sets is the sum of the parts.
-type F2Engine struct{ *f2Core }
+// F2Engine is the cumulative second-moment engine.
+type F2Engine struct{ f2Core }
 
 // F2WindowEngine is the sliding-window flavor: per-bucket sketches rotated
 // by the store's logical clock. A windowed estimate sums the trailing live
 // buckets' cells first — time buckets partition the stream, so cell-wise
 // addition is the exact sketch of the windowed substream — then estimates.
-type F2WindowEngine struct{ *f2Core }
+type F2WindowEngine struct {
+	f2Core
+	ringWindow
+}
 
 var (
 	_ Engine               = (*F2Engine)(nil)
@@ -121,112 +99,132 @@ func NewF2Window(n, parts, rows, cols, buckets int, bucketNanos int64, seed uint
 	if err != nil {
 		return nil, err
 	}
-	return &F2WindowEngine{c}, nil
+	return &F2WindowEngine{c, ringWindow{c.ring}}, nil
 }
 
-func newF2Core(n, parts, rows, cols, buckets int, windowed bool, bucketNanos int64, seed uint64) (*f2Core, error) {
-	if n <= 0 {
-		return nil, errors.New("engine: non-positive key-space size")
+func newF2Core(n, parts, rows, cols, buckets int, windowed bool, bucketNanos int64, seed uint64) (f2Core, error) {
+	t, err := newAMSType(rows, cols)
+	if err != nil {
+		return f2Core{}, err
 	}
-	if parts < 1 || parts > snapcodec.MaxPartitions {
-		return nil, fmt.Errorf("engine: partition count %d out of [1, %d]", parts, snapcodec.MaxPartitions)
+	r, err := newRing(t, n, parts, buckets, windowed, bucketNanos, seed)
+	if err != nil {
+		return f2Core{}, err
 	}
-	if parts > n {
-		return nil, fmt.Errorf("engine: %d partitions exceed %d keys", parts, n)
+	return f2Core{r.fill(), t}, nil
+}
+
+// F2FromSnapshot reconstructs an f2 engine (either flavor) from a whole
+// engine snapshot.
+func F2FromSnapshot(snap *snapcodec.Snapshot) (Engine, error) {
+	r, err := ringFromSnapshot(snap, &amsType{})
+	if err != nil {
+		return nil, err
 	}
+	c := f2Core{r, r.ct.(*amsType)}
+	if r.windowed {
+		return &F2WindowEngine{c, ringWindow{r}}, nil
+	}
+	return &F2Engine{c}, nil
+}
+
+// Rows returns the sketch's median width.
+func (c f2Core) Rows() int { return c.ams.rows }
+
+// Cols returns the sketch's per-row estimator count.
+func (c f2Core) Cols() int { return c.ams.cols }
+
+// RangeEstimate implements RangeEstimator: the estimated F₂ of keys
+// [lo, hi) over the full window — exactly additive across partitions, since
+// they tile disjoint key ranges and F₂ of a disjoint union of key sets is
+// the sum of the parts.
+func (c f2Core) RangeEstimate(lo, hi int) (float64, error) {
+	return c.rangeEstimate(lo, hi, c.buckets)
+}
+
+// RangeEstimateWindow implements WindowRangeEstimator.
+func (e *F2WindowEngine) RangeEstimateWindow(lo, hi, w int) (float64, error) {
+	return e.rangeEstimate(lo, hi, w)
+}
+
+// amsType is the AMS cell type: a bucket is rows × cols signed counters
+// and the length of the stream they absorbed.
+type amsType struct {
+	rows, cols int
+	signSeed   uint64   // the engine seed: sketches only join within one sign universe
+	salts      []uint64 // one sign-hash salt per cell
+}
+
+func newAMSType(rows, cols int) (*amsType, error) {
 	if rows < 1 || rows > MaxF2Rows {
 		return nil, fmt.Errorf("engine: f2 row count %d out of [1, %d]", rows, MaxF2Rows)
 	}
 	if cols < 1 || cols > MaxF2Cols {
 		return nil, fmt.Errorf("engine: f2 column count %d out of [1, %d]", cols, MaxF2Cols)
 	}
-	if windowed {
-		if buckets < 1 || buckets > MaxWindowBuckets {
-			return nil, fmt.Errorf("engine: window bucket count %d out of [1, %d]", buckets, MaxWindowBuckets)
-		}
-	} else if buckets != 1 {
-		return nil, fmt.Errorf("engine: cumulative f2 engine needs exactly 1 bucket, got %d", buckets)
-	}
-	if bucketNanos < 0 {
-		return nil, fmt.Errorf("engine: negative bucket width %d", bucketNanos)
-	}
-	cells := rows * cols
-	c := &f2Core{
-		n: n, parts: parts, rows: rows, cols: cols, cells: cells,
-		seed: seed, windowed: windowed, buckets: buckets, bucketNanos: bucketNanos,
-		shards: make([]*f2Shard, parts),
-		alg:    f2Alg(),
-	}
-	// One salt per cell, drawn once from the seed: the cell's ±1 sign hash
-	// is fixed for the engine's lifetime, shared by every shard and bucket.
-	sm := xrand.NewSplitMix64(seed)
-	c.salts = make([]uint64, cells)
-	for i := range c.salts {
-		c.salts[i] = sm.Uint64()
-	}
-	for s := range c.shards {
-		lo, hi := snapcodec.PartitionRange(n, parts, s)
-		c.shards[s] = &f2Shard{
-			lo: lo, hi: hi,
-			epochs:   make([]uint64, buckets),
-			lens:     make([]uint64, buckets),
-			counters: make([]int64, buckets*cells),
-		}
-	}
-	return c, nil
+	return &amsType{rows: rows, cols: cols}, nil
 }
 
-// F2FromSnapshot reconstructs an f2 engine (either flavor) from a whole
-// engine snapshot.
-func F2FromSnapshot(snap *snapcodec.Snapshot) (Engine, error) {
-	if snap.Engine != KindF2 {
-		return nil, fmt.Errorf("engine: %q snapshot is not an f2 snapshot", snap.Engine)
+func (t *amsType) cells() int          { return t.rows * t.cols }
+func (t *amsType) kind() string        { return KindF2 }
+func (t *amsType) alg() bank.Algorithm { return f2Alg() }
+
+// seed draws one salt per cell: the cell's ±1 sign hash is fixed for the
+// engine's lifetime, shared by every shard and bucket.
+func (t *amsType) seed(seed uint64, _ int) {
+	t.signSeed = seed
+	sm := xrand.NewSplitMix64(seed)
+	t.salts = make([]uint64, t.cells())
+	for i := range t.salts {
+		t.salts[i] = sm.Uint64()
 	}
-	if snap.IsPartition() {
-		return nil, fmt.Errorf("engine: cannot restore an f2 engine from partition %d/%d",
-			snap.Partition, snap.Parts)
-	}
-	alg, err := snap.Alg()
+}
+
+func (t *amsType) bucketRegs(int) int { return 0 }
+
+// shardBytes: 8 bytes per cell plus the per-bucket stream-length words.
+func (t *amsType) shardBytes(_, buckets int) int { return buckets * (t.cells() + 1) * 8 }
+
+// appendShape: flag bit 0 is "windowed"; the shape prefix is rows, cols.
+func (t *amsType) appendShape(buf []byte, windowed, _ bool) []byte {
+	buf = binary.AppendUvarint(appendFlag(buf, windowed), uint64(t.rows))
+	return binary.AppendUvarint(buf, uint64(t.cols))
+}
+
+func (t *amsType) parseShape(d *payloadReader) (cellType, bool, bool, error) {
+	windowed, err := readFlag(d, KindF2)
 	if err != nil {
-		return nil, err
+		return nil, false, false, err
 	}
-	if alg != f2Alg() {
-		return nil, fmt.Errorf("engine: f2 snapshot header carries %s/%d-bit, want exact/%d-bit",
-			snap.AlgName, snap.Width, f2AlgWidth)
+	rows := int(d.uvarint())
+	peer, err := newAMSType(rows, int(d.uvarint()))
+	return peer, windowed, false, err
+}
+
+// checkPeer: like distinct, f2 requires seed equality — cells from
+// different sign universes cannot be added or compared.
+func (t *amsType) checkPeer(snap *snapcodec.Snapshot, peer cellType, _ bool) error {
+	if snap.Seed != t.signSeed {
+		return fmt.Errorf("hash seed mismatch: peer %d, local %d (f2 sketches only join within one seed universe)",
+			snap.Seed, t.signSeed)
 	}
-	pl, err := parseF2Payload(snap, snap.N, snap.Shards)
-	if err != nil {
-		return nil, err
+	if p := peer.(*amsType); p.rows != t.rows || p.cols != t.cols {
+		return fmt.Errorf("f2 shape mismatch: peer %d×%d cells, local %d×%d", p.rows, p.cols, t.rows, t.cols)
 	}
-	if len(pl.shards) != snap.Shards {
-		return nil, fmt.Errorf("engine: whole f2 snapshot carries %d of %d shards",
-			len(pl.shards), snap.Shards)
-	}
-	c, err := newF2Core(snap.N, snap.Shards, pl.rows, pl.cols, pl.buckets, pl.windowed, pl.bucketNanos, snap.Seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range pl.shards {
-		sh := c.shards[st.index]
-		copy(sh.epochs, st.epochs)
-		copy(sh.lens, st.lens)
-		copy(sh.counters, st.counters)
-		sh.cur = maxLiveEpoch(st.epochs, pl.buckets)
-		if sh.cur > c.clock.Load() {
-			c.clock.Store(sh.cur)
-		}
-	}
-	if pl.windowed {
-		return &F2WindowEngine{c}, nil
-	}
-	return &F2Engine{c}, nil
+	return nil
+}
+
+func (t *amsType) newCells(sh *ringShard, _ regSpan) cells {
+	b := len(sh.epochs)
+	return &amsCells{t: t, lo: sh.lo, span: sh.hi - sh.lo,
+		lens: make([]uint64, b), counters: make([]int64, b*t.cells())}
 }
 
 // sign returns the cell's ±1 Tug-of-War sign for a key: bit 0 of the
 // splitmix finalizer over (key XOR the cell's salt) — four-wise
 // independent enough in practice, and a pure function of (seed, key).
-func (c *f2Core) sign(cell int, key uint64) int64 {
-	x := key ^ c.salts[cell]
+func (t *amsType) sign(cell int, key uint64) int64 {
+	x := key ^ t.salts[cell]
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -238,445 +236,70 @@ func (c *f2Core) sign(cell int, key uint64) int64 {
 	return -1
 }
 
-// Kind implements Engine.
-func (c *f2Core) Kind() string { return KindF2 }
-
-// Len implements Engine.
-func (c *f2Core) Len() int { return c.n }
-
-// Seed implements Engine.
-func (c *f2Core) Seed() uint64 { return c.seed }
-
-// Shards implements Engine.
-func (c *f2Core) Shards() int { return c.parts }
-
-// SizeBytes implements Engine: 8 bytes per cell plus the per-bucket
-// stream-length words.
-func (c *f2Core) SizeBytes() int { return c.parts * c.buckets * (c.cells + 1) * 8 }
-
-// Algorithm implements Engine: the pinned placeholder (see f2Alg) — the
-// configured counting algorithm does not apply to exact signed cells.
-func (c *f2Core) Algorithm() bank.Algorithm { return c.alg }
-
-// AlignPartitions implements Engine: one sketch (ring) per partition.
-func (c *f2Core) AlignPartitions() int { return c.parts }
-
-// Rows returns the sketch's median width.
-func (c *f2Core) Rows() int { return c.rows }
-
-// Cols returns the sketch's per-row estimator count.
-func (c *f2Core) Cols() int { return c.cols }
-
-// PeerRegisterCapper implements the decode-cap hint. f2 snapshots are
-// payload-only, but the codec applies the same cap to the header's
-// key-space field, so the cap is the key-space size; parseF2Payload
-// rejects any register section outright.
-func (c *f2Core) PeerRegisterCap() int { return c.n }
-
-func (c *f2Core) shardOf(k int) *f2Shard {
-	return c.shards[snapcodec.PartitionOf(k, c.n, c.parts)]
+// amsCells is one shard's B bucket sketches: bucket j's cells at
+// counters[j·rows·cols, (j+1)·rows·cols), its stream length at lens[j].
+type amsCells struct {
+	t        *amsType
+	lo, span int
+	lens     []uint64
+	counters []int64
 }
 
-func (c *f2Core) bumpClock(epoch uint64) {
-	for {
-		old := c.clock.Load()
-		if epoch <= old || c.clock.CompareAndSwap(old, epoch) {
-			return
-		}
-	}
+func (c *amsCells) bucket(j int) []int64 {
+	n := c.t.cells()
+	return c.counters[j*n : (j+1)*n]
 }
 
-// ApplyBatch implements Engine: keys group by shard; each key adds its ±1
-// sign to every cell of the shard's current bucket. Order-independent and
-// draw-free, so replay is exact by construction.
-func (c *f2Core) ApplyBatch(keys []int) {
-	if len(keys) == 0 {
-		return
-	}
-	if c.parts == 1 {
-		c.shards[0].applyRun(c, keys)
-		return
-	}
-	counts := make([]int, c.parts+1)
+// apply adds each key's ±1 sign to every cell of bucket j — order-
+// independent and draw-free, so replay is exact by construction.
+func (c *amsCells) apply(j int, keys []int) {
+	bucket := c.bucket(j)
 	for _, k := range keys {
-		counts[snapcodec.PartitionOf(k, c.n, c.parts)+1]++
-	}
-	for s := 1; s <= c.parts; s++ {
-		counts[s] += counts[s-1]
-	}
-	sorted := make([]int, len(keys))
-	offsets := append([]int(nil), counts[:c.parts]...)
-	for _, k := range keys {
-		s := snapcodec.PartitionOf(k, c.n, c.parts)
-		sorted[offsets[s]] = k
-		offsets[s]++
-	}
-	for s := 0; s < c.parts; s++ {
-		lo, hi := counts[s], counts[s+1]
-		if lo == hi {
-			continue
-		}
-		c.shards[s].applyRun(c, sorted[lo:hi])
-	}
-}
-
-func (sh *f2Shard) applyRun(c *f2Core, keys []int) {
-	sh.mu.Lock()
-	j := int(sh.cur % uint64(c.buckets))
-	sh.applyCellsLocked(c, j, keys)
-	sh.mu.Unlock()
-}
-
-// applyCellsLocked folds keys into bucket slot j. Caller holds sh.mu.
-func (sh *f2Shard) applyCellsLocked(c *f2Core, j int, keys []int) {
-	base := j * c.cells
-	bucket := sh.counters[base : base+c.cells]
-	for _, k := range keys {
-		if sh.lens[j] >= maxF2StreamLen {
+		if c.lens[j] >= maxF2StreamLen {
 			// Saturate rather than overflow; unreachable in practice
 			// (2^60 events through one bucket).
 			break
 		}
-		sh.lens[j]++
+		c.lens[j]++
 		ku := uint64(k)
 		for cell := range bucket {
-			bucket[cell] += c.sign(cell, ku)
+			bucket[cell] += c.t.sign(cell, ku)
 		}
 	}
 }
 
-// estimateLocked returns the F₂ estimate of the trailing w live buckets:
-// cell-wise sum of their sketches (exact for time-disjoint substreams),
-// then median over rows of the mean over cols of squared cells. Caller
-// holds sh.mu.
-func (c *f2Core) estimateLocked(sh *f2Shard, w int) float64 {
-	agg := make([]int64, c.cells)
-	total := uint64(0)
-	b := uint64(c.buckets)
-	for d := 0; d < w; d++ {
-		if uint64(d) > sh.cur {
-			continue
-		}
-		ep := sh.cur - uint64(d)
-		j := int(ep % b)
-		if sh.epochs[j] != ep {
-			continue
-		}
-		total += sh.lens[j]
-		bucket := sh.counters[j*c.cells : (j+1)*c.cells]
-		for i, v := range bucket {
-			agg[i] += v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	means := make([]float64, c.rows)
-	for r := 0; r < c.rows; r++ {
-		sum := 0.0
-		for col := 0; col < c.cols; col++ {
-			x := float64(agg[r*c.cols+col])
-			sum += x * x
-		}
-		means[r] = sum / float64(c.cols)
-	}
-	sort.Float64s(means)
-	if c.rows%2 == 1 {
-		return means[c.rows/2]
-	}
-	return (means[c.rows/2-1] + means[c.rows/2]) / 2
+func (c *amsCells) zero(j int) {
+	c.lens[j] = 0
+	clear(c.bucket(j))
 }
 
-// Estimate implements Engine: the owning partition's F₂ over the full
-// window — the scalar the /f2 surface sums across partitions.
-func (c *f2Core) Estimate(key int) float64 {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return c.estimateLocked(sh, c.buckets)
+func (c *amsCells) reset() {
+	clear(c.lens)
+	clear(c.counters)
 }
 
-// EstimateAll implements Engine: every key reports its owning partition's
-// F₂ (computed once per shard).
-func (c *f2Core) EstimateAll() []float64 {
-	out, _ := c.estimateAllWindow(c.buckets)
-	return out
-}
-
-func (c *f2Core) estimateAllWindow(w int) ([]float64, error) {
-	out := make([]float64, c.n)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		est := c.estimateLocked(sh, w)
-		sh.mu.Unlock()
-		for k := sh.lo; k < sh.hi; k++ {
-			out[k] = est
-		}
-	}
-	return out, nil
-}
-
-func (c *f2Core) checkAligned(lo, hi int) (int, int, error) {
-	if lo < 0 || hi > c.n || lo >= hi {
-		return 0, 0, fmt.Errorf("engine: key range [%d, %d) outside [0, %d)", lo, hi, c.n)
-	}
-	s0 := snapcodec.PartitionOf(lo, c.n, c.parts)
-	s1 := snapcodec.PartitionOf(hi-1, c.n, c.parts) + 1
-	if c.shards[s0].lo != lo || c.shards[s1-1].hi != hi {
-		return 0, 0, fmt.Errorf("engine: key range [%d, %d) not aligned to the %d-way partition split",
-			lo, hi, c.parts)
-	}
-	return s0, s1, nil
-}
-
-// TopK implements Engine: partitions ranked by F₂, each entry keyed by its
-// partition's lowest key — "which key ranges carry the most skew".
-func (c *f2Core) TopK(k, lo, hi int) ([]Entry, error) {
-	return c.topKWindow(k, lo, hi, c.buckets)
-}
-
-func (c *f2Core) topKWindow(k, lo, hi, w int) ([]Entry, error) {
-	s0, s1, err := c.checkAligned(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return []Entry{}, nil
-	}
-	if k > s1-s0 {
-		k = s1 - s0
-	}
-	out := make([]Entry, 0, k+1)
-	for s := s0; s < s1; s++ {
-		sh := c.shards[s]
-		sh.mu.Lock()
-		est := c.estimateLocked(sh, w)
-		sh.mu.Unlock()
-		if est > 0 {
-			out = topkPush(out, k, sh.lo, est)
-		}
-	}
-	return out, nil
-}
-
-// RangeEstimate implements RangeEstimator: the estimated F₂ of keys
-// [lo, hi) over the full window, additive across partitions because they
-// tile disjoint key sets.
-func (c *f2Core) RangeEstimate(lo, hi int) (float64, error) {
-	return c.rangeEstimateWindow(lo, hi, c.buckets)
-}
-
-func (c *f2Core) rangeEstimateWindow(lo, hi, w int) (float64, error) {
-	s0, s1, err := c.checkAligned(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for s := s0; s < s1; s++ {
-		sh := c.shards[s]
-		sh.mu.Lock()
-		total += c.estimateLocked(sh, w)
-		sh.mu.Unlock()
-	}
-	return total, nil
-}
-
-// HashRange implements Engine: an FNV-1a fold of each covered shard's
-// (epochs, stream lengths, counters) exactly as a partition snapshot
-// serializes them.
-func (c *f2Core) HashRange(lo, hi int) (uint64, error) {
-	s0, s1, err := c.checkAligned(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	h := newFNV()
-	for s := s0; s < s1; s++ {
-		sh := c.shards[s]
-		sh.mu.Lock()
-		for _, ep := range sh.epochs {
-			h.word(ep)
-		}
-		for _, l := range sh.lens {
-			h.word(l)
-		}
-		for _, v := range sh.counters {
-			h.word(zigzag(v))
-		}
-		sh.mu.Unlock()
-	}
-	return h.sum(), nil
-}
-
-// Snapshot implements Engine: the whole sketch rides the engine payload
-// (empty register section), like the top-k engine. The engine has no
-// generator state, so withState changes nothing — checkpoints and plain
-// whole snapshots are byte-identical.
-func (c *f2Core) Snapshot(part, parts int, withState bool) (*snapcodec.Snapshot, error) {
-	snap := &snapcodec.Snapshot{
-		N:      c.n,
-		Shards: c.parts,
-		Seed:   c.seed,
-		Engine: KindF2,
-	}
-	if err := snap.SetAlg(c.alg); err != nil {
-		return nil, err
-	}
-	s0, s1 := 0, c.parts
-	if parts != 0 {
-		if withState {
-			return nil, errors.New("engine: partition snapshots cannot carry generator state")
-		}
-		if parts != c.parts {
-			return nil, fmt.Errorf("engine: %d-way snapshot of a %d-way f2 engine", parts, c.parts)
-		}
-		if part < 0 || part >= parts {
-			return nil, fmt.Errorf("engine: partition %d out of [0, %d)", part, parts)
-		}
-		snap.Partition = part
-		snap.Parts = parts
-		s0, s1 = part, part+1
-	}
-	pl := f2Payload{
-		rows: c.rows, cols: c.cols, windowed: c.windowed,
-		buckets: c.buckets, bucketNanos: c.bucketNanos,
-	}
-	for s := s0; s < s1; s++ {
-		sh := c.shards[s]
-		sh.mu.Lock()
-		pl.shards = append(pl.shards, f2ShardState{
-			index:    s,
-			epochs:   append([]uint64(nil), sh.epochs...),
-			lens:     append([]uint64(nil), sh.lens...),
-			counters: append([]int64(nil), sh.counters...),
-		})
-		sh.mu.Unlock()
-	}
-	snap.Payload = pl.encode()
-	return snap, nil
-}
-
-// CheckPeer implements Engine: kind, header algorithm, hash seed, shape,
-// and sketch-shape equality plus a full payload parse, so a checked
-// snapshot's Merge/MergeMax cannot fail after the store WAL-stages it.
-// Like distinct, f2 requires seed equality — cells from different sign
-// universes cannot be added or compared.
-func (c *f2Core) CheckPeer(snap *snapcodec.Snapshot, disjoint bool) error {
-	if snap.Engine != KindF2 {
-		kind := snap.Engine
-		if kind == "" {
-			kind = KindBank
-		}
-		return fmt.Errorf("engine kind mismatch: peer %q, local %q", kind, KindF2)
-	}
-	alg, err := snap.Alg()
-	if err != nil {
-		return err
-	}
-	if alg != c.alg {
-		return fmt.Errorf("algorithm mismatch: peer %s/%d-bit, local %s/%d-bit",
-			snap.AlgName, snap.Width, c.alg.Name(), c.alg.Width())
-	}
-	if snap.Seed != c.seed {
-		return fmt.Errorf("hash seed mismatch: peer %d, local %d (f2 sketches only join within one seed universe)",
-			snap.Seed, c.seed)
-	}
-	if snap.N != c.n || snap.Shards != c.parts {
-		return fmt.Errorf("shape mismatch: peer %d keys/%d shards, local %d/%d",
-			snap.N, snap.Shards, c.n, c.parts)
-	}
-	if snap.IsPartition() && snap.Parts != c.parts {
-		return fmt.Errorf("partition split mismatch: peer %d-way, local %d-way", snap.Parts, c.parts)
-	}
-	pl, err := parseF2Payload(snap, c.n, c.parts)
-	if err != nil {
-		return err
-	}
-	if pl.rows != c.rows || pl.cols != c.cols {
-		return fmt.Errorf("f2 shape mismatch: peer %d×%d cells, local %d×%d", pl.rows, pl.cols, c.rows, c.cols)
-	}
-	if pl.windowed != c.windowed {
-		return fmt.Errorf("window mismatch: peer windowed=%v, local windowed=%v", pl.windowed, c.windowed)
-	}
-	if pl.buckets != c.buckets {
-		return fmt.Errorf("window ring mismatch: peer %d buckets, local %d", pl.buckets, c.buckets)
-	}
-	if pl.bucketNanos != c.bucketNanos {
-		return fmt.Errorf("bucket width mismatch: peer %dns, local %dns", pl.bucketNanos, c.bucketNanos)
-	}
-	if snap.IsPartition() {
-		if len(pl.shards) != 1 || pl.shards[0].index != snap.Partition {
-			return fmt.Errorf("partition %d snapshot carries the wrong shard set", snap.Partition)
-		}
-	}
-	return nil
-}
-
-// Merge implements Engine: the disjoint-stream fold. An AMS sketch is a
-// linear projection of the frequency vector, so the sketch of the union of
-// two disjoint streams is the cell-wise sum — epoch-aligned per bucket,
-// with peer buckets expired under the merged clock dropped.
-func (c *f2Core) Merge(snap *snapcodec.Snapshot) error {
-	return c.join(snap, true)
-}
-
-// MergeMax implements Engine: the idempotent replica join. Signed cells
-// have no register-wise max (summing replicas of the SAME stream would
-// double-count), so the join is freshest-bucket takeover: per epoch-aligned
-// bucket, the sketch that absorbed the longer stream wins wholesale (ties
-// broken on cell bytes). Takeover under a total order is idempotent,
+// join: an AMS sketch is a linear projection of the frequency vector, so
+// the sketch of the union of two disjoint streams is the cell-wise sum.
+// Signed cells have no register-wise max (summing replicas of the SAME
+// stream would double-count), so the replica join is freshest-bucket
+// takeover: the sketch that absorbed the longer stream wins wholesale, ties
+// broken on cell bytes. Takeover under a total order is idempotent,
 // commutative, and associative, so anti-entropy converges replicas to
 // identical bytes; a replica's missed suffix is healed by hinted handoff
 // replay, with takeover closing residual divergence — the same
 // freshest-copy semantics the bounded top-k summary uses for evicted slots.
-func (c *f2Core) MergeMax(snap *snapcodec.Snapshot) error {
-	return c.join(snap, false)
-}
-
-func (c *f2Core) join(snap *snapcodec.Snapshot, disjoint bool) error {
-	pl, err := parseF2Payload(snap, c.n, c.parts)
-	if err != nil {
-		return err
-	}
-	if pl.rows != c.rows || pl.cols != c.cols || pl.buckets != c.buckets {
-		return fmt.Errorf("engine: f2 shape mismatch: peer %d×%d×%d, local %d×%d×%d",
-			pl.rows, pl.cols, pl.buckets, c.rows, c.cols, c.buckets)
-	}
-	b := uint64(c.buckets)
-	for _, st := range pl.shards {
-		sh := c.shards[st.index]
-		sh.mu.Lock()
-		newCur := sh.cur
-		for j, pe := range st.epochs {
-			if pe%b == uint64(j) && pe > newCur {
-				newCur = pe
-			}
+func (c *amsCells) join(j int, peer any, disjoint bool) {
+	p := peer.(*amsCells)
+	local, theirs := c.bucket(j), p.bucket(j)
+	if disjoint {
+		c.lens[j] = min(c.lens[j]+p.lens[j], maxF2StreamLen)
+		for i, v := range theirs {
+			local[i] += v
 		}
-		sh.advanceLocked(c, newCur)
-		for j, pe := range st.epochs {
-			if pe%b != uint64(j) || pe > sh.cur || pe+b <= sh.cur || sh.epochs[j] != pe {
-				continue
-			}
-			pcells := st.counters[j*c.cells : (j+1)*c.cells]
-			lcells := sh.counters[j*c.cells : (j+1)*c.cells]
-			if disjoint {
-				if sh.lens[j] > maxF2StreamLen-st.lens[j] {
-					sh.lens[j] = maxF2StreamLen
-				} else {
-					sh.lens[j] += st.lens[j]
-				}
-				for i, v := range pcells {
-					lcells[i] += v
-				}
-			} else if f2BucketLess(sh.lens[j], lcells, st.lens[j], pcells) {
-				sh.lens[j] = st.lens[j]
-				copy(lcells, pcells)
-			}
-		}
-		cur := sh.cur
-		sh.mu.Unlock()
-		c.bumpClock(cur)
+	} else if f2BucketLess(c.lens[j], local, p.lens[j], theirs) {
+		c.lens[j] = p.lens[j]
+		copy(local, theirs)
 	}
-	return nil
 }
 
 // f2BucketLess is the takeover total order on bucket sketches: stream
@@ -693,185 +316,48 @@ func f2BucketLess(aLen uint64, a []int64, bLen uint64, b []int64) bool {
 	return false
 }
 
-// advanceLocked rotates the shard's ring to epoch e (the window engine's
-// rotation, over sketch buckets). Caller holds sh.mu.
-func (sh *f2Shard) advanceLocked(c *f2Core, e uint64) {
-	if e <= sh.cur {
-		return
-	}
-	b := c.buckets
-	if e-sh.cur >= uint64(b) {
-		r := e % uint64(b)
-		for j := range sh.epochs {
-			diff := (r + uint64(b) - uint64(j)) % uint64(b)
-			sh.epochs[j] = e - diff
-			sh.zeroBucket(c, j)
-		}
-	} else {
-		for ee := sh.cur + 1; ee <= e; ee++ {
-			j := int(ee % uint64(b))
-			sh.epochs[j] = ee
-			sh.zeroBucket(c, j)
+// scan reports the shard's F₂ over the live slots: the cell-wise sum of
+// their sketches (exact for time-disjoint substreams), then the median over
+// rows of the mean over cols of squared cells.
+func (c *amsCells) scan(slots []int, _ uint64, _, _ int, visit func(key, n int, v float64)) {
+	agg := make([]int64, c.t.cells())
+	total := uint64(0)
+	for _, j := range slots {
+		total += c.lens[j]
+		for i, v := range c.bucket(j) {
+			agg[i] += v
 		}
 	}
-	sh.cur = e
+	visit(c.lo, c.span, c.t.medianOfMeans(agg, total))
 }
 
-func (sh *f2Shard) zeroBucket(c *f2Core, j int) {
-	sh.lens[j] = 0
-	clear(sh.counters[j*c.cells : (j+1)*c.cells])
-}
-
-// ResetRange implements Engine: zeroes the covered shards' sketches (every
-// bucket's cells and stream lengths) — the rebalance evict. Ring structure
-// is preserved; no randomness, so replay is exact.
-func (c *f2Core) ResetRange(lo, hi int) error {
-	s0, s1, err := c.checkAligned(lo, hi)
-	if err != nil {
-		return err
-	}
-	for s := s0; s < s1; s++ {
-		sh := c.shards[s]
-		sh.mu.Lock()
-		clear(sh.lens)
-		clear(sh.counters)
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// TakeDirty implements Engine: f2 snapshots are payload-only, so there is
-// no block-addressable register section to track — checkpoints are always
-// full (the sketch is a few KiB per partition).
-func (c *f2Core) TakeDirty() ([]uint32, bool) { return nil, false }
-
-// MarkDirty implements Engine (no-op; see TakeDirty).
-func (c *f2Core) MarkDirty(blocks []uint32) {}
-
-// DirtyCount implements Engine.
-func (c *f2Core) DirtyCount() int { return 0 }
-
-// BlockHashes implements Engine: no register section, so block-wise delta
-// exchange does not apply — anti-entropy falls back to whole-partition
-// snapshots.
-func (c *f2Core) BlockHashes(part, parts int) ([]uint64, error) {
-	return nil, errors.New("engine: f2 snapshots are payload-only; no block-addressable registers")
-}
-
-// --- Windowed methods (F2WindowEngine only) -----------------------------
-
-// Advance implements Windowed.
-func (e *F2WindowEngine) Advance(epoch uint64) {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		sh.advanceLocked(e.f2Core, epoch)
-		sh.mu.Unlock()
-	}
-	e.bumpClock(epoch)
-}
-
-// Epoch implements Windowed.
-func (e *F2WindowEngine) Epoch() uint64 { return e.clock.Load() }
-
-// WindowBuckets implements Windowed.
-func (e *F2WindowEngine) WindowBuckets() int { return e.buckets }
-
-// BucketNanos implements Windowed.
-func (e *F2WindowEngine) BucketNanos() int64 { return e.bucketNanos }
-
-// ApplyBatchEpoch implements Windowed: keys land in the bucket still
-// labelled with epoch, or age out (the epoch-tagged hint-drain contract).
-func (e *F2WindowEngine) ApplyBatchEpoch(keys []int, epoch uint64) int {
-	c := e.f2Core
-	if len(keys) == 0 {
+func (t *amsType) medianOfMeans(agg []int64, streamLen uint64) float64 {
+	if streamLen == 0 {
 		return 0
 	}
-	if c.parts == 1 {
-		return c.shards[0].applyRunAt(c, keys, epoch)
-	}
-	counts := make([]int, c.parts+1)
-	for _, k := range keys {
-		counts[snapcodec.PartitionOf(k, c.n, c.parts)+1]++
-	}
-	for s := 1; s <= c.parts; s++ {
-		counts[s] += counts[s-1]
-	}
-	sorted := make([]int, len(keys))
-	offsets := append([]int(nil), counts[:c.parts]...)
-	for _, k := range keys {
-		s := snapcodec.PartitionOf(k, c.n, c.parts)
-		sorted[offsets[s]] = k
-		offsets[s]++
-	}
-	applied := 0
-	for s := 0; s < c.parts; s++ {
-		lo, hi := counts[s], counts[s+1]
-		if lo == hi {
-			continue
+	means := make([]float64, t.rows)
+	for r := range means {
+		sum := 0.0
+		for _, v := range agg[r*t.cols : (r+1)*t.cols] {
+			sum += float64(v) * float64(v)
 		}
-		applied += c.shards[s].applyRunAt(c, sorted[lo:hi], epoch)
+		means[r] = sum / float64(t.cols)
 	}
-	return applied
+	sort.Float64s(means)
+	if t.rows%2 == 1 {
+		return means[t.rows/2]
+	}
+	return (means[t.rows/2-1] + means[t.rows/2]) / 2
 }
 
-func (sh *f2Shard) applyRunAt(c *f2Core, keys []int, epoch uint64) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j := int(epoch % uint64(c.buckets))
-	if sh.epochs[j] != epoch {
-		return 0
+func (c *amsCells) hash(h *fnv1a64) {
+	for _, l := range c.lens {
+		h.word(l)
 	}
-	sh.applyCellsLocked(c, j, keys)
-	return len(keys)
+	for _, v := range c.counters {
+		h.word(zigzag(v))
+	}
 }
-
-func (e *F2WindowEngine) checkWindow(w int) error {
-	if w < 1 || w > e.buckets {
-		return fmt.Errorf("engine: window of %d buckets out of [1, %d]", w, e.buckets)
-	}
-	return nil
-}
-
-// EstimateWindow implements Windowed: the owning partition's F₂ over the
-// trailing w buckets.
-func (e *F2WindowEngine) EstimateWindow(key, w int) (float64, error) {
-	if err := e.checkWindow(w); err != nil {
-		return 0, err
-	}
-	if key < 0 || key >= e.n {
-		return 0, fmt.Errorf("engine: key %d out of range [0,%d)", key, e.n)
-	}
-	sh := e.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return e.estimateLocked(sh, w), nil
-}
-
-// EstimateAllWindow implements Windowed.
-func (e *F2WindowEngine) EstimateAllWindow(w int) ([]float64, error) {
-	if err := e.checkWindow(w); err != nil {
-		return nil, err
-	}
-	return e.estimateAllWindow(w)
-}
-
-// TopKWindow implements Windowed: partitions ranked by windowed F₂.
-func (e *F2WindowEngine) TopKWindow(k, lo, hi, w int) ([]Entry, error) {
-	if err := e.checkWindow(w); err != nil {
-		return nil, err
-	}
-	return e.topKWindow(k, lo, hi, w)
-}
-
-// RangeEstimateWindow implements WindowRangeEstimator.
-func (e *F2WindowEngine) RangeEstimateWindow(lo, hi, w int) (float64, error) {
-	if err := e.checkWindow(w); err != nil {
-		return 0, err
-	}
-	return e.rangeEstimateWindow(lo, hi, w)
-}
-
-// --- payload codec ------------------------------------------------------
 
 // zigzag maps a signed counter onto the uvarint-friendly unsigned line
 // (0, −1, 1, −2, … → 0, 1, 2, 3, …).
@@ -880,169 +366,47 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// f2Payload is the engine-payload encoding of the whole sketch (f2
-// snapshots carry no register section):
-//
-//	version (1) | flags (bit 0: windowed) | uvarint rows | uvarint cols |
-//	uvarint buckets B | uvarint bucketNanos | uvarint shardCount | shards…
-//
-// and each shard, in ascending index order:
-//
-//	uvarint index | B × uvarint slot epoch | B × uvarint stream length |
-//	B × rows×cols × uvarint zigzag(cell)
-//
-// Cumulative engines (windowed flag clear) must carry exactly one bucket
-// whose epoch is 0.
-type f2Payload struct {
-	rows        int
-	cols        int
-	windowed    bool
-	buckets     int
-	bucketNanos int64
-	shards      []f2ShardState
+// emit: the whole sketch rides the payload — B × uvarint stream length,
+// then B × rows×cols × uvarint zigzag(cell) — and no registers. There is no
+// generator state, so checkpoints and plain whole snapshots are
+// byte-identical.
+func (c *amsCells) emit(payload []byte, regs []uint64, _ bool) ([]byte, []uint64) {
+	for _, l := range c.lens {
+		payload = binary.AppendUvarint(payload, l)
+	}
+	for _, v := range c.counters {
+		payload = binary.AppendUvarint(payload, zigzag(v))
+	}
+	return payload, regs
 }
 
-type f2ShardState struct {
-	index    int
-	epochs   []uint64
-	lens     []uint64
-	counters []int64
+// decode reads a peer shard into cells of its own, validating as it fills:
+// stream lengths within the overflow cap, and cell magnitudes bounded by
+// their bucket's stream length (every event moves every cell by ±1).
+func (t *amsType) decode(d *payloadReader, _ []uint64, buckets int, _ bool) (any, error) {
+	// One uvarint — at least one byte — per stream length and per cell.
+	if words := buckets * (t.cells() + 1); words > len(d.data)-d.pos {
+		return nil, fmt.Errorf("%d cell words declared, %d bytes left", words, len(d.data)-d.pos)
+	}
+	c := &amsCells{t: t, lens: make([]uint64, buckets), counters: make([]int64, buckets*t.cells())}
+	for j := range c.lens {
+		if c.lens[j] = d.uvarint(); c.lens[j] > maxF2StreamLen {
+			return nil, fmt.Errorf("bucket %d stream length %d exceeds cap", j, c.lens[j])
+		}
+	}
+	for j, limit := range c.lens {
+		for cell, bucket := 0, c.bucket(j); cell < len(bucket) && d.err == nil; cell++ {
+			v := unzigzag(d.uvarint())
+			if mag := max(v, -v); uint64(mag) > limit {
+				return nil, fmt.Errorf("bucket %d cell %d magnitude %d exceeds stream length %d", j, cell, mag, limit)
+			}
+			bucket[cell] = v
+		}
+	}
+	return c, nil
 }
 
-const f2PayloadVersion = 1
-
-func (p *f2Payload) encode() []byte {
-	var buf []byte
-	buf = append(buf, f2PayloadVersion)
-	var flags byte
-	if p.windowed {
-		flags = 1
-	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(p.rows))
-	buf = binary.AppendUvarint(buf, uint64(p.cols))
-	buf = binary.AppendUvarint(buf, uint64(p.buckets))
-	buf = binary.AppendUvarint(buf, uint64(p.bucketNanos))
-	buf = binary.AppendUvarint(buf, uint64(len(p.shards)))
-	for _, st := range p.shards {
-		buf = binary.AppendUvarint(buf, uint64(st.index))
-		for _, ep := range st.epochs {
-			buf = binary.AppendUvarint(buf, ep)
-		}
-		for _, l := range st.lens {
-			buf = binary.AppendUvarint(buf, l)
-		}
-		for _, v := range st.counters {
-			buf = binary.AppendUvarint(buf, zigzag(v))
-		}
-	}
-	return buf
-}
-
-// parseF2Payload decodes and fully validates an f2 snapshot's payload
-// against an (n keys, parts shards) shape: sketch bounds, shard indices
-// ascending and in range, slot epochs congruent to their ring index (or
-// zero), stream lengths within the overflow cap, cell magnitudes bounded
-// by their bucket's stream length (every event moves every cell by ±1),
-// and no trailing bytes.
-func parseF2Payload(snap *snapcodec.Snapshot, n, parts int) (*f2Payload, error) {
-	if len(snap.Registers) != 0 {
-		return nil, fmt.Errorf("engine: f2 snapshot carries %d registers; the sketch is payload-only",
-			len(snap.Registers))
-	}
-	d := &payloadReader{data: snap.Payload}
-	if v := d.byte(); v != f2PayloadVersion {
-		return nil, fmt.Errorf("engine: f2 payload version %d unsupported", v)
-	}
-	flags := d.byte()
-	if flags&^byte(1) != 0 {
-		return nil, fmt.Errorf("engine: f2 payload has unknown flags %#02x", flags)
-	}
-	p := &f2Payload{windowed: flags&1 != 0}
-	p.rows = int(d.uvarint())
-	if p.rows < 1 || p.rows > MaxF2Rows {
-		return nil, fmt.Errorf("engine: f2 payload row count %d out of [1, %d]", p.rows, MaxF2Rows)
-	}
-	p.cols = int(d.uvarint())
-	if p.cols < 1 || p.cols > MaxF2Cols {
-		return nil, fmt.Errorf("engine: f2 payload column count %d out of [1, %d]", p.cols, MaxF2Cols)
-	}
-	cells := p.rows * p.cols
-	p.buckets = int(d.uvarint())
-	if p.windowed {
-		if p.buckets < 1 || p.buckets > MaxWindowBuckets {
-			return nil, fmt.Errorf("engine: f2 payload bucket count %d out of [1, %d]", p.buckets, MaxWindowBuckets)
-		}
-	} else if p.buckets != 1 {
-		return nil, fmt.Errorf("engine: cumulative f2 payload carries %d buckets", p.buckets)
-	}
-	bn := d.uvarint()
-	if bn > 1<<62 {
-		return nil, fmt.Errorf("engine: f2 payload bucket width %d overflows", bn)
-	}
-	p.bucketNanos = int64(bn)
-	if !p.windowed && p.bucketNanos != 0 {
-		return nil, fmt.Errorf("engine: cumulative f2 payload carries bucket width %d", p.bucketNanos)
-	}
-	count := int(d.uvarint())
-	if count < 0 || count > parts {
-		return nil, fmt.Errorf("engine: f2 payload has %d shards for a %d-way engine", count, parts)
-	}
-	b := uint64(p.buckets)
-	prev := -1
-	for i := 0; i < count; i++ {
-		st := f2ShardState{index: int(d.uvarint())}
-		if st.index <= prev || st.index >= parts {
-			return nil, fmt.Errorf("engine: f2 payload shard index %d invalid (prev %d, parts %d)",
-				st.index, prev, parts)
-		}
-		prev = st.index
-		st.epochs = make([]uint64, p.buckets)
-		for j := range st.epochs {
-			ep := d.uvarint()
-			if ep%b != uint64(j) && ep != 0 {
-				return nil, fmt.Errorf("engine: shard %d slot %d epoch %d not congruent to its ring index",
-					st.index, j, ep)
-			}
-			if !p.windowed && ep != 0 {
-				return nil, fmt.Errorf("engine: cumulative f2 shard %d carries epoch %d", st.index, ep)
-			}
-			st.epochs[j] = ep
-		}
-		st.lens = make([]uint64, p.buckets)
-		for j := range st.lens {
-			l := d.uvarint()
-			if l > maxF2StreamLen {
-				return nil, fmt.Errorf("engine: shard %d bucket %d stream length %d exceeds cap", st.index, j, l)
-			}
-			st.lens[j] = l
-		}
-		st.counters = make([]int64, p.buckets*cells)
-		for j := 0; j < p.buckets; j++ {
-			limit := st.lens[j]
-			for cell := 0; cell < cells; cell++ {
-				v := unzigzag(d.uvarint())
-				mag := v
-				if mag < 0 {
-					mag = -mag
-				}
-				if uint64(mag) > limit {
-					return nil, fmt.Errorf("engine: shard %d bucket %d cell %d magnitude %d exceeds stream length %d",
-						st.index, j, cell, mag, limit)
-				}
-				st.counters[j*cells+cell] = v
-			}
-		}
-		if d.err != nil {
-			return nil, fmt.Errorf("engine: f2 payload: %w", d.err)
-		}
-		p.shards = append(p.shards, st)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("engine: f2 payload: %w", d.err)
-	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("engine: f2 payload has %d trailing bytes", len(d.data)-d.pos)
-	}
-	return p, nil
+func (c *amsCells) load(peer any) {
+	p := peer.(*amsCells)
+	c.lens, c.counters = p.lens, p.counters
 }

@@ -3,10 +3,11 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/bank"
 	"repro/internal/snapcodec"
 )
 
-// fuzzShape is the fixed engine shape both snapshot fuzz targets validate
+// fuzzShape is the fixed engine shape the snapshot fuzz targets validate
 // against — small enough to keep iterations fast, multi-shard and
 // multi-bucket so the shard/ring validation paths all run.
 const (
@@ -150,15 +151,13 @@ func FuzzF2Snapshot(f *testing.F) {
 		if err := snap.SetAlg(f2Alg()); err != nil {
 			t.Fatal(err)
 		}
-		if forgeRegisters {
-			if _, err := parseF2Payload(snap, fuzzN, fuzzParts); err == nil {
-				t.Fatal("payload-only engine accepted a forged register section")
-			}
-		}
 		for _, local := range []Engine{plain, windowed} {
 			for _, disjoint := range []bool{false, true} {
 				if err := local.CheckPeer(snap, disjoint); err != nil {
 					continue
+				}
+				if forgeRegisters {
+					t.Fatal("payload-only engine accepted a forged register section")
 				}
 				if err := local.MergeMax(snap); err != nil {
 					t.Fatalf("CheckPeer accepted but MergeMax failed: %v", err)
@@ -172,11 +171,122 @@ func FuzzF2Snapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if forgeRegisters {
+			t.Fatal("payload-only engine restored from a forged register section")
+		}
 		again, err := restored.Snapshot(0, 0, true)
 		if err != nil {
 			t.Fatalf("restored engine cannot snapshot: %v", err)
 		}
 		if _, err := F2FromSnapshot(again); err != nil {
+			t.Fatalf("restored engine's snapshot does not restore: %v", err)
+		}
+	})
+}
+
+// FuzzRingSnapshot is the one fuzz target of the one ring payload parser,
+// over every engine built on it — including the window engine, whose parser
+// is reachable from POST /v1/merge and anti-entropy. Arbitrary payload bytes
+// and register sections, whole or partition, must error or decode into a
+// mergeable sketch: never panic, a CheckPeer-accepted snapshot's merges never
+// fail (validate-before-stage), and a restored engine keeps working.
+func FuzzRingSnapshot(f *testing.F) {
+	windowAlg := bank.NewMorrisAlg(0.05, 12)
+	flavours := []struct {
+		kind string
+		alg  bank.Algorithm
+		mk   func() (Engine, error)
+	}{
+		{KindWindow, windowAlg, func() (Engine, error) {
+			return NewWindow(fuzzN, windowAlg, fuzzParts, fuzzBuckets, 0, 42)
+		}},
+		{KindDistinct, distinctAlg(), func() (Engine, error) { return NewDistinct(fuzzN, fuzzParts, fuzzPrecision, 42) }},
+		{KindDistinct, distinctAlg(), func() (Engine, error) {
+			return NewDistinctWindow(fuzzN, fuzzParts, fuzzPrecision, fuzzBuckets, 0, 42)
+		}},
+		{KindF2, f2Alg(), func() (Engine, error) { return NewF2(fuzzN, fuzzParts, 3, 8, 42) }},
+		{KindF2, f2Alg(), func() (Engine, error) { return NewF2Window(fuzzN, fuzzParts, 3, 8, fuzzBuckets, 0, 42) }},
+	}
+	locals := make([]Engine, len(flavours))
+	for i, fl := range flavours {
+		e, err := fl.mk()
+		if err != nil {
+			f.Fatal(err)
+		}
+		locals[i] = e
+		seed, err := fl.mk()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed.ApplyBatch([]int{1, 2, 3, 999, 1500})
+		if w, ok := seed.(Windowed); ok {
+			w.Advance(2)
+			seed.ApplyBatch([]int{4, 5, 1999})
+		}
+		for _, withState := range []bool{false, true} {
+			snap, err := seed.Snapshot(0, 0, withState)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(i), uint8(fuzzParts), snap.Payload, uint16(len(snap.Registers)))
+		}
+		part, err := seed.Snapshot(1, fuzzParts, false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), uint8(1), part.Payload, uint16(len(part.Registers)))
+	}
+	// The hand-written seeds of FuzzDistinctSnapshot and FuzzF2Snapshot.
+	f.Add(uint8(1), uint8(fuzzParts), []byte{}, uint16(0))
+	f.Add(uint8(1), uint8(fuzzParts), []byte{1, 0, 8, 1, 0, 0}, uint16(0))
+	f.Add(uint8(3), uint8(fuzzParts), []byte{1, 0, 3, 8, 1, 0, 0}, uint16(3))
+
+	f.Fuzz(func(t *testing.T, flavour, part uint8, payload []byte, nRegs uint16) {
+		fl := flavours[int(flavour)%len(flavours)]
+		local := locals[int(flavour)%len(flavours)]
+		// In-width registers derived from the payload: the codec rejects
+		// out-of-width ones before an engine ever sees them.
+		regs := make([]uint64, int(nRegs)%(fuzzBuckets*fuzzN+1))
+		for i := range regs {
+			if len(payload) > 0 {
+				regs[i] = uint64(payload[i%len(payload)]) * 31 & (1<<fl.alg.Width() - 1)
+			}
+		}
+		snap := &snapcodec.Snapshot{
+			N: fuzzN, Shards: fuzzParts, Seed: 42,
+			Engine: fl.kind, Payload: payload, Registers: regs,
+		}
+		if p := int(part) % (fuzzParts + 1); p < fuzzParts {
+			snap.Partition, snap.Parts = p, fuzzParts
+		}
+		if err := snap.SetAlg(fl.alg); err != nil {
+			t.Fatal(err)
+		}
+		for _, disjoint := range []bool{false, true} {
+			if err := local.CheckPeer(snap, disjoint); err != nil {
+				continue
+			}
+			// Accepted ⇒ staged ⇒ the merge may not fail.
+			if err := local.MergeMax(snap); err != nil {
+				t.Fatalf("CheckPeer accepted but MergeMax failed: %v", err)
+			}
+			if disjoint {
+				if err := local.Merge(snap); err != nil {
+					t.Fatalf("CheckPeer accepted but Merge failed: %v", err)
+				}
+			}
+		}
+		restored, err := FromSnapshot(snap)
+		if err != nil {
+			return
+		}
+		// A payload good enough to restore must yield a fully working engine.
+		restored.ApplyBatch([]int{0, fuzzN - 1})
+		again, err := restored.Snapshot(0, 0, true)
+		if err != nil {
+			t.Fatalf("restored engine cannot snapshot: %v", err)
+		}
+		if _, err := FromSnapshot(again); err != nil {
 			t.Fatalf("restored engine's snapshot does not restore: %v", err)
 		}
 	})

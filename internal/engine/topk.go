@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -39,11 +38,10 @@ const maxTopKCap = 1 << 20
 // algorithm fields describing the slot registers and N/Shards/Seed the key
 // space, stripe count, and rng universe.
 type TopKEngine struct {
-	n     int
-	alg   bank.Algorithm
-	seed  uint64
-	k     int
-	parts int
+	split
+	alg  bank.Algorithm
+	seed uint64
+	k    int
 
 	shards []*topkShard
 }
@@ -62,20 +60,14 @@ type topkShard struct {
 // derivation the sharded bank uses, so a fixed seed fixes the replay
 // universe).
 func NewTopK(n int, alg bank.Algorithm, parts, k int, seed uint64) (*TopKEngine, error) {
-	if n <= 0 {
-		return nil, errors.New("engine: non-positive key-space size")
+	sp, err := newSplit(n, parts)
+	if err != nil {
+		return nil, err
 	}
 	if k < 1 || k > maxTopKCap {
 		return nil, fmt.Errorf("engine: top-k capacity %d out of [1, %d]", k, maxTopKCap)
 	}
-	if parts < 1 || parts > snapcodec.MaxPartitions {
-		return nil, fmt.Errorf("engine: partition count %d out of [1, %d]", parts, snapcodec.MaxPartitions)
-	}
-	if parts > n {
-		return nil, fmt.Errorf("engine: %d partitions exceed %d keys", parts, n)
-	}
-	e := &TopKEngine{n: n, alg: alg, seed: seed, k: k, parts: parts,
-		shards: make([]*topkShard, parts)}
+	e := &TopKEngine{split: sp, alg: alg, seed: seed, k: k, shards: make([]*topkShard, parts)}
 	sm := xrand.NewSplitMix64(seed)
 	for s := range e.shards {
 		lo, hi := snapcodec.PartitionRange(n, parts, s)
@@ -128,14 +120,8 @@ func TopKFromSnapshot(snap *snapcodec.Snapshot) (*TopKEngine, error) {
 // Kind implements Engine.
 func (e *TopKEngine) Kind() string { return KindTopK }
 
-// Len implements Engine.
-func (e *TopKEngine) Len() int { return e.n }
-
 // Seed implements Engine.
 func (e *TopKEngine) Seed() uint64 { return e.seed }
-
-// Shards implements Engine.
-func (e *TopKEngine) Shards() int { return e.parts }
 
 // Cap returns the per-shard slot capacity k.
 func (e *TopKEngine) Cap() int { return e.k }
@@ -155,58 +141,24 @@ func (e *TopKEngine) SizeBytes() int {
 // Algorithm implements Engine.
 func (e *TopKEngine) Algorithm() bank.Algorithm { return e.alg }
 
-// AlignPartitions implements Engine: summaries are per-partition, so the
-// serving split must match the engine's stripe count.
-func (e *TopKEngine) AlignPartitions() int { return e.parts }
-
 // shardOf returns the summary owning key k.
 func (e *TopKEngine) shardOf(k int) *topkShard {
 	return e.shards[snapcodec.PartitionOf(k, e.n, e.parts)]
 }
 
-// ApplyBatch implements Engine: keys group by shard (stable counting sort,
-// preserving batch order within a shard) and each shard's summary absorbs
-// its run under one lock acquisition — the same batch-order determinism
-// contract the sharded bank's IncrementBatch keeps, so WAL replay is exact.
+// ApplyBatch implements Engine: keys group by shard (batch order preserved
+// within one) and each shard's summary absorbs its run under one lock
+// acquisition — the same batch-order determinism contract the sharded
+// bank's IncrementBatch keeps, so WAL replay is exact.
 func (e *TopKEngine) ApplyBatch(keys []int) {
-	if len(keys) == 0 {
-		return
-	}
-	if e.parts == 1 {
-		sh := e.shards[0]
-		sh.mu.Lock()
-		for _, k := range keys {
-			sh.sum.Process(uint64(k), sh.rng)
-		}
-		sh.mu.Unlock()
-		return
-	}
-	counts := make([]int, e.parts+1)
-	for _, k := range keys {
-		counts[snapcodec.PartitionOf(k, e.n, e.parts)+1]++
-	}
-	for s := 1; s <= e.parts; s++ {
-		counts[s] += counts[s-1]
-	}
-	sorted := make([]int32, len(keys))
-	offsets := append([]int(nil), counts[:e.parts]...)
-	for _, k := range keys {
-		s := snapcodec.PartitionOf(k, e.n, e.parts)
-		sorted[offsets[s]] = int32(k)
-		offsets[s]++
-	}
-	for s := 0; s < e.parts; s++ {
-		lo, hi := counts[s], counts[s+1]
-		if lo == hi {
-			continue
-		}
+	e.byShard(keys, func(s int, run []int) {
 		sh := e.shards[s]
 		sh.mu.Lock()
-		for _, k := range sorted[lo:hi] {
+		for _, k := range run {
 			sh.sum.Process(uint64(k), sh.rng)
 		}
 		sh.mu.Unlock()
-	}
+	})
 }
 
 // Estimate implements Engine: the summary's estimate for tracked keys, 0
@@ -230,21 +182,6 @@ func (e *TopKEngine) EstimateAll() []float64 {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// checkAligned validates that [lo, hi) tiles exactly onto engine shards and
-// returns their index range [s0, s1).
-func (e *TopKEngine) checkAligned(lo, hi int) (int, int, error) {
-	if lo < 0 || hi > e.n || lo >= hi {
-		return 0, 0, fmt.Errorf("engine: key range [%d, %d) outside [0, %d)", lo, hi, e.n)
-	}
-	s0 := snapcodec.PartitionOf(lo, e.n, e.parts)
-	s1 := snapcodec.PartitionOf(hi-1, e.n, e.parts) + 1
-	if e.shards[s0].lo != lo || e.shards[s1-1].hi != hi {
-		return 0, 0, fmt.Errorf("engine: key range [%d, %d) not aligned to the %d-way partition split",
-			lo, hi, e.parts)
-	}
-	return s0, s1, nil
 }
 
 // TopK implements Engine: the per-shard summaries overlapping [lo, hi)
@@ -310,29 +247,9 @@ func (e *TopKEngine) HashRange(lo, hi int) (uint64, error) {
 // or of one partition, as a snapcodec engine snapshot. withState adds the
 // per-shard generator states (checkpoints; whole snapshots only).
 func (e *TopKEngine) Snapshot(part, parts int, withState bool) (*snapcodec.Snapshot, error) {
-	snap := &snapcodec.Snapshot{
-		N:      e.n,
-		Shards: e.parts,
-		Seed:   e.seed,
-		Engine: KindTopK,
-	}
-	if err := snap.SetAlg(e.alg); err != nil {
+	snap, s0, s1, err := e.snapshotHeader(KindTopK, e.alg, e.seed, part, parts, withState)
+	if err != nil {
 		return nil, err
-	}
-	s0, s1 := 0, e.parts
-	if parts != 0 {
-		if withState {
-			return nil, errors.New("engine: partition snapshots cannot carry generator state")
-		}
-		if parts != e.parts {
-			return nil, fmt.Errorf("engine: %d-way snapshot of a %d-way topk engine", parts, e.parts)
-		}
-		if part < 0 || part >= parts {
-			return nil, fmt.Errorf("engine: partition %d out of [0, %d)", part, parts)
-		}
-		snap.Partition = part
-		snap.Parts = parts
-		s0, s1 = part, part+1
 	}
 	pl := topkPayload{cap: e.k, hasRNG: withState}
 	for s := s0; s < s1; s++ {
@@ -355,32 +272,13 @@ func (e *TopKEngine) Snapshot(part, parts int, withState bool) (*snapcodec.Snaps
 // within their shard's key range), so a checked snapshot's Merge/MergeMax
 // cannot fail after the store WAL-stages it.
 func (e *TopKEngine) CheckPeer(snap *snapcodec.Snapshot, disjoint bool) error {
-	if snap.Engine != KindTopK {
-		kind := snap.Engine
-		if kind == "" {
-			kind = KindBank
-		}
-		return fmt.Errorf("engine kind mismatch: peer %q, local %q", kind, KindTopK)
+	if err := e.checkPeerHeader(snap, KindTopK, e.alg); err != nil {
+		return err
 	}
 	if disjoint {
 		if _, ok := e.alg.(bank.MergeAlgorithm); !ok {
 			return fmt.Errorf("algorithm %q does not support merge", e.alg.Name())
 		}
-	}
-	alg, err := snap.Alg()
-	if err != nil {
-		return err
-	}
-	if alg != e.alg {
-		return fmt.Errorf("algorithm mismatch: peer %s/%d-bit, local %s/%d-bit",
-			snap.AlgName, snap.Width, e.alg.Name(), e.alg.Width())
-	}
-	if snap.N != e.n || snap.Shards != e.parts {
-		return fmt.Errorf("shape mismatch: peer %d keys/%d shards, local %d/%d",
-			snap.N, snap.Shards, e.n, e.parts)
-	}
-	if snap.IsPartition() && snap.Parts != e.parts {
-		return fmt.Errorf("partition split mismatch: peer %d-way, local %d-way", snap.Parts, e.parts)
 	}
 	pl, err := parseTopKPayload(snap.Payload, e.n, e.parts, e.alg.Width())
 	if err != nil {
@@ -586,57 +484,8 @@ func parseTopKPayload(data []byte, n, parts, width int) (*topkPayload, error) {
 		}
 		p.shards = append(p.shards, st)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("engine: topk payload: %w", d.err)
-	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("engine: topk payload has %d trailing bytes", len(d.data)-d.pos)
+	if err := d.done(KindTopK); err != nil {
+		return nil, err
 	}
 	return p, nil
-}
-
-// payloadReader is a tiny cursor over the payload bytes with sticky errors.
-type payloadReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *payloadReader) byte() byte {
-	if d.err != nil || d.pos >= len(d.data) {
-		d.fail()
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *payloadReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *payloadReader) u64() uint64 {
-	if d.err != nil || d.pos+8 > len(d.data) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.data[d.pos:])
-	d.pos += 8
-	return v
-}
-
-func (d *payloadReader) fail() {
-	if d.err == nil {
-		d.err = errors.New("truncated")
-	}
 }

@@ -642,19 +642,15 @@ func (st *Store) decodePeer(blob []byte, disjoint bool) (*snapcodec.Snapshot, er
 
 // decodeCap returns the register cap for decoding peer blobs: a hostile
 // header claiming snapcodec.MaxRegisters would otherwise allocate ~512 MiB
-// before the engine's shape comparison ever ran. A window engine's
-// snapshots carry one register per key per bucket, so its cap is B × n.
-// Engines whose register sections are not key-proportional declare their
-// own cap (distinct: shards × B × 2^p; f2: none at all).
+// before the engine's shape comparison ever ran. Engines whose register
+// sections are not one register per key declare their own cap (the bucket
+// ring's: B × n for window, shards × B × 2^p for distinct, none at all for
+// f2).
 func (st *Store) decodeCap() int {
 	if pc, ok := st.eng.(engine.PeerRegisterCapper); ok {
 		return pc.PeerRegisterCap()
 	}
-	capRegs := st.eng.Len()
-	if st.windowed != nil {
-		capRegs *= st.windowed.WindowBuckets()
-	}
-	return capRegs
+	return st.eng.Len()
 }
 
 // materializeLocked rebuilds the full partition snapshot a block delta

@@ -63,7 +63,7 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 			local := k >> b.shift
 			if v := regs[k-lo]; v > s.arr.Get(local) {
 				s.arr.Set(local, v)
-				b.markDirty(k)
+				b.dirty.Mark(k)
 			}
 		}
 		s.mu.Unlock()
@@ -94,7 +94,7 @@ func (b *Bank) ResetRange(lo, hi int) error {
 			local := k >> b.shift
 			if s.arr.Get(local) != 0 {
 				s.arr.Set(local, 0)
-				b.markDirty(k)
+				b.dirty.Mark(k)
 			}
 		}
 		s.mu.Unlock()
@@ -136,7 +136,7 @@ func (b *Bank) MergeRange(lo int, regs []uint64) error {
 			old := s.arr.Get(local)
 			if merged := ma.MergeRegs(old, regs[k-lo], s.rng); merged != old {
 				s.arr.Set(local, merged)
-				b.markDirty(k)
+				b.dirty.Mark(k)
 			}
 		}
 		s.mu.Unlock()

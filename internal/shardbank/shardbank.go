@@ -45,7 +45,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bank"
 	"repro/internal/bitpack"
@@ -154,11 +153,11 @@ type Bank struct {
 	alg     bank.Algorithm
 	table   stepTable
 	n       int
-	seed    uint64          // construction seed, kept for snapshot provenance
-	mask    uint64          // len(shards) − 1; len is a power of two
-	shift   uint            // log2(len(shards))
-	dirty   []atomic.Uint64 // changed-block bitmap; see dirty.go
-	scratch sync.Pool       // *batchScratch, reused across IncrementBatch calls
+	seed    uint64    // construction seed, kept for snapshot provenance
+	mask    uint64    // len(shards) − 1; len is a power of two
+	shift   uint      // log2(len(shards))
+	dirty   DirtySet  // changed-block bitmap; see dirty.go
+	scratch sync.Pool // *batchScratch, reused across IncrementBatch calls
 }
 
 // New allocates a Bank of n registers striped across the given shard count
@@ -191,7 +190,7 @@ func New(n int, alg bank.Algorithm, shards int, seed uint64) *Bank {
 		seed:   seed,
 		mask:   uint64(p - 1),
 		shift:  uint(bits.TrailingZeros(uint(p))),
-		dirty:  make([]atomic.Uint64, dirtyWords(n)),
+		dirty:  *NewDirtySet(n),
 	}
 	b.scratch.New = func() any { return new(batchScratch) }
 	sm := xrand.NewSplitMix64(seed)
@@ -271,7 +270,7 @@ func (b *Bank) Increment(i int) {
 	reg := s.arr.Get(local)
 	if next := b.step(reg, s); next != reg {
 		s.arr.Set(local, next)
-		b.markDirty(i)
+		b.dirty.Mark(i)
 	}
 	s.mu.Unlock()
 }
@@ -287,7 +286,7 @@ func (b *Bank) IncrementBy(i int, k uint64) {
 	}
 	if reg != reg0 {
 		s.arr.Set(local, reg)
-		b.markDirty(i)
+		b.dirty.Mark(i)
 	}
 	s.mu.Unlock()
 }
@@ -370,7 +369,7 @@ func applyKeys[K int | int32](b *Bank, s *shard, keys []K) {
 			reg := s.arr.Get(local)
 			if next := b.alg.Step(reg, s.rng); next != reg {
 				s.arr.Set(local, next)
-				b.markDirty(int(k))
+				b.dirty.Mark(int(k))
 			}
 		}
 		return
@@ -394,7 +393,7 @@ func applyKeys[K int | int32](b *Bank, s *shard, keys []K) {
 			reg++
 			words[idx] = w0&^(mask<<off) | reg<<off
 			words[idx+1] = w1&^(mask>>(64-off)) | reg>>(64-off)
-			b.markDirty(int(k))
+			b.dirty.Mark(int(k))
 		}
 	}
 }
@@ -557,7 +556,7 @@ func (b *Bank) Merge(other *Bank) error {
 			old := s.arr.Get(local)
 			if merged := ma.MergeRegs(old, o.arr.Get(local), s.rng); merged != old {
 				s.arr.Set(local, merged)
-				b.markDirty(local<<b.shift | si)
+				b.dirty.Mark(local<<b.shift | si)
 			}
 		}
 		o.mu.Unlock()

@@ -103,6 +103,6 @@ func (b *Bank) RestoreState(st State) error {
 	// every block so the next checkpoint cannot miss restored state. The
 	// store's recovery path drains the bitmap right after construction when
 	// it knows the restored image is already durable.
-	b.markDirtyRange(0, b.n)
+	b.dirty.MarkRange(0, b.n)
 	return nil
 }
