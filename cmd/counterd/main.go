@@ -147,9 +147,7 @@ type options struct {
 	decommission bool
 }
 
-// parseFlags parses the daemon's command line. Both -alg and its legacy
-// spelling -algo select the register algorithm, and -listen-wire has the
-// alias -wire-listen; for each pair the last one given wins.
+// parseFlags parses the daemon's command line.
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("counterd", flag.ContinueOnError)
@@ -158,7 +156,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.n, "n", 1_000_000, "number of keys (ignored when the data dir has a checkpoint)")
 	fs.IntVar(&o.shards, "shards", 256, "lock stripes (rounded to a power of two; bank engine)")
 	fs.StringVar(&o.alg, "alg", "morris", "register algorithm: morris | csuros | exact")
-	fs.StringVar(&o.alg, "algo", "morris", "alias of -alg")
 	fs.Float64Var(&o.a, "a", 0.005, "Morris base parameter")
 	fs.IntVar(&o.width, "width", 14, "register width in bits")
 	fs.IntVar(&o.mantissa, "mantissa", 8, "Csűrös mantissa bits")
@@ -181,7 +178,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.partitions, "partitions", 64, "key-space partitions (unit of cluster replication)")
 
 	fs.StringVar(&o.wireListen, "listen-wire", "", "binary wire-protocol listen address, e.g. :9347 (empty = HTTP only; see docs/FORMAT.md)")
-	fs.StringVar(&o.wireListen, "wire-listen", "", "alias of -listen-wire")
 	fs.StringVar(&o.advertiseWire, "advertise-wire", "", "wire address peers reach this node at (default: advertised host + -listen-wire port)")
 
 	fs.BoolVar(&o.clusterOn, "cluster", false, "join a replicated cluster (see docs/CLUSTER.md)")

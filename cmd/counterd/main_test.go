@@ -68,17 +68,20 @@ func healthz(t *testing.T, srv *httptest.Server) server.Stats {
 	return s
 }
 
-// Both spellings of the wire-listen flag land in the same option, like
-// -alg/-algo; -advertise-wire derives from the advertised host + wire port
-// when not given.
-func TestWireFlagAliasAndAdvertise(t *testing.T) {
-	for _, flagName := range []string{"-listen-wire", "-wire-listen"} {
-		o, err := parseFlags([]string{flagName, ":9347"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.wireListen != ":9347" {
-			t.Fatalf("%s: wireListen = %q", flagName, o.wireListen)
+// -listen-wire is the wire listener's one spelling (the -wire-listen and
+// -algo aliases are gone); -advertise-wire derives from the advertised host
+// + wire port when not given.
+func TestWireFlagAndAdvertise(t *testing.T) {
+	o, err := parseFlags([]string{"-listen-wire", ":9347"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.wireListen != ":9347" {
+		t.Fatalf("wireListen = %q", o.wireListen)
+	}
+	for _, gone := range []string{"-wire-listen", "-algo"} {
+		if _, err := parseFlags([]string{gone, "x"}); err == nil {
+			t.Fatalf("removed alias %s still parses", gone)
 		}
 	}
 	if got := deriveWireAdvertise("http://10.0.0.7:8347", ":9347"); got != "10.0.0.7:9347" {

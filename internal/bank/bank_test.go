@@ -190,6 +190,33 @@ func TestBankMerge(t *testing.T) {
 	}
 }
 
+// A Remark 2.4 merge starts at the larger register and steps at most the
+// smaller one's count of times, so a merged register never exceeds a + b
+// (nor the cap) and never falls below max(a, b). The windowed engine's run
+// bound (engine/window.go, windowCells.bound) ranks on the upper half of
+// this; every MergeAlgorithm must be listed here and keep it.
+func TestMergeRegsAtMostSum(t *testing.T) {
+	rng := xrand.NewSeeded(12)
+	for _, alg := range []MergeAlgorithm{
+		NewMorrisAlg(1, 6), NewMorrisAlg(0.3, 8), NewMorrisAlg(0.005, 14),
+	} {
+		limit := uint64(1)<<uint(alg.Width()) - 1
+		regs := []uint64{0, 1, 2, 3, limit / 2, limit - 1, limit}
+		for i := 0; i < 40; i++ {
+			regs = append(regs, rng.Uint64()%(limit+1), rng.Uint64()%8)
+		}
+		for _, a := range regs {
+			for _, b := range regs {
+				got := alg.MergeRegs(a, b, rng)
+				if got < max(a, b) || got > min(a+b, limit) {
+					t.Fatalf("%s/%d-bit: MergeRegs(%d, %d) = %d outside [max, min(a+b, %d)]",
+						alg.Name(), alg.Width(), a, b, got, limit)
+				}
+			}
+		}
+	}
+}
+
 func TestBankMergeErrors(t *testing.T) {
 	rng := xrand.NewSeeded(10)
 	b1 := New(10, NewMorrisAlg(0.05, 16), rng)

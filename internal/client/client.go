@@ -15,7 +15,6 @@ package client
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/snapcodec"
 	"repro/internal/wire"
 )
@@ -356,59 +354,6 @@ func (c *Client) post(dest string, keys []int) error {
 	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
-}
-
-// Estimate asks a replica of k's partition for N̂, failing over through the
-// replica set.
-//
-// Deprecated: use Query with KindEstimate.
-func (c *Client) Estimate(k int) (float64, error) {
-	res, err := c.Query(context.Background(), QueryOptions{Kind: KindEstimate, Key: k})
-	return res.Estimate, err
-}
-
-// EstimateWindow is Estimate scoped to the trailing window — a duration
-// ("5m") or bucket count ("3"), forwarded verbatim as the ?window= query
-// parameter (the serving node owns the bucket math). Only meaningful
-// against window-engine clusters; other engines answer 400.
-//
-// Deprecated: use Query with KindEstimate and a Window.
-func (c *Client) EstimateWindow(k int, window string) (float64, error) {
-	if window == "" {
-		return 0, errors.New("client: empty window")
-	}
-	res, err := c.Query(context.Background(), QueryOptions{Kind: KindEstimate, Key: k, Window: window})
-	return res.Estimate, err
-}
-
-// EstimateAll returns every key's estimate, stitched partition by partition
-// from the partition's own replicas.
-//
-// Deprecated: use Query with KindEstimateAll.
-func (c *Client) EstimateAll() ([]float64, error) {
-	res, err := c.Query(context.Background(), QueryOptions{Kind: KindEstimateAll})
-	return res.Estimates, err
-}
-
-// TopK returns the cluster-wide top-k keys by estimate.
-//
-// Deprecated: use Query with KindTopK.
-func (c *Client) TopK(k int) ([]engine.Entry, error) {
-	res, err := c.Query(context.Background(), QueryOptions{Kind: KindTopK, K: k})
-	return res.TopK, err
-}
-
-// TopKWindow is TopK scoped to the trailing window — a duration ("5m") or
-// bucket count ("3"), forwarded verbatim as ?window= to every partition
-// primary.
-//
-// Deprecated: use Query with KindTopK and a Window.
-func (c *Client) TopKWindow(k int, window string) ([]engine.Entry, error) {
-	if window == "" {
-		return nil, errors.New("client: empty window")
-	}
-	res, err := c.Query(context.Background(), QueryOptions{Kind: KindTopK, K: k, Window: window})
-	return res.TopK, err
 }
 
 // Close flushes pending batches and tears down pooled wire connections.

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -161,10 +162,11 @@ func TestClientRoutesToOwners(t *testing.T) {
 		if tr < 500 {
 			continue
 		}
-		est, err := c.Estimate(k)
+		res, err := c.Query(context.Background(), QueryOptions{Kind: KindEstimate, Key: k})
 		if err != nil {
 			t.Fatal(err)
 		}
+		est := res.Estimate
 		d := (est - float64(tr)) / float64(tr)
 		if d < 0 {
 			d = -d

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/engine"
+	"repro/internal/server"
 	"repro/internal/snapcodec"
 )
 
@@ -46,7 +47,7 @@ type QueryOptions struct {
 	Kind QueryKind
 	// Key is the key to estimate (KindEstimate).
 	Key int
-	// K is how many entries to return (KindTopK).
+	// K is how many entries to return (KindTopK), at most server.MaxTopK.
 	K int
 	// Window scopes the answer to the trailing window on window-engine
 	// clusters — a duration ("5m") or bucket count ("3"), forwarded
@@ -66,10 +67,8 @@ type Result struct {
 }
 
 // Query runs one read against the cluster, routing each partition's portion
-// to a replica that owns it and failing over through replica sets. It is
-// the single entry point behind the deprecated Estimate/EstimateAll/TopK/
-// EstimateWindow/TopKWindow wrappers; ctx bounds every HTTP request the
-// query issues.
+// to a replica that owns it and failing over through replica sets; ctx
+// bounds every HTTP request the query issues.
 func (c *Client) Query(ctx context.Context, opts QueryOptions) (Result, error) {
 	switch opts.Transport {
 	case "", TransportHTTP, TransportAuto:
@@ -237,8 +236,9 @@ func (c *Client) estimateAll(ctx context.Context, window string) ([]float64, err
 }
 
 func (c *Client) topK(ctx context.Context, k int, window string) ([]engine.Entry, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("client: k = %d", k)
+	// The nodes' own limit, checked before a single request goes out.
+	if k <= 0 || k > server.MaxTopK {
+		return nil, fmt.Errorf("client: k = %d out of [1, %d]", k, server.MaxTopK)
 	}
 	var all []engine.Entry
 	n0, parts0 := c.info.N, c.info.Partitions

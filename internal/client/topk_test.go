@@ -1,10 +1,12 @@
 package client
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,10 +89,11 @@ func TestClientClusterTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	top, err := c.TopK(10)
+	res, err := c.Query(context.Background(), QueryOptions{Kind: KindTopK, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	top := res.TopK
 	if len(top) != 10 {
 		t.Fatalf("top-10 returned %d entries", len(top))
 	}
@@ -125,6 +128,13 @@ func TestClientClusterTopK(t *testing.T) {
 	for i := 1; i < len(top); i++ {
 		if top[i].Estimate > top[i-1].Estimate {
 			t.Fatalf("top-k not sorted at %d: %+v", i, top)
+		}
+	}
+	// The nodes' report-size limit is the client's too: an oversized k is
+	// refused without asking anyone.
+	for _, k := range []int{0, server.MaxTopK + 1} {
+		if _, err := c.Query(context.Background(), QueryOptions{Kind: KindTopK, K: k}); err == nil || !strings.HasPrefix(err.Error(), "client: k = ") {
+			t.Fatalf("Query(topk, k=%d) = %v; want the client's own range error", k, err)
 		}
 	}
 }

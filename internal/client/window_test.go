@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -94,14 +95,16 @@ func TestClientClusterWindowTopK(t *testing.T) {
 	clk.Store(1)
 	load(testN/2, 17) // epoch 1: hot keys near testN/2
 
-	recent, err := c.TopKWindow(5, "1")
+	query := func(opts QueryOptions) (Result, error) { return c.Query(context.Background(), opts) }
+	res, err := query(QueryOptions{Kind: KindTopK, K: 5, Window: "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.TopK(5)
-	if err != nil {
+	recent := res.TopK
+	if res, err = query(QueryOptions{Kind: KindTopK, K: 5}); err != nil {
 		t.Fatal(err)
 	}
+	full := res.TopK
 	if len(recent) != 5 || len(full) != 5 {
 		t.Fatalf("report sizes: recent %d, full %d", len(recent), len(full))
 	}
@@ -130,24 +133,21 @@ func TestClientClusterWindowTopK(t *testing.T) {
 	// key keeps only Zipf-tail wraparound dribble in the trailing bucket —
 	// a tiny fraction of its full-window count (exact registers, so the
 	// comparison is noise-free).
-	vFull, err := c.Estimate(0)
+	res, err = query(QueryOptions{Kind: KindEstimate, Key: 0})
+	vFull := res.Estimate
 	if err != nil || vFull == 0 {
 		t.Fatalf("Estimate(0) = %v, %v; want > 0", vFull, err)
 	}
-	if v, err := c.EstimateWindow(0, "1"); err != nil || v > vFull/100 {
-		t.Fatalf("EstimateWindow(0, 1 bucket) = %v, %v; want ≪ %v", v, err, vFull)
+	if res, err := query(QueryOptions{Kind: KindEstimate, Key: 0, Window: "1"}); err != nil || res.Estimate > vFull/100 {
+		t.Fatalf("Estimate(0, window 1 bucket) = %v, %v; want ≪ %v", res.Estimate, err, vFull)
 	}
 	// Duration windows parse server-side: 2 buckets' worth covers both
 	// phases.
-	v2, err := c.EstimateWindow(0, "2s")
-	if err != nil || v2 != vFull {
-		t.Fatalf("EstimateWindow(0, 2s) = %v, %v; want %v", v2, err, vFull)
+	if res, err := query(QueryOptions{Kind: KindEstimate, Key: 0, Window: "2s"}); err != nil || res.Estimate != vFull {
+		t.Fatalf("Estimate(0, window 2s) = %v, %v; want %v", res.Estimate, err, vFull)
 	}
 	// Malformed windows surface the server's 400.
-	if _, err := c.TopKWindow(5, "99"); err == nil {
+	if _, err := query(QueryOptions{Kind: KindTopK, K: 5, Window: "99"}); err == nil {
 		t.Fatal("oversized window accepted")
-	}
-	if _, err := c.EstimateWindow(0, ""); err == nil {
-		t.Fatal("empty window accepted")
 	}
 }

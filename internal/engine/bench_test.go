@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/shardbank"
+	"repro/internal/snapcodec"
+	"repro/internal/xrand"
 )
 
 func benchBatch(n, size int) []int {
@@ -93,15 +95,20 @@ func BenchmarkWindowApplyBatch(b *testing.B) {
 	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
-// The windowed read path: a trailing-half-ring top-10 scan, Remark 2.4
-// folds included.
-func BenchmarkWindowTopKQuery(b *testing.B) {
+// The windowed read path: a trailing-half-ring top-10, Remark 2.4 folds
+// included. dense spreads the stream so most 128-key runs hold a live
+// register (little to skip); sparse is Zipf(1.2), most of the tail cold.
+func BenchmarkWindowTopKQuery(b *testing.B) { benchWindowTopK(b, 1.1) }
+
+func BenchmarkWindowTopKQuerySparse(b *testing.B) { benchWindowTopK(b, 1.2) }
+
+func benchWindowTopK(b *testing.B, skew float64) {
 	const n = 100_000
 	e, err := NewWindow(n, bank.NewMorrisAlg(0.005, 14), 64, 8, int64(1e9), 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for ep, batch := range batches(zipfKeys(n, 200_000, 1.1, 3), 4096) {
+	for ep, batch := range batches(zipfKeys(n, 200_000, skew, 3), 4096) {
 		e.Advance(uint64(ep / 8))
 		e.ApplyBatch(batch)
 	}
@@ -257,6 +264,43 @@ func BenchmarkBankTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The ring3_wire benchmark workload's shape: 4M keys at uniform low counts
+// (10M events), where no key stands out and every block's maximum is within
+// a few steps of every other's. whole is GET /v1/topk on a node right after
+// a write; partition is one of the 64 ranges client.Query(KindTopK) asks a
+// ring for.
+func BenchmarkBankTopKUniform(b *testing.B) {
+	const n, parts = 4_000_000, 64
+	e := NewBank(shardbank.New(n, bank.NewMorrisAlg(0.005, 14), 256, 42))
+	rng := xrand.NewSeeded(11)
+	batch := make([]int, 4096)
+	for ev := 0; ev < 10_000_000; ev += len(batch) {
+		for i := range batch {
+			batch[i] = int(rng.Uint64() % n)
+		}
+		e.ApplyBatch(batch)
+	}
+	batch = batch[:1024]
+	b.Run("whole", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.ApplyBatch(batch)
+			if _, err := e.TopK(10, 0, n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("partition", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo, hi := snapcodec.PartitionRange(n, parts, i%parts)
+			if _, err := e.TopK(10, lo, hi); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // GET /v1/snapshot of the whole bank: freeze the packed words, encode off

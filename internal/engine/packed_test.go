@@ -80,6 +80,20 @@ func TestBankTopKMatchesEstimateScan(t *testing.T) {
 			b.IncrementBatch(keys)
 			b.IncrementBatch(zipfKeys(4000, 40_000, 1.1, 5))
 			check("loaded")
+			// An evict lowers registers — and with them the block maxima the
+			// ranking skips by — over a range no block boundary lines up with.
+			if err := e.ResetRange(0, 1301); err != nil {
+				t.Fatal(err)
+			}
+			check("evicted")
+			// A replica max-join raises them again, the evicted stretch
+			// included, without going through an increment.
+			peer := shardbank.New(n, alg, shards, 4)
+			peer.IncrementBatch(zipfKeys(n, 50_000, 1.3, 6))
+			if err := b.MergeMaxRange(700, peer.ExportState().Registers[700:4050]); err != nil {
+				t.Fatal(err)
+			}
+			check("max-joined")
 		}
 	}
 	if _, err := NewBank(shardbank.New(10, bank.NewExactAlg(8), 2, 1)).TopK(3, 0, 11); err == nil {

@@ -112,9 +112,13 @@ type cells interface {
 	load(peer any)
 	// scan answers for keys [klo, khi) over the live slots (oldest first; cur
 	// is the shard clock): visit(key, n, v) says v is the estimate of the n
-	// keys starting at key. A per-key sketch visits every key; a
-	// per-partition sketch visits once, for the whole shard.
-	scan(slots []int, cur uint64, klo, khi int, visit func(key, n int, v float64))
+	// keys starting at key, and returns the caller's floor — the estimate a
+	// key must exceed to matter to it (the k-th best of a ranking, 0 for a
+	// reader of every key). A per-key sketch visits its keys in ascending
+	// order and may skip any it can prove estimates at or below the floor
+	// visit last returned (0 before the first visit); a per-partition sketch
+	// visits once, for the whole shard.
+	scan(slots []int, cur uint64, klo, khi int, visit func(key, n int, v float64) float64)
 	// hash folds the buckets exactly as a snapshot serializes them.
 	hash(h *fnv1a64)
 	// emit appends the shard's cell bytes to the payload and its registers to
@@ -459,7 +463,7 @@ func (r *ring) window(lo, hi, w int) ([]*ringShard, error) {
 }
 
 // scanShards runs the cells' estimator over each shard's trailing w buckets.
-func scanShards(shards []*ringShard, w int, visit func(key, n int, v float64)) {
+func scanShards(shards []*ringShard, w int, visit func(key, n int, v float64) float64) {
 	for _, sh := range shards {
 		sh.mu.Lock()
 		sh.cells.scan(sh.live(w), sh.cur, sh.lo, sh.hi, visit)
@@ -477,7 +481,10 @@ func (r *ring) estimate(key, w int) (v float64, err error) {
 	}
 	sh := r.shards[snapcodec.PartitionOf(key, r.n, r.parts)]
 	sh.mu.Lock()
-	sh.cells.scan(sh.live(w), sh.cur, key, key+1, func(_, _ int, est float64) { v = est })
+	sh.cells.scan(sh.live(w), sh.cur, key, key+1, func(_, _ int, est float64) float64 {
+		v = est
+		return 0
+	})
 	sh.mu.Unlock()
 	return v, nil
 }
@@ -489,10 +496,11 @@ func (r *ring) estimateAll(w int) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, r.n)
-	scanShards(shards, w, func(key, n int, v float64) {
+	scanShards(shards, w, func(key, n int, v float64) float64 {
 		for i := key; i < key+n; i++ {
 			out[i] = v
 		}
+		return 0
 	})
 	return out, nil
 }
@@ -512,10 +520,18 @@ func (r *ring) topK(k, lo, hi, w int) ([]Entry, error) {
 	// range size so a hostile k cannot allocate gigabytes.
 	k = min(k, hi-lo)
 	out := make([]Entry, 0, k+1)
-	scanShards(shards, w, func(key, _ int, v float64) {
-		if v > 0 {
-			out = topkPush(out, k, key, v)
+	// Shards and the keys within one arrive in ascending order, so a later
+	// key never wins a tie: only an estimate strictly above the k-th best
+	// (above 0 until there are k) can still rank, and that is the floor the
+	// cells may skip under.
+	floor := 0.0
+	scanShards(shards, w, func(key, _ int, v float64) float64 {
+		if v > floor {
+			if out = topkPush(out, k, key, v); len(out) == k {
+				floor = out[k-1].Estimate
+			}
 		}
+		return floor
 	})
 	return out, nil
 }
@@ -529,7 +545,10 @@ func (r *ring) rangeEstimate(lo, hi, w int) (float64, error) {
 		return 0, err
 	}
 	total := 0.0
-	scanShards(shards, w, func(_, _ int, v float64) { total += v })
+	scanShards(shards, w, func(_, _ int, v float64) float64 {
+		total += v
+		return 0
+	})
 	return total, nil
 }
 

@@ -125,11 +125,13 @@ func (t *windowType) newCells(sh *ringShard, layout regSpan) cells {
 	xo := xrand.New(t.shardSeeds[sh.index])
 	c := &windowCells{
 		t: t, lo: sh.lo, span: sh.hi - sh.lo, layout: layout,
-		regs: make([]*bitpack.Array, len(sh.epochs)),
-		xo:   xo, rng: xrand.NewRand(xo),
+		regs:   make([]*bitpack.Array, len(sh.epochs)),
+		runMax: make([][]uint64, len(sh.epochs)),
+		xo:     xo, rng: xrand.NewRand(xo),
 	}
 	for j := range c.regs {
 		c.regs[j] = bitpack.NewArray(c.span, t.a.Width())
+		c.runMax[j] = make([]uint64, (c.span+runLen-1)/runLen)
 	}
 	return c
 }
@@ -145,26 +147,53 @@ func (t *windowType) queryRand(key int, cur uint64) *xrand.Rand {
 	return xrand.NewRand(xrand.New(h))
 }
 
+// runLen is the key count of one run of a shard's keys — the granule the
+// cells keep a register maximum for, the bank's block size (shardbank's
+// block-max column is the same idea over a different layout).
+const (
+	runShift = 7
+	runLen   = 1 << runShift
+)
+
 // windowCells is one shard's B bucket banks and its replay generator
 // stream. Bucket j's registers occupy [j·span, (j+1)·span) of the shard's
 // section of the register layout.
+//
+// runMax[j][r] is the largest register bucket j holds for the shard's keys
+// [lo + r·runLen, lo + (r+1)·runLen): every write raises it, rotation and
+// evict clear it, a restore rebuilds it — all under the shard lock, so it
+// is always exact — and scan uses it to bound a whole run's fold without
+// reading a register (see bound).
 type windowCells struct {
 	t        *windowType
 	lo, span int
 	layout   regSpan
 	regs     []*bitpack.Array
+	runMax   [][]uint64
 	xo       *xrand.Xoshiro256
 	rng      *xrand.Rand
 }
 
+// set writes register i of bucket j, a value above its old one.
+func (c *windowCells) set(j, i int, v uint64) {
+	c.regs[j].Set(i, v)
+	c.layout.mark(j*c.span + i)
+	if m := &c.runMax[j][i>>runShift]; v > *m {
+		*m = v
+	}
+}
+
+// apply is set per stepped key, with the bucket's addressing hoisted out of
+// the loop.
 func (c *windowCells) apply(j int, keys []int) {
-	arr, alg, base := c.regs[j], c.t.a, j*c.span
+	arr, alg, base, top := c.regs[j], c.t.a, j*c.span, c.runMax[j]
 	for _, k := range keys {
 		i := k - c.lo
 		reg := arr.Get(i)
 		if next := alg.Step(reg, c.rng); next != reg {
 			arr.Set(i, next)
 			c.layout.mark(base + i)
+			top[i>>runShift] = max(top[i>>runShift], next)
 		}
 	}
 }
@@ -177,6 +206,7 @@ func (c *windowCells) zero(j int) {
 			// the snapshot layout is dirty; an already-zero bucket is not.
 			c.layout.markRange(j*c.span, (j+1)*c.span)
 			clear(words)
+			clear(c.runMax[j])
 			return
 		}
 	}
@@ -190,6 +220,7 @@ func (c *windowCells) reset() {
 				c.layout.mark(j*c.span + i)
 			}
 		}
+		clear(c.runMax[j])
 	}
 }
 
@@ -204,22 +235,57 @@ func (c *windowCells) join(j int, peer any, disjoint bool) {
 		case pv == 0:
 		case disjoint && lv != 0:
 			if merged := c.t.ma.MergeRegs(lv, pv, c.rng); merged != lv {
-				arr.Set(i, merged)
-				c.layout.mark(base + i)
+				c.set(j, i, merged)
 			}
 		case pv > lv:
-			arr.Set(i, pv)
-			c.layout.mark(base + i)
+			c.set(j, i, pv)
 		}
 	}
 }
 
-// scan visits every key's fold — an O(range × w) pass; the bank tracks every
-// key per bucket, so a ranking over it is exact w.r.t. the registers.
-func (c *windowCells) scan(slots []int, cur uint64, klo, khi int, visit func(key, n int, v float64)) {
-	for key := klo; key < khi; key++ {
-		visit(key, 1, c.fold(slots, cur, key))
+// scan visits the fold of every key that can exceed the caller's floor: a
+// run whose bound is at or under the floor is skipped whole, so a ranking
+// folds the runs that can rank and a full read skips the all-zero ones. The
+// bank tracks every key per bucket, so a ranking over it is exact w.r.t.
+// the registers.
+func (c *windowCells) scan(slots []int, cur uint64, klo, khi int, visit func(key, n int, v float64) float64) {
+	floor := 0.0
+	for key := klo; key < khi; {
+		run := (key - c.lo) >> runShift
+		end := min(khi, c.lo+(run+1)<<runShift)
+		for bound := c.bound(slots, run); key < end && bound > floor; key++ {
+			floor = visit(key, 1, c.fold(slots, cur, key))
+		}
+		key = end
 	}
+}
+
+// bound returns an upper bound on the fold of every key of a run over the
+// live slots, from the run maxima alone. Estimates increase with the
+// register, so for a summing fold Σⱼ Estimate(regⱼ) ≤ Σⱼ Estimate(maxⱼ), term
+// by term. A Remark 2.4 fold starts at the larger register and increments at
+// most the smaller one's count of times (MergeRegs(a, b) ≤ a + b, pinned by
+// TestMergeRegsAtMostSum next to the algorithm), so the folded register is
+// at most min(cap, Σⱼ regⱼ) ≤ min(cap, Σⱼ maxⱼ). That is loose on a hot run
+// and tight on the cold tail, which is the part worth skipping.
+func (c *windowCells) bound(slots []int, run int) float64 {
+	t := c.t
+	if t.ma == nil {
+		sum := 0.0
+		for _, j := range slots {
+			if m := c.runMax[j][run]; m != 0 {
+				sum += t.a.Estimate(m)
+			}
+		}
+		return sum
+	}
+	limit := uint64(1)<<uint(t.a.Width()) - 1
+	sum := uint64(0)
+	for _, j := range slots {
+		// Saturating: a register is ≤ limit < 2^63, so the sum cannot wrap.
+		sum = min(sum+c.runMax[j][run], limit)
+	}
+	return t.a.Estimate(sum)
 }
 
 // fold combines key's registers over the live slots: a Remark 2.4 register
@@ -301,8 +367,10 @@ func (t *windowType) decode(d *payloadReader, regs []uint64, _ int, state bool) 
 func (c *windowCells) load(peer any) {
 	p := peer.(*windowPeer)
 	for j, arr := range c.regs {
+		clear(c.runMax[j])
 		for i, v := range p.regs[j*c.span : (j+1)*c.span] {
 			arr.Set(i, v)
+			c.runMax[j][i>>runShift] = max(c.runMax[j][i>>runShift], v)
 		}
 	}
 	if p.state {

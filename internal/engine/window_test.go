@@ -396,3 +396,153 @@ func TestWindowShapeBounds(t *testing.T) {
 		t.Fatalf("legal shape rejected: %v", err)
 	}
 }
+
+// foldEveryKey is the windowed read path with nothing skipped: every key of
+// every shard folded over the trailing w buckets — the reference the
+// run-skipping scan must reproduce. It also holds the run maxima to the
+// registers they summarise.
+func foldEveryKey(t *testing.T, e *WindowEngine, w int) []float64 {
+	t.Helper()
+	out := make([]float64, e.Len())
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		c := sh.cells.(*windowCells)
+		slots := sh.live(w)
+		for key := sh.lo; key < sh.hi; key++ {
+			out[key] = c.fold(slots, sh.cur, key)
+		}
+		for j, arr := range c.regs {
+			for run := range c.runMax[j] {
+				top := uint64(0)
+				for i := run * runLen; i < min((run+1)*runLen, c.span); i++ {
+					top = max(top, arr.Get(i))
+				}
+				if got := c.runMax[j][run]; got != top {
+					t.Errorf("shard %d bucket %d run %d: runMax %d, largest register %d", sh.index, j, run, got, top)
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// TopKWindow, EstimateAllWindow and the ring's range sum skip whole runs of
+// keys by their bound; across rotations, a ≥B-jump relabel, disjoint and
+// max joins, an evict and a snapshot load they must answer exactly what
+// folding every key answers — for the Remark 2.4 fold (Morris) and the
+// summing one (Csűrös).
+func TestWindowReadsMatchFoldEveryKey(t *testing.T) {
+	const n, parts, buckets = 3000, 4, 4 // 750-key shards: 5 full runs and a partial one
+	for _, alg := range []bank.Algorithm{bank.NewMorrisAlg(0.05, 12), bank.NewCsurosAlg(12, 6)} {
+		mk := func(seed uint64) *WindowEngine {
+			e, err := NewWindow(n, alg, parts, buckets, int64(1e9), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := mk(42)
+		check := func(what string) {
+			t.Helper()
+			for _, w := range []int{1, 2, buckets} {
+				ref := foldEveryKey(t, e, w)
+				all, err := e.EstimateAllWindow(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for key := range ref {
+					if all[key] != ref[key] {
+						t.Fatalf("%s %s w=%d: EstimateAllWindow[%d] = %v, fold %v", alg.Name(), what, w, key, all[key], ref[key])
+					}
+				}
+				lo1, _ := snapRange(t, e, 1)
+				_, hi2 := snapRange(t, e, 2)
+				for _, r := range [][2]int{{0, n}, {lo1, hi2}, {0, lo1}} {
+					sum := 0.0
+					for _, v := range ref[r[0]:r[1]] {
+						sum += v
+					}
+					if got, err := e.rangeEstimate(r[0], r[1], w); err != nil || got != sum {
+						t.Fatalf("%s %s w=%d: range sum [%d, %d) = %v, %v; fold sum %v", alg.Name(), what, w, r[0], r[1], got, err, sum)
+					}
+					for _, k := range []int{1, 10, n + 5} {
+						want := make([]Entry, 0, min(k, r[1]-r[0])+1)
+						for key := r[0]; key < r[1]; key++ {
+							if ref[key] > 0 {
+								want = topkPush(want, min(k, r[1]-r[0]), key, ref[key])
+							}
+						}
+						got, err := e.TopKWindow(k, r[0], r[1], w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s %s w=%d: TopKWindow(%d, %d, %d) ranks %d keys, fold %d", alg.Name(), what, w, k, r[0], r[1], len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s %s w=%d: TopKWindow(%d, %d, %d) rank %d = %+v, fold %+v", alg.Name(), what, w, k, r[0], r[1], i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+		check("empty")
+		e.ApplyBatch(zipfKeys(n, 30_000, 1.1, 1))
+		check("one bucket")
+		e.Advance(1)
+		e.ApplyBatch(zipfKeys(n, 20_000, 1.3, 2))
+		e.Advance(2)
+		e.ApplyBatch([]int{5, 5, 5, 900, 2999, 2999}) // a bucket with all but three runs cold
+		check("rotated")
+		e.Advance(2 + buckets + 3) // every slot relabelled and zeroed in one pass
+		check("relabelled")
+		e.ApplyBatch(zipfKeys(n, 10_000, 1.2, 3))
+		e.Advance(10)
+		e.ApplyBatch(zipfKeys(n/2, 10_000, 1.05, 4))
+		check("reloaded")
+
+		peer := mk(7)
+		peer.Advance(9)
+		peer.ApplyBatch(zipfKeys(n, 15_000, 1.2, 5))
+		peer.Advance(10)
+		for key := 2000; key < 2300; key++ {
+			applyKey(peer, key, 3)
+		}
+		decode := func(src *WindowEngine, part, parts int, state bool) *snapcodec.Snapshot {
+			blob, err := snapcodec.Encode(snapOf(t, src, part, parts, state))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := snapcodec.Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dec
+		}
+		if err := e.MergeMax(decode(peer, 0, 0, false)); err != nil {
+			t.Fatal(err)
+		}
+		check("max-joined")
+		if _, ok := alg.(bank.MergeAlgorithm); ok {
+			if err := e.Merge(decode(peer, 2, parts, false)); err != nil {
+				t.Fatal(err)
+			}
+			check("disjoint-joined")
+		}
+		lo1, hi1 := snapRange(t, e, 1)
+		if err := e.ResetRange(lo1, hi1); err != nil {
+			t.Fatal(err)
+		}
+		check("evicted")
+		e.ApplyBatch(zipfKeys(n, 5_000, 1.1, 6))
+		restored, err := WindowFromSnapshot(decode(e, 0, 0, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = restored
+		check("restored")
+	}
+}

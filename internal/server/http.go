@@ -30,8 +30,9 @@ const maxIncBody = 16 << 20
 //	GET  /v1/estimate/{key} → {"key": 5, "estimate": 1234.5}
 //	GET  /v1/estimates      → {"estimates": [...]} (all n, key order)
 //	GET  /v1/topk?k=10      → {"k":10, "topk":[{"key":3,"estimate":...},...]}
-//	                          (&partition=p scopes to one partition — the unit
-//	                          the smart client merges cluster-wide)
+//	                          (1 ≤ k ≤ MaxTopK, else 400; &partition=p scopes
+//	                          to one partition — the unit the smart client
+//	                          merges cluster-wide)
 //
 // On a window engine the three read endpoints additionally accept
 // &window=5m (a duration, rounded up to whole buckets) or &window=3 (a

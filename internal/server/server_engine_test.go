@@ -323,6 +323,10 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		{"topk missing k", "GET", "/topk", "", http.StatusBadRequest},
 		{"topk bad k", "GET", "/topk?k=zero", "", http.StatusBadRequest},
 		{"topk negative k", "GET", "/topk?k=-3", "", http.StatusBadRequest},
+		// Over MaxTopK is refused outright — on this 100-key store the
+		// range cap used to turn any k into a served scan.
+		{"topk oversized k", "GET", fmt.Sprintf("/topk?k=%d", MaxTopK+1), "", http.StatusBadRequest},
+		{"topk oversized k partition", "GET", fmt.Sprintf("/topk?k=%d&partition=0", MaxTopK+1), "", http.StatusBadRequest},
 		{"topk bad partition", "GET", "/topk?k=5&partition=x", "", http.StatusBadRequest},
 		{"topk partition range", "GET", "/topk?k=5&partition=99", "", http.StatusBadRequest},
 		{"distinct wrong engine", "GET", "/distinct", "", http.StatusBadRequest},

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -174,10 +175,11 @@ func TestHTTPWindowQueries(t *testing.T) {
 		t.Fatalf("windowed estimates: key5=%v key9=%v", ests.Estimates[5], ests.Estimates[9])
 	}
 
-	// Window abuse is a 400, never a 500.
+	// Window abuse is a 400, never a 500 — and so is a k past MaxTopK.
 	for _, path := range []string{
 		"/estimate/5?window=0", "/estimate/5?window=99", "/estimate/5?window=zzz",
 		"/topk?k=2&window=-1", "/estimates?window=1h",
+		fmt.Sprintf("/topk?k=%d&window=1", MaxTopK+1),
 	} {
 		if code := getJSON(path, nil); code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", path, code)

@@ -1293,18 +1293,37 @@ func (st *Store) Estimate(key int) (float64, error) {
 // engine.Engine.EstimateAll).
 func (st *Store) EstimateAll() []float64 { return st.eng.EstimateAll() }
 
-// TopK returns the top-k keys of one partition (partition >= 0) or of the
-// whole key space (partition < 0), ranked by descending estimate.
-func (st *Store) TopK(k, partition int) ([]engine.Entry, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: k = %d", ErrBadInput, k)
+// MaxTopK is the largest k a top-k query may ask for. Every engine selects
+// its k winners by insertion into a sorted buffer — right for a report, and
+// quadratic under the shard locks for a k that is really a dump of the key
+// space (GET /v1/estimates is that read). A constant, not a flag: 4096 is
+// far past any ranking a person or a dashboard reads.
+const MaxTopK = 4096
+
+// topKRange validates a top-k query's report size and partition scope
+// (partition >= 0, or < 0 for the whole key space) and returns the key range
+// it ranks.
+func (st *Store) topKRange(k, partition int) (lo, hi int, err error) {
+	if k <= 0 || k > MaxTopK {
+		return 0, 0, fmt.Errorf("%w: k = %d out of [1, %d]", ErrBadInput, k, MaxTopK)
 	}
-	lo, hi := 0, st.eng.Len()
-	if partition >= 0 {
-		if partition >= st.cfg.Partitions {
-			return nil, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, partition, st.cfg.Partitions)
-		}
-		lo, hi = snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, partition)
+	if partition < 0 {
+		return 0, st.eng.Len(), nil
+	}
+	if partition >= st.cfg.Partitions {
+		return 0, 0, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, partition, st.cfg.Partitions)
+	}
+	lo, hi = snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, partition)
+	return lo, hi, nil
+}
+
+// TopK returns the top-k keys (k ≤ MaxTopK) of one partition (partition >=
+// 0) or of the whole key space (partition < 0), ranked by descending
+// estimate.
+func (st *Store) TopK(k, partition int) ([]engine.Entry, error) {
+	lo, hi, err := st.topKRange(k, partition)
+	if err != nil {
+		return nil, err
 	}
 	return st.eng.TopK(k, lo, hi)
 }
@@ -1385,15 +1404,9 @@ func (st *Store) TopKWindow(k, partition, w int) ([]engine.Entry, error) {
 	if st.windowed == nil {
 		return nil, fmt.Errorf("%w: engine %q serves no windowed queries", ErrBadInput, st.eng.Kind())
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: k = %d", ErrBadInput, k)
-	}
-	lo, hi := 0, st.eng.Len()
-	if partition >= 0 {
-		if partition >= st.cfg.Partitions {
-			return nil, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, partition, st.cfg.Partitions)
-		}
-		lo, hi = snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, partition)
+	lo, hi, err := st.topKRange(k, partition)
+	if err != nil {
+		return nil, err
 	}
 	top, err := st.windowed.TopKWindow(k, lo, hi, w)
 	if err != nil {

@@ -31,8 +31,7 @@ func (b *Bank) checkRange(lo, hi int) error {
 
 // firstInShard returns the smallest key ≥ lo that lives in shard si.
 func (b *Bank) firstInShard(lo, si int) int {
-	p := len(b.shards)
-	return lo + (si-lo%p+p)&int(b.mask)
+	return lo + (si-lo)&int(b.mask) // two's complement: the mask also folds a negative difference
 }
 
 // MergeMaxRange folds regs (the registers of keys [lo, lo+len(regs)) from a
@@ -63,7 +62,7 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 			local := k >> b.shift
 			if v := regs[k-lo]; v > s.arr.Get(local) {
 				s.arr.Set(local, v)
-				b.dirty.Mark(k)
+				b.touch(k, v)
 			}
 		}
 		s.mu.Unlock()
@@ -75,7 +74,9 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 // partition evict: after a surrendered partition's new owners confirm their
 // installs, the old owner truncates its copy so a later stale max-join
 // cannot ratchet the dead registers back into the cluster. Draws no
-// randomness; WAL-logged evicts replay bit-identically.
+// randomness; WAL-logged evicts replay bit-identically. It is the one
+// operation that lowers registers, so it holds every shard lock while it
+// zeroes and then recomputes the block maxima it invalidated (blockmax.go).
 func (b *Bank) ResetRange(lo, hi int) error {
 	if err := b.checkRange(lo, hi); err != nil {
 		return err
@@ -83,22 +84,16 @@ func (b *Bank) ResetRange(lo, hi int) error {
 	if lo == hi {
 		return nil
 	}
-	p := len(b.shards)
-	for si, s := range b.shards {
-		first := b.firstInShard(lo, si)
-		if first >= hi {
-			continue
+	b.lockAll()
+	defer b.unlockAll()
+	for k := lo; k < hi; k++ {
+		s, local := b.shards[uint64(k)&b.mask], k>>b.shift
+		if s.arr.Get(local) != 0 {
+			s.arr.Set(local, 0)
+			b.dirty.Mark(k)
 		}
-		s.mu.Lock()
-		for k := first; k < hi; k += p {
-			local := k >> b.shift
-			if s.arr.Get(local) != 0 {
-				s.arr.Set(local, 0)
-				b.dirty.Mark(k)
-			}
-		}
-		s.mu.Unlock()
 	}
+	b.rebuildBlockMax(lo, hi)
 	return nil
 }
 
@@ -136,7 +131,7 @@ func (b *Bank) MergeRange(lo int, regs []uint64) error {
 			old := s.arr.Get(local)
 			if merged := ma.MergeRegs(old, regs[k-lo], s.rng); merged != old {
 				s.arr.Set(local, merged)
-				b.dirty.Mark(k)
+				b.touch(k, merged)
 			}
 		}
 		s.mu.Unlock()

@@ -27,10 +27,21 @@
 //     division, no interface call. Unknown algorithms fall back to the
 //     generic Algorithm.Step path.
 //
+// The one thing the hot path pays for the readers is touch (blockmax.go),
+// called for each register that actually changed: two atomic loads and
+// compares in the common case, never a lock.
+//
 // Reads come in two sizes. Estimate/Register lock one shard. Bulk readers
 // — snapshots, checkpoints, range hashes, top-k — go through the packed read
 // path in view.go: Freeze copies the shards' packed words under all locks
-// and serves registers off the copy, TopRegisters ranks registers in place.
+// and serves registers off the copy; TopRegisters ranks registers in place,
+// and reads only the blocks that can rank. What lets it skip is the second
+// of two facts the bank keeps per 128-key block of the global key order,
+// both written by the one touch every register write path calls: a dirty
+// bit (dirty.go), so checkpoints ship churn instead of keyspace, and an
+// upper bound on the block's registers (blockmax.go), so a ranking consults
+// one entry per block before it opens any.
+//
 // Snapshot takes every shard lock simultaneously and emits the registers as
 // one contiguous packed payload in global key order — byte-compatible with
 // bank.Bank's snapshot format, so the merged view can be restored into a
@@ -45,6 +56,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bank"
 	"repro/internal/bitpack"
@@ -158,6 +170,10 @@ type Bank struct {
 	shift   uint      // log2(len(shards))
 	dirty   DirtySet  // changed-block bitmap; see dirty.go
 	scratch sync.Pool // *batchScratch, reused across IncrementBatch calls
+
+	// blockMax[bi] bounds every register of block bi from above; see
+	// blockmax.go.
+	blockMax []atomic.Uint64
 }
 
 // New allocates a Bank of n registers striped across the given shard count
@@ -191,6 +207,8 @@ func New(n int, alg bank.Algorithm, shards int, seed uint64) *Bank {
 		mask:   uint64(p - 1),
 		shift:  uint(bits.TrailingZeros(uint(p))),
 		dirty:  *NewDirtySet(n),
+
+		blockMax: make([]atomic.Uint64, (n+DirtyBlockLen-1)/DirtyBlockLen),
 	}
 	b.scratch.New = func() any { return new(batchScratch) }
 	sm := xrand.NewSplitMix64(seed)
@@ -270,7 +288,7 @@ func (b *Bank) Increment(i int) {
 	reg := s.arr.Get(local)
 	if next := b.step(reg, s); next != reg {
 		s.arr.Set(local, next)
-		b.dirty.Mark(i)
+		b.touch(i, next)
 	}
 	s.mu.Unlock()
 }
@@ -286,7 +304,7 @@ func (b *Bank) IncrementBy(i int, k uint64) {
 	}
 	if reg != reg0 {
 		s.arr.Set(local, reg)
-		b.dirty.Mark(i)
+		b.touch(i, reg)
 	}
 	s.mu.Unlock()
 }
@@ -369,7 +387,7 @@ func applyKeys[K int | int32](b *Bank, s *shard, keys []K) {
 			reg := s.arr.Get(local)
 			if next := b.alg.Step(reg, s.rng); next != reg {
 				s.arr.Set(local, next)
-				b.dirty.Mark(int(k))
+				b.touch(int(k), next)
 			}
 		}
 		return
@@ -393,7 +411,7 @@ func applyKeys[K int | int32](b *Bank, s *shard, keys []K) {
 			reg++
 			words[idx] = w0&^(mask<<off) | reg<<off
 			words[idx+1] = w1&^(mask>>(64-off)) | reg>>(64-off)
-			b.dirty.Mark(int(k))
+			b.touch(int(k), reg)
 		}
 	}
 }
@@ -556,7 +574,7 @@ func (b *Bank) Merge(other *Bank) error {
 			old := s.arr.Get(local)
 			if merged := ma.MergeRegs(old, o.arr.Get(local), s.rng); merged != old {
 				s.arr.Set(local, merged)
-				b.dirty.Mark(local<<b.shift | si)
+				b.touch(local<<b.shift|si, merged)
 			}
 		}
 		o.mu.Unlock()

@@ -104,5 +104,6 @@ func (b *Bank) RestoreState(st State) error {
 	// store's recovery path drains the bitmap right after construction when
 	// it knows the restored image is already durable.
 	b.dirty.MarkRange(0, b.n)
+	b.rebuildBlockMax(0, b.n)
 	return nil
 }

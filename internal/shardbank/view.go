@@ -8,11 +8,15 @@
 //     returned View is immutable and serves registers in key order, a block
 //     at a time, with no further locking. A frozen partition costs its
 //     packed size — width/64 of what a []uint64 export cost.
-//   - TopRegisters ranks raw registers shard by shard with a running bit
-//     offset, so a top-k scan allocates k entries, not n estimates.
+//   - TopRegisters ranks raw registers in place, opening only the blocks
+//     whose block-max entry says they can rank, so a top-k read allocates k
+//     entries and one bit per block, not n estimates.
 package shardbank
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // View is an immutable image of the registers of a key range [lo, hi) and
 // of every shard's generator state, all captured at one instant. It
@@ -119,14 +123,28 @@ type RegEntry struct {
 // non-zero registers, ranked by descending register with ties toward the
 // smaller key. Every bank.Algorithm's estimate is strictly increasing in
 // its register, so this is also the ranking by estimate — computed without
-// evaluating one. Each shard is walked under its own lock with a running
-// bit offset (consistent per shard, not a global cut), and a register is
-// looked at twice only when it reaches the current k-th.
+// evaluating one.
+//
+// It reads the block-max column (blockmax.go) before any register. The
+// index pass — no shard lock held — takes the k-th largest bound of the
+// blocks overlapping the range as a threshold and lists the blocks whose
+// bound reaches it; the register pass then takes each shard's lock once and
+// reads only that shard's slots of the listed blocks. If the k-th register
+// found reaches the threshold it beats every register of every unlisted
+// block and the ranking is final; otherwise (an edge block whose bound came
+// from a key outside the range, a reset in flight) the threshold drops to
+// that register and the blocks in between are read the same way. A loose
+// bound therefore costs a second pass, never a wrong answer.
+//
+// Consistency: each shard is read under its own lock (consistent per shard,
+// not a global cut), and a register raised after the index pass looked at
+// its block may be missed — the answer is the top-k of a state every key of
+// which existed during the call.
 func (b *Bank) TopRegisters(k, lo, hi int) ([]RegEntry, error) {
 	if err := b.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
-	// k may come straight off a query string — cap the buffer at the range
+	// k may come straight off a query string — cap the buffers at the range
 	// size so a hostile k cannot allocate gigabytes.
 	if k > hi-lo {
 		k = hi - lo
@@ -134,45 +152,129 @@ func (b *Bank) TopRegisters(k, lo, hi int) ([]RegEntry, error) {
 	if k <= 0 {
 		return []RegEntry{}, nil
 	}
+	b0 := lo >> dirtyBlockShift
+	bounds := b.blockMax[b0 : (hi-1)>>dirtyBlockShift+1]
+	// A zero block holds nothing that ranks, so the threshold never goes
+	// below 1 — the value at which every block left unread is all-zero.
+	thr := max(kthLargest(bounds, k), 1)
+	read := make([]uint64, (len(bounds)+63)/64) // blocks already ranked
 	out := make([]RegEntry, 0, k+1)
+	var runs []keyRun
+	for {
+		runs = runs[:0]
+		for i := range bounds {
+			if read[i>>6]>>(i&63)&1 != 0 || bounds[i].Load() < thr {
+				continue
+			}
+			read[i>>6] |= 1 << (i & 63)
+			from := max(lo, (b0+i)<<dirtyBlockShift)
+			to := min(hi, (b0+i+1)<<dirtyBlockShift)
+			if n := len(runs); n > 0 && runs[n-1].hi == from {
+				runs[n-1].hi = to // adjacent blocks walk as one run
+			} else {
+				runs = append(runs, keyRun{from, to})
+			}
+		}
+		out = b.rankRuns(out, k, runs)
+		switch {
+		case thr == 1 || len(out) == k && out[k-1].Reg >= thr:
+			return out, nil
+		case len(out) == k:
+			thr = out[k-1].Reg
+		default:
+			thr = 1
+		}
+	}
+}
+
+// keyRun is a key range [lo, hi) of whole blocks clipped to a query range.
+type keyRun struct{ lo, hi int }
+
+// kthLargest returns the k-th largest entry of bounds, 0 when there are
+// fewer than k: a min-heap of the k largest seen so far, seeded with zeros.
+func kthLargest(bounds []atomic.Uint64, k int) uint64 {
+	if len(bounds) < k {
+		return 0
+	}
+	heap := make([]uint64, k)
+	for i := range bounds {
+		v := bounds[i].Load()
+		if v <= heap[0] {
+			continue
+		}
+		// v replaces the root; sift it down.
+		j := 0
+		for {
+			c := 2*j + 1
+			if c+1 < k && heap[c+1] < heap[c] {
+				c++
+			}
+			if c >= k || heap[c] >= v {
+				break
+			}
+			heap[j] = heap[c]
+			j = c
+		}
+		heap[j] = v
+	}
+	return heap[0]
+}
+
+// rankRuns folds the registers of the given key runs into out, a ≤ k-entry
+// buffer sorted by descending register then ascending key. Each shard with
+// a key in some run is locked once, for as long as it takes to read its
+// slots of the runs with a running bit offset; a register is looked at
+// twice only when it reaches the current k-th.
+func (b *Bank) rankRuns(out []RegEntry, k int, runs []keyRun) []RegEntry {
 	floor := uint64(1) // registers below it cannot rank
+	if len(out) == k {
+		floor = out[k-1].Reg
+	}
 	p := len(b.shards)
 	width := uint(b.alg.Width())
 	rmask := ^uint64(0) >> (64 - width)
 	for si, s := range b.shards {
-		first := b.firstInShard(lo, si)
-		if first >= hi {
-			continue
-		}
-		pos := uint(first>>b.shift) * width
-		s.mu.Lock()
-		words := s.words
-		for key := first; key < hi; key += p {
-			idx, off := pos>>6, pos&63
-			pos += width
-			reg := (words[idx]>>off | words[idx+1]<<(64-off)) & rmask
-			if reg < floor {
+		locked := false
+		for _, r := range runs {
+			first := b.firstInShard(r.lo, si)
+			if first >= r.hi {
 				continue
 			}
-			if len(out) == k {
-				if last := out[k-1]; reg == last.Reg && key > last.Key {
+			if !locked {
+				s.mu.Lock()
+				locked = true
+			}
+			words := s.words
+			pos := uint(first>>b.shift) * width
+			for key := first; key < r.hi; key += p {
+				idx, off := pos>>6, pos&63
+				pos += width
+				reg := (words[idx]>>off | words[idx+1]<<(64-off)) & rmask
+				if reg < floor {
 					continue
 				}
-			}
-			i := sort.Search(len(out), func(i int) bool {
-				return out[i].Reg < reg || (out[i].Reg == reg && out[i].Key > key)
-			})
-			out = append(out, RegEntry{})
-			copy(out[i+1:], out[i:])
-			out[i] = RegEntry{Key: key, Reg: reg}
-			if len(out) > k {
-				out = out[:k]
-			}
-			if len(out) == k {
-				floor = out[k-1].Reg
+				if len(out) == k {
+					if last := out[k-1]; reg == last.Reg && key > last.Key {
+						continue
+					}
+				}
+				i := sort.Search(len(out), func(i int) bool {
+					return out[i].Reg < reg || (out[i].Reg == reg && out[i].Key > key)
+				})
+				out = append(out, RegEntry{})
+				copy(out[i+1:], out[i:])
+				out[i] = RegEntry{Key: key, Reg: reg}
+				if len(out) > k {
+					out = out[:k]
+				}
+				if len(out) == k {
+					floor = out[k-1].Reg
+				}
 			}
 		}
-		s.mu.Unlock()
+		if locked {
+			s.mu.Unlock()
+		}
 	}
-	return out, nil
+	return out
 }
