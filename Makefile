@@ -131,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaSnapshot -fuzztime=5s ./internal/snapcodec
 	$(GO) test -run='^$$' -fuzz=FuzzSummary -fuzztime=5s ./internal/heavyhitters
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=5s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=5s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzBankTopRegisters -fuzztime=5s ./internal/shardbank
 	$(GO) test -run='^$$' -fuzz=FuzzDistinctSnapshot -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzF2Snapshot -fuzztime=5s ./internal/engine

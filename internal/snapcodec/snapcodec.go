@@ -60,6 +60,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bank"
+	"repro/internal/bitpack"
 )
 
 const (
@@ -532,9 +533,9 @@ func EncodeTo(w io.Writer, s *Snapshot) error {
 type encoder struct {
 	w       io.Writer
 	err     error
-	width   int // header register width every block is checked against
-	regs    int // registers encoded so far, for error positions
-	scratch [4 + BlockLen + BlockLen*8 + BlockLen*8]byte
+	width   int                  // header register width every block is checked against
+	regs    int                  // registers encoded so far, for error positions
+	scratch [4 + 9*BlockLen]byte // bitpack.MaxPatchedLen(BlockLen)
 	varbuf  [binary.MaxVarintLen64]byte
 }
 
@@ -557,24 +558,14 @@ func (e *encoder) writeUvarint(v uint64) {
 	e.write(e.varbuf[:n])
 }
 
-// block emits one packed register block: FastPFOR-style patched binary
-// packing. The base width b is chosen by exact cost minimization over the
-// block's bit-length histogram; values whose bit length exceeds b keep their
-// low b bits in the base payload and ship their high bits through the
-// exception list.
+// block emits one packed register block (bitpack.AppendPatched) after
+// checking every register against the header width.
 func (e *encoder) block(vals []uint64) {
-	cnt := len(vals)
-	// Bit-length histogram and block maximum width.
-	var hist [65]int
-	maxw := 0
+	var or uint64
 	for _, v := range vals {
-		l := bits.Len64(v)
-		hist[l]++
-		if l > maxw {
-			maxw = l
-		}
+		or |= v
 	}
-	if maxw > e.width && e.err == nil {
+	if bits.Len64(or) > e.width && e.err == nil {
 		for i, v := range vals {
 			if bits.Len64(v) > e.width {
 				e.err = fmt.Errorf("snapcodec: register %d = %d exceeds %d-bit width", e.regs+i, v, e.width)
@@ -582,109 +573,8 @@ func (e *encoder) block(vals []uint64) {
 			}
 		}
 	}
-	e.regs += cnt
-	// exceeding[b] = number of values with bit length > b.
-	var exceeding [65]int
-	for b := maxw - 1; b >= 0; b-- {
-		exceeding[b] = exceeding[b+1] + hist[b+1]
-	}
-	// Choose b minimizing total encoded bytes.
-	bestB, bestCost := maxw, blockCost(cnt, maxw, maxw, 0)
-	for b := 0; b < maxw; b++ {
-		if c := blockCost(cnt, b, maxw, exceeding[b]); c < bestCost {
-			bestB, bestCost = b, c
-		}
-	}
-	b := bestB
-	ex := exceeding[b]
-	eW := maxw - b
-
-	buf := e.scratch[:0]
-	buf = append(buf, byte(b), byte(ex))
-	if ex > 0 {
-		buf = append(buf, byte(eW))
-	}
-	var lowMask uint64 = ^uint64(0)
-	if b < 64 {
-		lowMask = 1<<uint(b) - 1
-	}
-	buf = packBits(buf, vals, uint(b), lowMask, 0)
-	if ex > 0 {
-		for i, v := range vals {
-			if bits.Len64(v) > b {
-				buf = append(buf, byte(i))
-			}
-		}
-		buf = packHighBits(buf, vals, uint(b), uint(eW))
-	}
-	e.write(buf)
-}
-
-// blockCost returns the encoded byte size of a block of cnt values packed at
-// base width b with ex exceptions of width maxw−b.
-func blockCost(cnt, b, maxw, ex int) int {
-	cost := 2 + (cnt*b+7)/8
-	if ex > 0 {
-		cost += 1 + ex + (ex*(maxw-b)+7)/8
-	}
-	return cost
-}
-
-// packBits appends vals bit-packed at width w (each value masked with mask,
-// then shifted right by drop) to dst, LSB-first within bytes.
-func packBits(dst []byte, vals []uint64, w uint, mask uint64, drop uint) []byte {
-	if w == 0 {
-		return dst
-	}
-	var acc uint64
-	var accBits uint
-	for _, v := range vals {
-		f := (v & mask) >> drop
-		acc |= f << accBits
-		if accBits+w >= 64 {
-			dst = binary.LittleEndian.AppendUint64(dst, acc)
-			acc = f >> (64 - accBits) // 0 when accBits == 0 (Go shift semantics)
-			accBits = accBits + w - 64
-		} else {
-			accBits += w
-		}
-	}
-	for ; accBits > 0; accBits -= min(accBits, 8) {
-		dst = append(dst, byte(acc))
-		acc >>= 8
-		if accBits <= 8 {
-			break
-		}
-	}
-	return dst
-}
-
-// packHighBits appends the high eW bits (v >> b) of each exceeding value.
-func packHighBits(dst []byte, vals []uint64, b, eW uint) []byte {
-	var acc uint64
-	var accBits uint
-	for _, v := range vals {
-		if uint(bits.Len64(v)) <= b {
-			continue
-		}
-		f := v >> b
-		acc |= f << accBits
-		if accBits+eW >= 64 {
-			dst = binary.LittleEndian.AppendUint64(dst, acc)
-			acc = f >> (64 - accBits)
-			accBits = accBits + eW - 64
-		} else {
-			accBits += eW
-		}
-	}
-	for ; accBits > 0; accBits -= min(accBits, 8) {
-		dst = append(dst, byte(acc))
-		acc >>= 8
-		if accBits <= 8 {
-			break
-		}
-	}
-	return dst
+	e.regs += len(vals)
+	e.write(bitpack.AppendPatched(e.scratch[:0], vals))
 }
 
 // DecodeFrom reads one snapshot from r, verifying the CRC32C trailer before
@@ -982,6 +872,14 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// skip consumes p, the next len(p) bytes Peeked from the buffer, folding
+// them into the CRC.
+func (c *crcReader) skip(p []byte) {
+	c.h.Write(p)
+	c.n += len(p)
+	c.r.Discard(len(p))
+}
+
 func (c *crcReader) ReadByte() (byte, error) {
 	b, err := c.r.ReadByte()
 	if err == nil {
@@ -994,9 +892,6 @@ func (c *crcReader) ReadByte() (byte, error) {
 type decoder struct {
 	r   *crcReader
 	err error
-	// buf must hold the largest block payload a header can describe:
-	// 256 registers (max block length) at 64 bits each.
-	buf [256 * 8]byte
 }
 
 func (d *decoder) fail(what string) error {
@@ -1043,97 +938,23 @@ func (d *decoder) uvarint() uint64 {
 }
 
 // block decodes one packed block into out (len = register count of the
-// block).
+// block): bitpack.ReadPatched parses it in the read buffer, then its bytes
+// are consumed through the CRC. The buffer (4 KiB) holds the largest block
+// a 256-register header can describe, so a Peek comes back short only at
+// the end of the stream.
 func (d *decoder) block(out []uint64) error {
-	cnt := len(out)
-	b := int(d.byte())
-	ex := int(d.byte())
 	if d.err != nil {
-		return d.fail("block header")
+		return d.fail("block")
 	}
-	if b > 64 {
-		return fmt.Errorf("snapcodec: block base width %d exceeds 64", b)
+	src, peekErr := d.r.r.Peek(bitpack.MaxPatchedLen(len(out)))
+	rest, err := bitpack.ReadPatched(src, out)
+	if errors.Is(err, bitpack.ErrOutOfBits) && peekErr != nil {
+		d.err = peekErr
+		return d.fail("block")
 	}
-	if ex > cnt {
-		return fmt.Errorf("snapcodec: block has %d exceptions for %d values", ex, cnt)
+	if err != nil {
+		return fmt.Errorf("snapcodec: %w", err)
 	}
-	eW := 0
-	if ex > 0 {
-		eW = int(d.byte())
-		if d.err != nil {
-			return d.fail("block exception width")
-		}
-		if eW < 1 || b+eW > 64 {
-			return fmt.Errorf("snapcodec: block exception width %d invalid for base %d", eW, b)
-		}
-	}
-	nbytes := (cnt*b + 7) / 8
-	d.read(d.buf[:nbytes])
-	if d.err != nil {
-		return d.fail("block payload")
-	}
-	unpackBits(out, d.buf[:nbytes], uint(b))
-	if ex > 0 {
-		pos := d.buf[:ex]
-		d.read(pos)
-		if d.err != nil {
-			return d.fail("block exception positions")
-		}
-		highs := make([]uint64, ex)
-		hbytes := (ex*eW + 7) / 8
-		hbuf := make([]byte, hbytes)
-		d.read(hbuf)
-		if d.err != nil {
-			return d.fail("block exception payload")
-		}
-		unpackBits(highs, hbuf, uint(eW))
-		for i, p := range pos {
-			if int(p) >= cnt {
-				return fmt.Errorf("snapcodec: block exception position %d out of range [0, %d)", p, cnt)
-			}
-			out[p] |= highs[i] << uint(b)
-		}
-	}
+	d.r.skip(src[:len(src)-len(rest)])
 	return nil
-}
-
-// unpackBits fills out with len(out) w-bit fields from src, LSB-first. A
-// field at bit offset pos spans at most 9 bytes (off ≤ 7, w ≤ 64); it is
-// gathered as one 8-byte little-endian word plus, when the field straddles
-// past it, the ninth byte.
-func unpackBits(out []uint64, src []byte, w uint) {
-	if w == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return
-	}
-	mask := ^uint64(0)
-	if w < 64 {
-		mask = 1<<w - 1
-	}
-	pos := uint(0)
-	for i := range out {
-		idx := int(pos >> 3)
-		off := pos & 7
-		fv := le64pad(src, idx) >> off
-		if off+w > 64 && idx+8 < len(src) {
-			fv |= uint64(src[idx+8]) << (64 - off)
-		}
-		out[i] = fv & mask
-		pos += w
-	}
-}
-
-// le64pad reads 8 little-endian bytes at idx, zero-padding past the end of
-// src.
-func le64pad(src []byte, idx int) uint64 {
-	if idx+8 <= len(src) {
-		return binary.LittleEndian.Uint64(src[idx:])
-	}
-	var v uint64
-	for j := 0; idx+j < len(src); j++ {
-		v |= uint64(src[idx+j]) << uint(8*j)
-	}
-	return v
 }

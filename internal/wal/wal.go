@@ -11,11 +11,22 @@
 // caller guarantees in return that staging order equals apply order
 // (internal/server holds one write lock across both). Records ride the
 // same unit as the hot path: one batch record is exactly one engine
-// ApplyBatch call. Four record types exist — key batches (uvarint-coded),
-// Remark 2.4 merge ingests and replica max-joins (snapcodec snapshot
-// blobs), and window-clock ticks (an explicit bucket epoch, so time-based
-// rotation replays from the log rather than the wall clock) — framed as
-// [type | length | payload | CRC32C].
+// ApplyBatch call. The record types — key batches, plain or tagged with a
+// bucket epoch; Remark 2.4 merge ingests and replica max-joins (snapcodec
+// snapshot blobs); window-clock ticks (an explicit bucket epoch, so
+// time-based rotation replays from the log rather than the wall clock);
+// and the rebalancer's ownership records — are framed as
+// [type | length | payload | CRC32C] (docs/FORMAT.md, "WAL segment").
+//
+// A batch is logged in one of two forms, picked from its keys and
+// invisible to callers. Non-decreasing keys — every batch the wire
+// protocol delivers — are stored as the first key and bit-packed gaps
+// (bitpack.AppendPatched, the snapshot register-block coder), about 6–16
+// bits per key instead of a 1–4-byte uvarint each. Any other order keeps
+// the uvarint form byte for byte: the order is part of the record,
+// because an engine steps a shard's keys in order against that shard's
+// random stream, so sorting a batch would change the registers replay
+// produces.
 //
 // Durability is group-committed: Append (or the lower-level Stage/Commit
 // pair) buffers the record under the write lock and then joins a leader-
@@ -40,10 +51,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/bitpack"
 	"repro/internal/metrics"
 )
 
@@ -86,6 +99,22 @@ const (
 	// epoch-tagged hint drain; see docs/ENGINES.md "Replication and heal
 	// time"). Non-windowed engines apply it exactly like RecBatch.
 	RecBatchAt = byte(7)
+
+	// recPacked and recPackedAt are the on-disk forms of a RecBatch and a
+	// RecBatchAt whose keys are non-decreasing (every batch the wire
+	// decoder hands the store): the first key, then the gaps between
+	// consecutive keys as bit-packed blocks (bitpack.AppendPatched). The
+	// encoder picks them from the keys; decoding returns the RecBatch or
+	// RecBatchAt that was staged, so no caller sees these types.
+	recPacked   = byte(8)
+	recPackedAt = byte(9)
+
+	// gapBlock is the number of gaps per packed block (≤
+	// bitpack.MaxPatchedBlock).
+	gapBlock = 128
+
+	// maxKey is the largest key a batch record may carry.
+	maxKey = 1<<31 - 1
 
 	// maxPayload bounds a single record payload (a merge blob of a
 	// MaxRegisters-key snapshot fits comfortably).
@@ -340,15 +369,28 @@ func (l *Log) openSegment(seq uint64) error {
 	// acknowledged as durable, which means nothing if a power loss can make
 	// the whole file vanish from the directory.
 	if l.opts.Policy != SyncOff {
-		if d, err := os.Open(l.dir); err == nil {
-			d.Sync()
-			d.Close()
+		if err := syncDir(l.dir); err != nil {
+			f.Close()
+			return fmt.Errorf("wal: sync directory for segment %d: %w", seq, err)
 		}
 	}
 	l.f = f
 	l.seg = seq
 	l.segBytes = int64(len(hdr))
 	return nil
+}
+
+// syncDir fsyncs a directory. A variable so a test can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func segPath(dir string, seq uint64) string {
@@ -384,115 +426,208 @@ func listSegments(dir string) ([]uint64, error) {
 
 // encodeRecord appends the framed record to dst:
 // [type:1][len:4 LE][payload][crc32c:4 LE over type+len+payload].
+// A batch whose keys are non-decreasing is written in its packed form.
 func encodeRecord(dst []byte, rec Record) ([]byte, error) {
-	var payload []byte
-	switch rec.Type {
-	case RecBatch:
-		payload = make([]byte, 0, 1+5*len(rec.Keys))
-		payload = binary.AppendUvarint(payload, uint64(len(rec.Keys)))
-		for _, k := range rec.Keys {
-			if k < 0 {
-				return nil, fmt.Errorf("wal: negative key %d", k)
-			}
-			payload = binary.AppendUvarint(payload, uint64(k))
+	typ := rec.Type
+	if (typ == RecBatch || typ == RecBatchAt) && nonDecreasing(rec.Keys) {
+		typ = recPacked
+		if rec.Type == RecBatchAt {
+			typ = recPackedAt
 		}
-	case RecBatchAt:
-		payload = binary.AppendUvarint(make([]byte, 0, 6+5*len(rec.Keys)), rec.Epoch)
-		payload = binary.AppendUvarint(payload, uint64(len(rec.Keys)))
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, 9+payloadHint(rec, typ))
+	dst = append(dst, typ, 0, 0, 0, 0) // length filled in below
+	switch typ {
+	case RecBatch, RecBatchAt, recPacked, recPackedAt:
+		if typ == RecBatchAt || typ == recPackedAt {
+			dst = binary.AppendUvarint(dst, rec.Epoch)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(rec.Keys)))
+		if typ == recPacked || typ == recPackedAt {
+			if len(rec.Keys) > 0 && rec.Keys[0] < 0 {
+				return nil, fmt.Errorf("wal: negative key %d", rec.Keys[0])
+			}
+			dst = appendGaps(dst, rec.Keys)
+			break
+		}
 		for _, k := range rec.Keys {
 			if k < 0 {
 				return nil, fmt.Errorf("wal: negative key %d", k)
 			}
-			payload = binary.AppendUvarint(payload, uint64(k))
+			dst = binary.AppendUvarint(dst, uint64(k))
 		}
 	case RecMerge, RecMergeMax:
-		payload = rec.Blob
+		dst = append(dst, rec.Blob...)
 	case RecTick, RecEvict:
-		payload = binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64), rec.Epoch)
+		dst = binary.AppendUvarint(dst, rec.Epoch)
 	case RecOwn:
-		payload = binary.AppendUvarint(make([]byte, 0, 3+5*(len(rec.Keys)+len(rec.Parts)+len(rec.Owned))), rec.Epoch)
+		dst = binary.AppendUvarint(dst, rec.Epoch)
 		for _, list := range [][]int{rec.Keys, rec.Parts, rec.Owned} {
-			payload = binary.AppendUvarint(payload, uint64(len(list)))
+			dst = binary.AppendUvarint(dst, uint64(len(list)))
 			for _, p := range list {
 				if p < 0 {
 					return nil, fmt.Errorf("wal: negative partition %d", p)
 				}
-				payload = binary.AppendUvarint(payload, uint64(p))
+				dst = binary.AppendUvarint(dst, uint64(p))
 			}
 		}
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", rec.Type)
 	}
-	if len(payload) > maxPayload {
-		return nil, fmt.Errorf("wal: payload %d bytes exceeds %d", len(payload), maxPayload)
+	plen := len(dst) - start - 5
+	if plen > maxPayload {
+		return nil, fmt.Errorf("wal: payload %d bytes exceeds %d", plen, maxPayload)
 	}
-	start := len(dst)
-	dst = append(dst, rec.Type)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+1:], uint32(plen))
 	crc := crc32.Checksum(dst[start:], castagnoli)
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	return dst, nil
+	return binary.LittleEndian.AppendUint32(dst, crc), nil
+}
+
+// payloadHint is the payload capacity encodeRecord reserves, so one
+// allocation holds the frame: four uvarint headers, the blob, and 5 bytes
+// per listed key or partition (a uvarint below 2^35) — or 2 per key in a
+// packed batch, above what wire-shaped batches take (0.7–2.0 B/key).
+func payloadHint(rec Record, typ byte) int {
+	perKey := 5
+	if typ == recPacked || typ == recPackedAt {
+		perKey = 2
+	}
+	return 4*binary.MaxVarintLen64 + len(rec.Blob) + perKey*(len(rec.Keys)+len(rec.Parts)+len(rec.Owned))
+}
+
+// nonDecreasing reports whether keys can take the packed form.
+func nonDecreasing(keys []int) bool {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] < keys[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// appendGaps appends a packed batch after its key count: the first key,
+// then the gaps key[i] − key[i−1] (0 for a repeated key) in blocks of
+// gapBlock. keys must be non-decreasing.
+func appendGaps(dst []byte, keys []int) []byte {
+	if len(keys) == 0 {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(keys[0]))
+	var gaps [gapBlock]uint64
+	for i := 1; i < len(keys); i += gapBlock {
+		g := gaps[:min(gapBlock, len(keys)-i)]
+		prev := keys[i-1]
+		for j, k := range keys[i : i+len(g)] {
+			g[j] = uint64(k - prev)
+			prev = k
+		}
+		dst = bitpack.AppendPatched(dst, g)
+	}
+	return dst
+}
+
+// decodeBatch parses the payload of any of the four batch record types
+// into the RecBatch or RecBatchAt that was staged. Every count is bounded
+// by the payload before it is trusted, and every key is ≤ maxKey.
+func decodeBatch(typ byte, payload []byte) (Record, error) {
+	rec := Record{Type: RecBatch}
+	rest := payload
+	if typ == RecBatchAt || typ == recPackedAt {
+		rec.Type = RecBatchAt
+		epoch, sz := binary.Uvarint(rest)
+		if sz <= 0 {
+			return Record{}, errors.New("wal: batch record: bad epoch")
+		}
+		rec.Epoch, rest = epoch, rest[sz:]
+	}
+	n, sz := binary.Uvarint(rest)
+	if sz <= 0 {
+		return Record{}, errors.New("wal: batch record: bad key count")
+	}
+	rest = rest[sz:]
+	packed := typ == recPacked || typ == recPackedAt
+	// A uvarint key costs ≥ 1 byte; a packed block of ≤ gapBlock gaps
+	// costs ≥ 2, so a packed record holds at most 64 keys per byte plus
+	// its first.
+	limit := uint64(len(rest))
+	if packed {
+		limit = 64*limit + 1
+	}
+	if n > limit {
+		return Record{}, fmt.Errorf("wal: batch record: %d keys in %d payload bytes", n, len(rest))
+	}
+	rec.Keys = make([]int, n)
+	var err error
+	if packed {
+		rest, err = readGaps(rest, rec.Keys)
+	} else {
+		rest, err = readKeys(rest, rec.Keys)
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("wal: batch record: %w", err)
+	}
+	if len(rest) != 0 {
+		return Record{}, fmt.Errorf("wal: batch record: %d trailing bytes", len(rest))
+	}
+	return rec, nil
+}
+
+// readKeys fills keys with uvarint keys from src.
+func readKeys(src []byte, keys []int) ([]byte, error) {
+	for i := range keys {
+		v, sz := binary.Uvarint(src)
+		if sz <= 0 {
+			return nil, fmt.Errorf("bad key %d", i)
+		}
+		if v > maxKey {
+			return nil, fmt.Errorf("key %d out of range", v)
+		}
+		keys[i] = int(v)
+		src = src[sz:]
+	}
+	return src, nil
+}
+
+// readGaps fills keys from a packed batch body: the first key, then the
+// gap blocks appendGaps wrote.
+func readGaps(src []byte, keys []int) ([]byte, error) {
+	if len(keys) == 0 {
+		return src, nil
+	}
+	first, sz := binary.Uvarint(src)
+	if sz <= 0 {
+		return nil, errors.New("bad first key")
+	}
+	if first > maxKey {
+		return nil, fmt.Errorf("key %d out of range", first)
+	}
+	src = src[sz:]
+	keys[0] = int(first)
+	key := first
+	var gaps [gapBlock]uint64
+	var err error
+	for i := 1; i < len(keys); i += gapBlock {
+		g := gaps[:min(gapBlock, len(keys)-i)]
+		if src, err = bitpack.ReadPatched(src, g); err != nil {
+			return nil, fmt.Errorf("gap block at key %d: %w", i, err)
+		}
+		for j, d := range g {
+			if d > maxKey-key {
+				return nil, fmt.Errorf("key %d + gap %d out of range", key, d)
+			}
+			key += d
+			keys[i+j] = int(key)
+		}
+	}
+	return src, nil
 }
 
 // decodePayload parses a record payload.
 func decodePayload(typ byte, payload []byte) (Record, error) {
 	switch typ {
-	case RecBatch:
-		n, sz := binary.Uvarint(payload)
-		if sz <= 0 {
-			return Record{}, errors.New("wal: batch record: bad key count")
-		}
-		if n > uint64(len(payload)) { // each key costs ≥ 1 byte
-			return Record{}, fmt.Errorf("wal: batch record: %d keys in %d payload bytes", n, len(payload))
-		}
-		keys := make([]int, n)
-		rest := payload[sz:]
-		for i := range keys {
-			v, ksz := binary.Uvarint(rest)
-			if ksz <= 0 {
-				return Record{}, fmt.Errorf("wal: batch record: bad key %d", i)
-			}
-			if v > 1<<31-1 {
-				return Record{}, fmt.Errorf("wal: batch record: key %d out of range", v)
-			}
-			keys[i] = int(v)
-			rest = rest[ksz:]
-		}
-		if len(rest) != 0 {
-			return Record{}, fmt.Errorf("wal: batch record: %d trailing bytes", len(rest))
-		}
-		return Record{Type: RecBatch, Keys: keys}, nil
-	case RecBatchAt:
-		epoch, esz := binary.Uvarint(payload)
-		if esz <= 0 {
-			return Record{}, errors.New("wal: batch-at record: bad epoch")
-		}
-		rest := payload[esz:]
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return Record{}, errors.New("wal: batch-at record: bad key count")
-		}
-		if n > uint64(len(rest)) { // each key costs ≥ 1 byte
-			return Record{}, fmt.Errorf("wal: batch-at record: %d keys in %d payload bytes", n, len(rest))
-		}
-		keys := make([]int, n)
-		rest = rest[sz:]
-		for i := range keys {
-			v, ksz := binary.Uvarint(rest)
-			if ksz <= 0 {
-				return Record{}, fmt.Errorf("wal: batch-at record: bad key %d", i)
-			}
-			if v > 1<<31-1 {
-				return Record{}, fmt.Errorf("wal: batch-at record: key %d out of range", v)
-			}
-			keys[i] = int(v)
-			rest = rest[ksz:]
-		}
-		if len(rest) != 0 {
-			return Record{}, fmt.Errorf("wal: batch-at record: %d trailing bytes", len(rest))
-		}
-		return Record{Type: RecBatchAt, Epoch: epoch, Keys: keys}, nil
+	case RecBatch, RecBatchAt, recPacked, recPackedAt:
+		return decodeBatch(typ, payload)
 	case RecMerge, RecMergeMax:
 		return Record{Type: typ, Blob: payload}, nil
 	case RecTick, RecEvict:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -391,28 +392,107 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	}
 }
 
+// batchShape is one batch the store stages, shaped like a workload's.
+type batchShape struct {
+	name string
+	keys []int
+}
+
+// batchShapes returns the batches the WAL benchmarks append: an HTTP-style
+// Zipf batch in draw order (the uvarint form), and three ascending ones
+// shaped like what the wire decoder hands the store (the packed form) — a
+// 1 024-key Zipf(1.05) batch over 1M keys (wire_bank), a coordinator's
+// 341-key share of a uniform batch over 4M keys (ring3_wire), and an
+// 8 192-key uniform replica drain chunk over 4M keys.
+func batchShapes() []batchShape {
+	uniform := func(n, count int, seed uint64) []int {
+		src := stream.NewUniform(uint64(n), xrand.NewSeeded(seed))
+		keys := make([]int, count)
+		for i := range keys {
+			keys[i] = int(src.Next())
+		}
+		return slices.Sorted(slices.Values(keys))
+	}
+	return []batchShape{
+		{"zipf1024", zipfBatches(100_000, 1, 1024, 1)[0]},
+		{"zipf1024-sorted", slices.Sorted(slices.Values(zipfBatches(1_000_000, 1, 1024, 1)[0]))},
+		{"uniform341-sorted", uniform(4_000_000, 341, 2)},
+		{"drain8192-sorted", uniform(4_000_000, 8192, 3)},
+	}
+}
+
 // BenchmarkAppendBatch is the -fsync policy comparison row: the same batched
 // append under always (fsync per group commit), interval (background fsync),
-// and off (page cache only).
+// and off (page cache only), for each batch shape.
 func BenchmarkAppendBatch(b *testing.B) {
+	shapes := batchShapes()
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
-		b.Run("fsync="+policy.String(), func(b *testing.B) {
+		for _, sh := range shapes {
+			b.Run("fsync="+policy.String()+"/"+sh.name, func(b *testing.B) {
+				dir := b.TempDir()
+				l, err := Open(dir, Options{Policy: policy})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer l.Close()
+				frame, _ := encodeRecord(nil, Record{Type: RecBatch, Keys: sh.keys})
+				b.SetBytes(int64(len(frame)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := l.AppendBatch(sh.keys); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(sh.keys))*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+				b.ReportMetric(float64(len(frame))/float64(len(sh.keys)), "B/event")
+			})
+		}
+	}
+}
+
+// BenchmarkReplay reads back a log of about 1M events of each batch shape:
+// the recovery and outbox-drain read path.
+func BenchmarkReplay(b *testing.B) {
+	for _, sh := range batchShapes() {
+		b.Run(sh.name, func(b *testing.B) {
 			dir := b.TempDir()
-			l, err := Open(dir, Options{Policy: policy})
+			l, err := Open(dir, Options{Policy: SyncOff})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer l.Close()
-			keys := zipfBatches(100_000, 1, 1024, 1)[0]
-			frame, _ := encodeRecord(nil, Record{Type: RecBatch, Keys: keys})
-			b.SetBytes(int64(len(frame)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := l.AppendBatch(keys); err != nil {
+			records := (1 << 20) / len(sh.keys)
+			for i := 0; i < records; i++ {
+				if err := l.AppendBatch(sh.keys); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(keys))*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+			var logBytes int64
+			segs, _ := listSegments(dir)
+			for _, s := range segs {
+				fi, err := os.Stat(segPath(dir, s))
+				if err != nil {
+					b.Fatal(err)
+				}
+				logBytes += fi.Size()
+			}
+			events := records * len(sh.keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got := 0
+				if _, err := Replay(dir, 0, func(r Record) error { got += len(r.Keys); return nil }); err != nil {
+					b.Fatal(err)
+				}
+				if got != events {
+					b.Fatalf("replayed %d events, want %d", got, events)
+				}
+			}
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(logBytes)/float64(events), "B/event")
 		})
 	}
 }

@@ -18,10 +18,12 @@ import (
 //	    uvarint count-1   — events for this key, minus 1 (counts are ≥ 1)
 //	}
 //
-// This is the same delta+varint family as fastpfor-go's PackDelta and the
-// WAL's batch records: sorting makes the gaps small, coalescing makes the
-// counts carry the duplication, and a Zipf batch of 4096 events usually
-// packs under 2 bytes per distinct key.
+// This is the delta+varint family of fastpfor-go's PackDelta: sorting
+// makes the gaps small, coalescing makes the counts carry the duplication,
+// and a Zipf batch of 4096 events usually packs under 2 bytes per distinct
+// key. The WAL stores the expanded batch differently — its packed batch
+// records bit-pack every gap, repeats included, in the snapshot register
+// block layout (docs/FORMAT.md, "WAL segment").
 
 // ErrBadBatch marks a batch payload the decoder rejected — the wire-level
 // equivalent of server.ErrBadInput, mapped to code 400 in ERROR frames.
