@@ -65,9 +65,13 @@ bench-test:
 
 # The cluster integration suite under the race detector: 3-node loopback
 # ring, replication, forwarding, crash/recovery convergence, and the live
-# grow/shrink rebalance test.
+# grow/shrink rebalance test — then the boot tests twenty times over, since
+# ring formation is timed against events, not ticks.
+BOOT_TESTS = TestClusterBootDefaultCadence|TestClusterJoinBeforeSeedListens|TestClusterFormsWithoutTicks
+
 cluster-smoke:
 	$(GO) test -race -v -run 'TestCluster|TestClient' ./internal/cluster ./internal/client
+	$(GO) test -race -count=20 -run '$(BOOT_TESTS)' ./internal/cluster
 
 # Live scale-out against real counterd processes: boot a 3-node ring, grow
 # it to 5 under load, decommission one back to 4 — byte-identical owner

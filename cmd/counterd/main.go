@@ -187,9 +187,9 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.vnodes, "vnodes", cluster.DefaultVNodes, "virtual nodes per member on the ring")
 	fs.StringVar(&o.hintDir, "hintdir", "", "hinted-handoff directory (default <dir>/hints)")
 	fs.StringVar(&o.hintFsync, "hint-fsync", "off", "hinted-handoff log fsync policy: always | interval | off")
-	fs.DurationVar(&o.gossipEvery, "gossip", time.Second, "gossip heartbeat cadence")
+	fs.DurationVar(&o.gossipEvery, "gossip", time.Second, "gossip heartbeat cadence (ring changes are pushed at once)")
 	fs.DurationVar(&o.aeEvery, "antientropy", 5*time.Second, "anti-entropy cadence")
-	fs.DurationVar(&o.rebalEvery, "rebalance", 500*time.Millisecond, "rebalance step cadence (cluster mode)")
+	fs.DurationVar(&o.rebalEvery, "rebalance", 500*time.Millisecond, "rebalance heartbeat and retry-backoff cap (cluster mode; ring flips step at once)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown budget for flushing outboxes (and the handoff on -decommission)")
 	fs.BoolVar(&o.decommission, "decommission", false, "on SIGTERM/SIGINT, leave the ring and hand every partition off before exiting (cluster mode; see docs/OPERATIONS.md)")
 	if err := fs.Parse(args); err != nil {
@@ -407,13 +407,19 @@ func main() {
 		}
 	}()
 
-	hs := &http.Server{Addr: o.addr, Handler: handler}
+	// Bind before announcing: Start gossips this node's address, and peers
+	// push back to it at once, so the port must already accept.
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		log.Fatalf("counterd: listen: %v", err)
+	}
+	hs := &http.Server{Handler: handler}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
+	log.Printf("counterd: serving on %s", ln.Addr())
 	if node != nil {
 		node.Start()
 	}
-	log.Printf("counterd: serving on %s", o.addr)
 
 	select {
 	case <-ctx.Done():

@@ -37,9 +37,13 @@ import (
 // which caught exactly this). So a round only merges a partition when one
 // of two gates opens:
 //
-//  1. Repair: a peer replica has just come back from suspect/dead (or this
-//     node just started). Its registers may be missing whole stretches of
-//     the stream; merging now is worth a one-time sliver of max-bias.
+//  1. Repair: a peer replica has just come back from suspect/dead, or this
+//     node just started with history (a restart) and sees the peer for the
+//     first time. Its registers may be missing whole stretches of the
+//     stream; merging now is worth a one-time sliver of max-bias. A fresh
+//     store (Store.Fresh) does not repair on first sight: it has no history
+//     to offer, and the rebalancer's installs transfer everything it owns —
+//     a first-sight repair would only re-log full partition snapshots.
 //  2. Quiescent divergence: the partition has seen no local writes for a
 //     full round AND the replicas' register hashes differ. No writes means
 //     no replication in flight, so a hash mismatch is real divergence, and
@@ -116,6 +120,7 @@ func (n *Node) antiEntropyRound() {
 				n.repairFailed[peer] = true
 				continue
 			}
+			n.aeRepairRecovery.Inc()
 			if err := n.syncPartition(p, peer); err != nil {
 				n.repairFailed[peer] = true
 				n.cfg.Logf("cluster: repair partition %d with %s: %v", p, peer, err)
@@ -145,6 +150,7 @@ func (n *Node) antiEntropyRound() {
 		if same {
 			continue
 		}
+		n.aeRepairDivergence.Inc()
 		if err := n.syncPartition(p, peer); err != nil {
 			n.cfg.Logf("cluster: anti-entropy partition %d with %s: %v", p, peer, err)
 		}
@@ -161,15 +167,16 @@ func (n *Node) antiEntropyRound() {
 }
 
 // noteRecoveries diffs member states against the previous round and marks
-// peers that returned to life (or appeared) as needing repair. Runs only on
-// the anti-entropy goroutine; the maps are loop-local state.
+// peers that returned to life as needing repair — and, on a store with
+// history, peers seen for the first time. Runs only on the anti-entropy
+// goroutine; the maps are loop-local state.
 func (n *Node) noteRecoveries() {
 	for _, m := range n.mem.Snapshot() {
 		if m.ID == n.cfg.Self {
 			continue
 		}
 		prev, known := n.prevStates[m.ID]
-		if m.State == StateAlive && (!known || prev != StateAlive) {
+		if m.State == StateAlive && (known && prev != StateAlive || !known && !n.st.Fresh()) {
 			n.needsRepair[m.ID] = true
 		}
 		n.prevStates[m.ID] = m.State

@@ -56,6 +56,13 @@ type testClusterConfig struct {
 	// (hint drains, rebalance pulls) set it to an hour to park the repair
 	// loop.
 	aeInterval time.Duration
+
+	// tune, when set, adjusts the node's Config after the fast test
+	// cadences are filled in (the boot tests restore the daemon's defaults
+	// or park the tickers). noStart serves the node without calling Start:
+	// the test drives its rounds by hand.
+	tune    func(*Config)
+	noStart bool
 }
 
 func defaultClusterConfig() testClusterConfig {
@@ -110,7 +117,7 @@ func startNode(t testing.TB, dir, addr string, cc testClusterConfig, join []stri
 		}
 		tn.wire = wln.Addr().String()
 	}
-	tn.node, err = New(tn.st, Config{
+	cfg := Config{
 		Self:                tn.self,
 		Join:                join,
 		RF:                  cc.rf,
@@ -127,8 +134,11 @@ func startNode(t testing.TB, dir, addr string, cc testClusterConfig, join []stri
 			DropAfter:    time.Hour,
 		},
 		Logf: t.Logf,
-	})
-	if err != nil {
+	}
+	if cc.tune != nil {
+		cc.tune(&cfg)
+	}
+	if tn.node, err = New(tn.st, cfg); err != nil {
 		t.Fatalf("new node: %v", err)
 	}
 	if cc.wire {
@@ -143,7 +153,9 @@ func startNode(t testing.TB, dir, addr string, cc testClusterConfig, join []stri
 		defer close(tn.done)
 		tn.srv.Serve(ln)
 	}()
-	tn.node.Start()
+	if !cc.noStart {
+		tn.node.Start()
+	}
 	return tn
 }
 

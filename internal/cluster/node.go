@@ -134,12 +134,19 @@ type Node struct {
 	mem *Membership
 	reb *rebalancer
 
+	ringMu sync.Mutex // serializes rebuildRing, so flips are seen in order
 	ring   atomic.Pointer[Ring]
 	client *http.Client
 	pool   *wire.Pool // persistent wire conns for replica fan-out
 
 	obMu     sync.Mutex
 	outboxes map[string]*outbox
+
+	// One-slot wake channels of the gossip and rebalance loops. A ring flip
+	// sends to both without blocking, so a burst of flips coalesces into one
+	// round of each.
+	wakeGossip    chan struct{}
+	wakeRebalance chan struct{}
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -168,6 +175,11 @@ type Node struct {
 	aeBytesSaved *metrics.Counter // full-snapshot bytes avoided by those delta repairs
 	rebDeltaPull *metrics.Counter // warm handoffs satisfied by a block delta
 
+	// Partition exchanges anti-entropy ran, by the gate that opened them.
+	aeRepairRecovery, aeRepairDivergence *metrics.Counter
+
+	gossipRounds [3]*metrics.Counter // by trigger: tick, change, join
+
 	memTransitions *metrics.CounterVec // failure-detector state flips, by from/to
 }
 
@@ -180,16 +192,18 @@ func New(st *server.Store, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	n := &Node{
-		cfg:          cfg,
-		st:           st,
-		client:       &http.Client{Timeout: cfg.HTTPTimeout},
-		pool:         wire.NewPool(cfg.HTTPTimeout),
-		outboxes:     make(map[string]*outbox),
-		stop:         make(chan struct{}),
-		needsRepair:  make(map[string]bool),
-		repairFailed: make(map[string]bool),
-		prevStates:   make(map[string]MemberState),
-		lastPartVer:  make([]uint64, st.Partitions()),
+		cfg:           cfg,
+		st:            st,
+		client:        &http.Client{Timeout: cfg.HTTPTimeout},
+		pool:          wire.NewPool(cfg.HTTPTimeout),
+		outboxes:      make(map[string]*outbox),
+		wakeGossip:    make(chan struct{}, 1),
+		wakeRebalance: make(chan struct{}, 1),
+		stop:          make(chan struct{}),
+		needsRepair:   make(map[string]bool),
+		repairFailed:  make(map[string]bool),
+		prevStates:    make(map[string]MemberState),
+		lastPartVer:   make([]uint64, st.Partitions()),
 	}
 	// Replication chunks must fit the receiving store's batch cap, or a
 	// drained chunk would be rejected forever and wedge the outbox.
@@ -232,6 +246,15 @@ func (n *Node) initMetrics() {
 		"Bytes not transferred because anti-entropy shipped block deltas instead of full partition snapshots.")
 	n.rebDeltaPull = reg.Counter("counterd_rebalance_delta_handoffs_total",
 		"Warm rebalance handoffs satisfied by a block delta instead of a full partition transfer.")
+	repairs := reg.CounterVec("counterd_antientropy_repairs_total",
+		"Anti-entropy partition exchanges, by the gate that opened them (recovery: a peer came back; divergence: quiescent hash mismatch).", "gate")
+	n.aeRepairRecovery = repairs.With("recovery")
+	n.aeRepairDivergence = repairs.With("divergence")
+	rounds := reg.CounterVec("counterd_cluster_gossip_rounds_total",
+		"Gossip rounds, by cause (tick: the -gossip heartbeat; change: the routable member set changed; join: seeds not yet reached).", "cause")
+	for t, cause := range [...]string{onTick: "tick", onWake: "change", onRetry: "join"} {
+		n.gossipRounds[t] = rounds.With(cause)
+	}
 	n.memTransitions = reg.CounterVec("counterd_cluster_member_transitions_total",
 		"Member state transitions recorded by the local failure detector.", "from", "to")
 	reg.GaugeFunc("counterd_cluster_outbox_pending_keys",
@@ -290,40 +313,108 @@ func (n *Node) Ring() *Ring { return n.ring.Load() }
 // Membership returns the node's member table.
 func (n *Node) Membership() *Membership { return n.mem }
 
+// rebuildRing recomputes the ring from the member table. A flip — a new
+// ring version — is an event: it wakes the gossip loop, which pushes the
+// change to peers at once (infection-style, as in SWIM), and the
+// rebalancer, which re-plans against the new ring.
 func (n *Node) rebuildRing() {
-	n.ring.Store(NewRing(n.mem.RingMembers(), n.cfg.RF, n.cfg.VNodes))
+	n.ringMu.Lock()
+	defer n.ringMu.Unlock()
+	next := NewRing(n.mem.RingMembers(), n.cfg.RF, n.cfg.VNodes)
+	prev := n.ring.Swap(next)
+	if prev == nil || prev.Version() == next.Version() {
+		return
+	}
+	wake(n.wakeGossip)
+	wake(n.wakeRebalance)
+}
+
+// wake signals a loop's wake channel without blocking; a signal already
+// pending absorbs this one.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // Start seeds the member table from cfg.Join, runs one synchronous gossip
 // round (so a joining node routes correctly before its first write), and
-// launches the gossip, replication-drain, and anti-entropy loops.
+// launches the gossip, replication-drain, anti-entropy and rebalance loops.
+// A join whose seeds do not answer yet (a seed still binding its listener)
+// is retried on the loops' short backoff, not a whole gossip interval later.
 func (n *Node) Start() {
 	for _, s := range n.cfg.Join {
 		n.mem.AddSeed(s)
 	}
 	n.reopenOutboxes()
-	n.gossipRound()
-	n.runLoop(n.cfg.GossipInterval, func() {
-		n.gossipRound()
+	joined := len(n.cfg.Join) == 0
+	gossip := func(t trigger) bool {
+		n.gossipRounds[t].Inc()
+		if n.gossipRound() && !joined {
+			joined = true
+			wake(n.wakeRebalance) // the seeds answered: plan against them now
+		}
 		n.mem.Tick()
+		return !joined
+	}
+	gossip(onRetry) // the join round
+	wake(n.wakeRebalance)
+	n.runLoop(n.cfg.GossipInterval, n.wakeGossip, !joined, gossip)
+	n.runLoop(n.cfg.ReplInterval, nil, false, func(trigger) bool {
+		n.drainOutboxes()
+		return false
 	})
-	n.runLoop(n.cfg.ReplInterval, n.drainOutboxes)
-	n.runLoop(n.cfg.AntiEntropyInterval, n.antiEntropyRound)
-	n.runLoop(n.cfg.RebalanceInterval, n.reb.step)
+	n.runLoop(n.cfg.AntiEntropyInterval, nil, false, func(trigger) bool {
+		n.antiEntropyRound()
+		return false
+	})
+	n.runLoop(n.cfg.RebalanceInterval, n.wakeRebalance, false, n.reb.step)
 }
 
-func (n *Node) runLoop(every time.Duration, fn func()) {
+// trigger is why a background loop ran a round.
+type trigger int
+
+const (
+	onTick  trigger = iota // the loop's interval elapsed
+	onWake                 // its wake channel fired: the ring flipped
+	onRetry                // the previous round left work owed
+)
+
+// retryMin is the first retry delay of a round that left work owed.
+const retryMin = 5 * time.Millisecond
+
+// runLoop runs fn every `every`, at once whenever wakeup fires (a nil
+// channel never does), and — while fn reports work still owed — again after a
+// backoff that starts at retryMin and doubles until it reaches `every`,
+// where the ticker alone carries on. A wake resets the backoff; owed says
+// whether the first round is already owed.
+func (n *Node) runLoop(every time.Duration, wakeup <-chan struct{}, owed bool, fn func(trigger) bool) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		t := time.NewTicker(every)
 		defer t.Stop()
+		backoff := retryMin
 		for {
+			var retry <-chan time.Time
+			if owed && backoff < every {
+				retry = time.After(backoff)
+				backoff *= 2
+			}
+			var why trigger
 			select {
 			case <-n.stop:
 				return
 			case <-t.C:
-				fn()
+				why = onTick
+			case <-wakeup:
+				why, backoff = onWake, retryMin
+			case <-retry:
+				why = onRetry
+			}
+			if owed = fn(why); !owed {
+				backoff = retryMin
 			}
 		}
 	}()
@@ -817,39 +908,45 @@ type gossipMsg struct {
 	Members []Member `json:"members"`
 }
 
-// gossipRound exchanges member tables with up to GossipFanout random peers.
-func (n *Node) gossipRound() {
+// gossipRound exchanges member tables with up to GossipFanout random peers
+// and reports whether any exchange succeeded.
+func (n *Node) gossipRound() bool {
 	peers := n.mem.Peers()
 	rand.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
 	if len(peers) > n.cfg.GossipFanout {
 		peers = peers[:n.cfg.GossipFanout]
 	}
+	ok := false
 	for _, peer := range peers {
-		n.gossipWith(peer)
+		if n.gossipWith(peer) {
+			ok = true
+		}
 	}
+	return ok
 }
 
-func (n *Node) gossipWith(peer string) {
+func (n *Node) gossipWith(peer string) bool {
 	msg := gossipMsg{From: n.cfg.Self, Members: n.mem.Snapshot()}
 	body, err := json.Marshal(msg)
 	if err != nil {
-		return
+		return false
 	}
 	resp, err := n.client.Post(peer+"/cluster/gossip", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return // Tick ages the peer toward suspect/dead
+		return false // Tick ages the peer toward suspect/dead
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return
+		return false
 	}
 	var reply gossipMsg
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&reply); err != nil {
-		return
+		return false
 	}
 	n.mem.Contact(peer, true)
 	n.mem.MergeFrom(reply.Members)
+	return true
 }
 
 // --- HTTP surface -------------------------------------------------------
@@ -1161,17 +1258,16 @@ func (n *Node) outboxesEmpty() bool {
 }
 
 // Decommission removes this node from the ring and hands its state off: it
-// marks itself left (gossip spreads the departure), keeps serving reads and
-// handoff pulls while every surrendered partition transfers to its new
-// owners, then drains the outboxes. The caller keeps the HTTP and wire
-// listeners up until Decommission returns, then stops the node and exits.
-// Returns ctx's error if the handoff cannot finish in time — state is still
-// intact and a restart rejoins cleanly.
+// marks itself left (the ring flip wakes gossip, which pushes the departure
+// at once), keeps serving reads and handoff pulls while every surrendered
+// partition transfers to its new owners, then drains the outboxes. The
+// caller keeps the HTTP and wire listeners up until Decommission returns,
+// then stops the node and exits. Returns ctx's error if the handoff cannot
+// finish in time — state is still intact and a restart rejoins cleanly.
 func (n *Node) Decommission(ctx context.Context) error {
 	n.mem.Leave()
-	n.gossipRound() // push the departure now; don't wait a gossip interval
 	for {
-		n.reb.step()
+		n.reb.step(onRetry)
 		if n.reb.idle() {
 			break
 		}

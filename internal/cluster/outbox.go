@@ -16,9 +16,11 @@ import (
 // loop ships the sealed prefix as batched /cluster/repl calls and truncates
 // what the peer acknowledged. A peer that is down simply stops being
 // drained: its hints accumulate in segments and ship when it returns.
-// Delivery is at-least-once (a crash between ship and truncate re-sends),
-// which the approximate registers absorb and the max-join anti-entropy
-// cannot be corrupted by.
+// Delivery is at-least-once (a crash of this process between ship and
+// truncate re-sends), which the approximate registers absorb and the
+// max-join anti-entropy cannot be corrupted by. A drain that fails part-way
+// does not re-send what the peer already acknowledged: the next drain skips
+// it.
 type outbox struct {
 	dir string
 	log *wal.Log
@@ -30,6 +32,13 @@ type outbox struct {
 	activeRecs atomic.Int64
 
 	drainMu sync.Mutex // one drain at a time; appends stay concurrent
+
+	// delivered counts the keys at the head of the sealed prefix that a
+	// drain which then failed had already shipped (guarded by drainMu). The
+	// prefix only changes by truncation, which resets it, so the next drain
+	// skips exactly those keys — a peer that crashed mid-drain must not get
+	// the chunks it already logged a second time when it returns.
+	delivered int
 }
 
 // openOutbox opens (or creates) the peer's hint log under dir. Leftover
@@ -113,6 +122,7 @@ func (o *outbox) drain(maxKeys int, send func(keys []int, epoch uint64, tagged b
 	var chunkEpoch uint64
 	var chunkTagged bool
 	var shipped int64
+	skip := o.delivered
 	flush := func() error {
 		if len(chunk) == 0 {
 			return nil
@@ -120,6 +130,7 @@ func (o *outbox) drain(maxKeys int, send func(keys []int, epoch uint64, tagged b
 		if err := send(chunk, chunkEpoch, chunkTagged); err != nil {
 			return err
 		}
+		o.delivered += len(chunk)
 		chunk = chunk[:0]
 		return nil
 	}
@@ -137,6 +148,10 @@ func (o *outbox) drain(maxKeys int, send func(keys []int, epoch uint64, tagged b
 		}
 		chunkEpoch, chunkTagged = rec.Epoch, tagged
 		keys := rec.Keys
+		if skip > 0 {
+			n := min(skip, len(keys))
+			keys, skip = keys[n:], skip-n
+		}
 		for len(keys) > 0 {
 			take := maxKeys - len(chunk)
 			if take > len(keys) {
@@ -162,6 +177,7 @@ func (o *outbox) drain(maxKeys int, send func(keys []int, epoch uint64, tagged b
 	if err := o.log.TruncateBefore(active); err != nil {
 		return err
 	}
+	o.delivered = 0
 	o.queued.Add(-shipped)
 	return nil
 }

@@ -92,6 +92,50 @@ func TestOutboxRetainsOnSendFailure(t *testing.T) {
 	}
 }
 
+// A drain that fails part-way resumes where the peer stopped acknowledging:
+// the chunks it already delivered are not sent again. A peer that crashed
+// mid-drain has those chunks in its own log, so a re-send would count them
+// twice there.
+func TestOutboxFailedDrainResumes(t *testing.T) {
+	o, _, err := openOutbox(t.TempDir(), wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.close()
+	for i := 0; i < 10; i++ {
+		if err := o.append([]int{2 * i, 2*i + 1}, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []int
+	calls := 0
+	boom := errors.New("peer crashed")
+	if err := o.drain(3, func(chunk []int, _ uint64, _ bool) error {
+		if calls++; calls == 3 {
+			return boom
+		}
+		got = append(got, chunk...)
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("drain error = %v", err)
+	}
+	if len(got) != 6 {
+		t.Fatalf("first drain delivered %v, want 6 keys", got)
+	}
+	if err := o.append([]int{20}, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.drain(3, func(chunk []int, _ uint64, _ bool) error { got = append(got, chunk...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20]"; fmt.Sprint(got) != want {
+		t.Fatalf("delivered across both drains %v, want each key once: %s", got, want)
+	}
+	if o.pending() != 0 {
+		t.Fatalf("pending = %d", o.pending())
+	}
+}
+
 // Hints survive a process restart: a reopened outbox counts and ships the
 // records the previous process left behind.
 func TestOutboxSurvivesRestart(t *testing.T) {

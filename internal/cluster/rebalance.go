@@ -79,11 +79,12 @@ type rebalancer struct {
 
 	// Counters live in the store's metrics registry so /cluster/rebalance
 	// and /metrics read the same atomics.
-	moved     *metrics.Counter   // partitions installed (pulled or vacuous)
-	evicted   *metrics.Counter   // surrendered partitions evicted after confirm
-	bytes     *metrics.Counter   // snapshot bytes pulled
-	mCutover  *metrics.Histogram // install flip-to-warm latency
-	cutoverNs atomic.Int64       // last install's flip-to-warm latency
+	moved     *metrics.Counter    // partitions installed (pulled or vacuous)
+	evicted   *metrics.Counter    // surrendered partitions evicted after confirm
+	bytes     *metrics.Counter    // snapshot bytes pulled
+	steps     [3]*metrics.Counter // rounds by trigger: tick, flip, retry
+	mCutover  *metrics.Histogram  // install flip-to-warm latency
+	cutoverNs atomic.Int64        // last install's flip-to-warm latency
 }
 
 // transfer is one pending partition's in-memory progress.
@@ -141,7 +142,8 @@ type RebalanceStatus struct {
 
 // errNotSource reports a handoff request this node cannot serve right now —
 // ring views diverged, the partition is pending here too, or a frozen copy
-// is not yet quiescent. Mapped to 409: the puller retries next round.
+// is not yet quiescent. Mapped to 409: the puller's step still owes the
+// partition and retries on its backoff.
 var errNotSource = errors.New("cluster: not a handoff source for this partition at this ring version")
 
 func newRebalancer(n *Node) *rebalancer {
@@ -157,6 +159,11 @@ func newRebalancer(n *Node) *rebalancer {
 		"Surrendered partitions evicted after every new owner confirmed its install.")
 	rb.bytes = reg.Counter("counterd_rebalance_bytes_streamed_total",
 		"Partition snapshot bytes pulled during rebalance handoffs.")
+	steps := reg.CounterVec("counterd_rebalance_steps_total",
+		"Rebalance steps, by cause (tick: the -rebalance heartbeat; flip: the ring changed; retry: partitions still owed).", "cause")
+	for t, cause := range [...]string{onTick: "tick", onWake: "flip", onRetry: "retry"} {
+		rb.steps[t] = steps.With(cause)
+	}
 	rb.mCutover = reg.Histogram("counterd_rebalance_cutover_seconds",
 		"Per-partition flip-to-warm latency: ring flip (pend) to install commit.",
 		metrics.ExpBuckets(1e-3, 2, 18))
@@ -186,10 +193,13 @@ func newRebalancer(n *Node) *rebalancer {
 
 // step is one rebalance round: fold any ring flip into the durable
 // ownership state, try to install every pending partition, and evict every
-// surrendered partition whose new owners all confirmed.
-func (rb *rebalancer) step() {
+// surrendered partition whose new owners all confirmed. It reports whether
+// partitions are still owed — the ring is not reconciled or installs are
+// pending — so the loop retries on its backoff instead of its interval.
+func (rb *rebalancer) step(t trigger) bool {
 	rb.stepMu.Lock()
 	defer rb.stepMu.Unlock()
+	rb.steps[t].Inc()
 	cur := rb.n.ring.Load()
 	rb.mu.Lock()
 	ever := rb.reconciled != 0
@@ -198,13 +208,14 @@ func (rb *rebalancer) step() {
 		// A fresh joiner still sees only itself: adopting that solo ring
 		// would vacuously install everything and then never pull. Wait for
 		// gossip to deliver the real member set.
-		return
+		return true
 	}
 	rb.reconcile(cur)
 	pr := &probe{n: rb.n, statuses: make(map[string]*RebalanceStatus), quiet: make(map[string]bool)}
 	rb.gateFrozen(pr)
 	rb.pull(cur, pr)
 	rb.sweep(cur, pr)
+	return rb.ready(rb.n.ring.Load().Version()) != nil
 }
 
 // reconcile folds a ring flip into the ownership state: classify every
@@ -393,6 +404,11 @@ func (rb *rebalancer) pull(cur *Ring, pr *probe) {
 	self := rb.n.cfg.Self
 
 	for _, p := range parts {
+		if rb.n.ring.Load().Version() != ver {
+			// The ring flipped under this plan: every FETCH stamped with ver
+			// would be refused, and the flip's wake re-plans at once.
+			return
+		}
 		if !rb.n.st.PendingPartition(p) {
 			// Installed out of band (an anti-entropy push landed a full warm
 			// copy); just drop the metadata.
