@@ -521,23 +521,103 @@ func BenchmarkStoreApply(b *testing.B) {
 	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
-// A merge request against a bank whose algorithm cannot merge must be
-// rejected BEFORE the blob reaches the WAL — a staged-but-unmergeable
-// record would fail identically on every replay and brick the store.
+// walBytes flushes everything staged and returns the total WAL size — a
+// record staged by a rejected request would show up here.
+func walBytes(t *testing.T, st *Store) int64 {
+	t.Helper()
+	if err := st.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(st.cfg.Dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// A request that would fail to apply — a merge against a bank whose
+// algorithm cannot merge, a malformed or misplaced delta, a delta whose
+// version guard fails, an out-of-range ownership or evict partition, an
+// oversized or out-of-range batch — must be rejected BEFORE it reaches the
+// WAL: a staged-but-unappliable record would fail identically on every
+// replay and brick the store.
 func TestUnmergeableAlgorithmRejectedBeforeWAL(t *testing.T) {
 	cfg := testConfig(t, 100)
 	cfg.Alg = bank.NewExactAlg(12) // ExactAlg does not implement MergeAlgorithm
+	cfg.Partitions = 4
+	cfg.MaxBatch = 64
 	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Apply([]int{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
 	peer := shardbank.New(100, cfg.Alg, cfg.Shards, 7)
+	walLen := walBytes(t, st)
 	err = st.Merge(encodeBank(t, peer))
 	if err == nil {
 		t.Fatal("merge into exact bank accepted")
 	}
 	if !errors.Is(err, ErrBadInput) {
 		t.Fatalf("want ErrBadInput, got %v", err)
+	}
+	if got := walBytes(t, st); got != walLen {
+		t.Fatalf("rejected merge grew the WAL from %d to %d bytes", walLen, got)
+	}
+
+	// A replica that diverged in partition 0 supplies a genuine delta.
+	replica := openPeer(t, cfg)
+	if err := replica.Apply([]int{1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	var delta bytes.Buffer
+	if err := replica.PartitionDeltaTo(&delta, 0, divergentBlocks(t, replica, st, 0)); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.Clone(delta.Bytes())
+	corrupt[len(corrupt)/2] ^= 0xff
+	oversized := make([]int, cfg.MaxBatch+1)
+	for _, tc := range []struct {
+		name string
+		want error
+		call func() error
+	}{
+		{"corrupt delta", ErrBadInput, func() error { return st.MergeMaxDelta(corrupt, VersionAny) }},
+		{"delta to MergeMax", ErrBadInput, func() error { return st.MergeMax(delta.Bytes()) }},
+		{"delta to InstallPartition", ErrBadInput, func() error { return st.InstallPartition(delta.Bytes(), false) }},
+		{"full snapshot to MergeMaxDelta", ErrBadInput, func() error {
+			return st.MergeMaxDelta(partitionBytes(t, replica, 0), VersionAny)
+		}},
+		{"delta version guard", ErrConflict, func() error {
+			return st.MergeMaxDelta(delta.Bytes(), st.PartitionVersion(0)+1)
+		}},
+		{"ownership partition out of range", ErrBadInput, func() error {
+			return st.SetOwnership(1, []int{0}, []int{cfg.Partitions}, nil)
+		}},
+		{"negative owned partition", ErrBadInput, func() error { return st.SetOwnership(1, nil, nil, []int{-1}) }},
+		{"evict partition out of range", ErrBadInput, func() error { return st.EvictPartition(cfg.Partitions) }},
+		{"oversized batch", ErrBadInput, func() error { return st.Apply(oversized) }},
+		{"oversized epoch batch", ErrBadInput, func() error { _, err := st.ApplyAt(oversized, 1); return err }},
+		{"key out of range", ErrBadInput, func() error { return st.Apply([]int{1, cfg.N}) }},
+	} {
+		if err := tc.call(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: want %v, got %v", tc.name, tc.want, err)
+		}
+		if got := walBytes(t, st); got != walLen {
+			t.Fatalf("%s: rejected request grew the WAL from %d to %d bytes", tc.name, walLen, got)
+		}
+	}
+	if err := st.MergeMaxDelta(delta.Bytes(), st.PartitionVersion(0)); err != nil {
+		t.Fatalf("delta at the current version: %v", err)
 	}
 	if err := st.Apply([]int{1, 2, 3}); err != nil {
 		t.Fatalf("apply after rejected merge: %v", err)
