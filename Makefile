@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check doclint test race bench-test bench bench-cluster fuzz-smoke ci \
+.PHONY: all build vet fmt-check doclint test race bench-test fuzz-smoke ci \
 	counterd serve cluster-smoke cluster-demo windowed-demo wire-smoke grow-smoke \
 	distinct-smoke \
 	metrics-smoke manifest-check
@@ -98,32 +98,6 @@ metrics-smoke: counterd
 # annotations, and the SIGTERM drain budget (tools/manifestcheck).
 manifest-check:
 	$(GO) run ./tools/manifestcheck
-
-# Mirrors the CI bench job: human-readable text plus three machine-readable
-# JSON artifacts (cmd/benchjson) tracking the perf trajectory of the hot
-# paths — core (single-counter + contended shardbank), serve (store, WAL,
-# snapcodec, engines), cluster (ingest fan-out, partition exchange).
-bench:
-	mkdir -p bench-out
-	$(GO) test -run='^$$' -bench=. -benchtime=100x . | tee bench-out/bench-core.txt
-	$(GO) run ./cmd/benchjson < bench-out/bench-core.txt > bench-out/BENCH_core.json
-	$(GO) test -run='^$$' -bench=. -benchtime=100x \
-		./internal/server ./internal/wal ./internal/snapcodec ./internal/engine ./internal/wire \
-		| tee bench-out/bench-serve.txt
-	$(GO) run ./cmd/benchjson < bench-out/bench-serve.txt > bench-out/BENCH_serve.json
-	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/cluster | tee bench-out/bench-cluster.txt
-	$(GO) run ./cmd/benchjson < bench-out/bench-cluster.txt > bench-out/BENCH_cluster.json
-	$(GO) test -run='^$$' -bench='BenchmarkDurability' -benchtime=50x \
-		./internal/server | tee bench-out/bench-durability.txt
-	$(GO) run ./cmd/benchjson < bench-out/bench-durability.txt > bench-out/BENCH_durability.json
-
-# Cluster-focused benchmarks only (ingest fan-out, partition snapshots,
-# ring routing, WAL fsync policies), same JSON artifact.
-bench-cluster:
-	mkdir -p bench-out
-	$(GO) test -run='^$$' -bench='Cluster|Partition|Ring|AppendBatch' -benchtime=100x \
-		./internal/cluster ./internal/wal | tee bench-out/bench-cluster.txt
-	$(GO) run ./cmd/benchjson < bench-out/bench-cluster.txt > bench-out/BENCH_cluster.json
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderNeverPanics -fuzztime=5s ./internal/bitpack

@@ -103,7 +103,7 @@ func startNode(name, dir, addr string, join []string) *demoNode {
 	})
 	check(err)
 	d.wsrv = wire.NewServer(d.node.WireSink(), wire.ServerConfig{
-		MaxBatch: 1 << 16, MaxKey: nKeys, ErrorCode: server.StatusFor,
+		MaxBatch: 1 << 16, MaxKey: nKeys, ErrorCode: cluster.StatusFor,
 	})
 	go d.wsrv.Serve(wln)
 	d.st.SetWireInfo(wln.Addr().String(), wire.ProtocolVersion)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -401,5 +402,80 @@ func TestMergeMaxDelta(t *testing.T) {
 	defer b2.Close(false)
 	if got := snapshotBytes(t, b2); !bytes.Equal(got, want) {
 		t.Fatal("replayed delta join diverged from the live one")
+	}
+}
+
+// A checkpoint whose directory fsync fails reports the error and removes
+// nothing its image would replace: the WAL segments and the previous
+// checkpoint stay, the dirty blocks stay owed, and the next checkpoint is
+// full, so no delta chains onto an image whose dirent may or may not
+// survive a power loss.
+func TestCheckpointDirectorySyncError(t *testing.T) {
+	cfg := testConfig(t, 20_000)
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range zipfBatches(cfg.N, 10, 256, 71) {
+		if err := st.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	base := st.ckptSeq.Load()
+	for _, b := range narrowBatches(0, 256, 4, 64, 72) {
+		if err := st.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := st.log.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	failing := errors.New("injected directory fsync failure")
+	real := syncDir
+	t.Cleanup(func() { syncDir = real })
+	syncDir = func(string) error { return failing }
+	if err := st.Checkpoint(); !errors.Is(err, failing) {
+		t.Fatalf("checkpoint with a failing directory sync: %v", err)
+	}
+	syncDir = real
+	for _, s := range segs {
+		if _, err := os.Stat(filepath.Join(cfg.Dir, fmt.Sprintf("wal-%08d.seg", s))); err != nil {
+			t.Fatalf("failed checkpoint truncated WAL segment %d: %v", s, err)
+		}
+	}
+	if _, err := os.Stat(snapPath(cfg.Dir, base)); err != nil {
+		t.Fatalf("failed checkpoint removed the previous one: %v", err)
+	}
+	if s := st.Stats(); s.CheckpointSeq != base || s.DirtyBlocks == 0 {
+		t.Fatalf("after the failed checkpoint: seq %d (want %d), %d dirty blocks", s.CheckpointSeq, base, s.DirtyBlocks)
+	}
+
+	for _, b := range narrowBatches(256, 512, 2, 64, 73) {
+		if err := st.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.ckptDelta.Value(); got != 0 {
+		t.Fatalf("%d delta checkpoints after a failed one, want a full", got)
+	}
+	want := snapshotBytes(t, st)
+	if err := st.Close(false); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st2.Close(false)
+	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+		t.Fatal("recovered /snapshot differs from pre-restart bytes")
 	}
 }

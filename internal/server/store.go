@@ -4,12 +4,16 @@
 //   - Store: the persistence layer over a pluggable internal/engine sketch
 //     (the Morris/Csűrös/exact register bank by default, the SpaceSaving
 //     heavy-hitters engine with Config.Engine "topk", the sliding-window
-//     engine with "window"). Every write is staged to the WAL and applied
-//     to the engine under one lock, so log order equals apply order — the
-//     invariant that makes recovery exact. For windowed engines that
-//     includes time itself: the store observes the bucket clock once per
-//     write (and on AdvanceWindow) and stages the epoch as a tick record,
-//     so rotation is part of the logged operation order. Recovery loads
+//     engine with "window"). Every mutation is a WAL record, defined by
+//     one pair of functions: Store.check validates a record and
+//     Store.apply performs its effect. The live write path (Store.write)
+//     runs check, stages the record and runs apply under one lock, so log
+//     order equals apply order; recovery runs the same pair on every
+//     replayed record, so replay performs exactly the live operations.
+//     For windowed engines that includes time itself: the store observes
+//     the bucket clock once per write (and on AdvanceWindow) and stages
+//     the epoch as a tick record, so rotation is part of the logged
+//     operation order. Recovery loads
 //     the newest snapcodec checkpoint (engine state + its generator
 //     streams) and replays the WAL segments at or after it; with no
 //     checkpoint it rebuilds from the seed and the full log. Either way
@@ -40,6 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -189,6 +194,7 @@ type Store struct {
 
 	ckptSeq   atomic.Uint64 // WAL segment tagged by the newest checkpoint
 	chainLen  atomic.Int64  // delta checkpoints since the newest full one
+	forceFull atomic.Bool   // a failed checkpoint left an image the next delta must not chain past
 	lastCkpt  atomic.Int64  // unix nanos of last successful checkpoint
 	recovered wal.ReplayStats
 	fromSnap  bool
@@ -283,6 +289,10 @@ func Open(cfg Config) (*Store, error) {
 		if cfg.N <= 0 || cfg.Alg == nil {
 			return nil, errors.New("server: empty store and no engine shape configured")
 		}
+		dur := cfg.BucketDur
+		if dur <= 0 {
+			dur = time.Minute
+		}
 		switch cfg.Engine {
 		case "", engine.KindBank:
 			shards := cfg.Shards
@@ -296,22 +306,12 @@ func Open(cfg Config) (*Store, error) {
 				k = 64
 			}
 			st.eng, err = engine.NewTopK(cfg.N, cfg.Alg, st.cfg.Partitions, k, cfg.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
 		case engine.KindWindow:
 			b := cfg.Buckets
 			if b <= 0 {
 				b = 8
 			}
-			dur := cfg.BucketDur
-			if dur <= 0 {
-				dur = time.Minute
-			}
 			st.eng, err = engine.NewWindow(cfg.N, cfg.Alg, st.cfg.Partitions, b, int64(dur), cfg.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
 		case engine.KindDistinct:
 			p := cfg.DistinctPrecision
 			if p <= 0 {
@@ -320,16 +320,9 @@ func Open(cfg Config) (*Store, error) {
 			// Buckets > 0 selects the windowed flavor ("uniques in the last
 			// N minutes"); otherwise the sketch counts uniques forever.
 			if cfg.Buckets > 0 {
-				dur := cfg.BucketDur
-				if dur <= 0 {
-					dur = time.Minute
-				}
 				st.eng, err = engine.NewDistinctWindow(cfg.N, st.cfg.Partitions, p, cfg.Buckets, int64(dur), cfg.Seed)
 			} else {
 				st.eng, err = engine.NewDistinct(cfg.N, st.cfg.Partitions, p, cfg.Seed)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
 			}
 		case engine.KindF2:
 			rows, cols := cfg.F2Rows, cfg.F2Cols
@@ -340,21 +333,17 @@ func Open(cfg Config) (*Store, error) {
 				cols = 64
 			}
 			if cfg.Buckets > 0 {
-				dur := cfg.BucketDur
-				if dur <= 0 {
-					dur = time.Minute
-				}
 				st.eng, err = engine.NewF2Window(cfg.N, st.cfg.Partitions, rows, cols, cfg.Buckets, int64(dur), cfg.Seed)
 			} else {
 				st.eng, err = engine.NewF2(cfg.N, st.cfg.Partitions, rows, cols, cfg.Seed)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
 			}
 		default:
 			return nil, fmt.Errorf("server: unknown engine %q (want %s | %s | %s | %s | %s)",
 				cfg.Engine, engine.KindBank, engine.KindTopK, engine.KindWindow,
 				engine.KindDistinct, engine.KindF2)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
 	// Windowed engines need an epoch source for the live write path; the
@@ -394,7 +383,7 @@ func Open(cfg Config) (*Store, error) {
 	// checkpoint's delta covers precisely checkpoint-to-now churn.
 	st.eng.TakeDirty()
 
-	st.recovered, err = wal.Replay(cfg.Dir, st.ckptSeq.Load(), st.applyRecord)
+	st.recovered, err = wal.Replay(cfg.Dir, st.ckptSeq.Load(), st.replay)
 	if err != nil {
 		return nil, fmt.Errorf("server: recovery: %w", err)
 	}
@@ -512,130 +501,264 @@ func (st *Store) Ready() error {
 	return st.log.Healthy()
 }
 
-// applyRecord applies one replayed WAL record to the engine.
-func (st *Store) applyRecord(rec wal.Record) error {
+// op is one store mutation: the WAL record that defines it, plus what check
+// derived from the record for apply and for the live path's version bumps.
+type op struct {
+	rec wal.Record
+	// snap is a merge record's checked peer snapshot — a delta's
+	// materialized form once check has run (delta remembers which it was).
+	// The live merge paths decode it before taking writeMu, since blobs can
+	// be MBs; on replay check decodes the blob.
+	snap  *snapcodec.Snapshot
+	delta bool
+	// wantVer is a live delta join's version guard (VersionAny on replay).
+	wantVer uint64
+	// applied is how many of a batch record's keys apply counted: fewer
+	// than len(Keys) when a windowed engine drops keys whose origin bucket
+	// rotated out.
+	applied int
+}
+
+// replay checks and applies one recovered WAL record with exactly the code
+// the live write path ran when it logged it.
+func (st *Store) replay(rec wal.Record) error {
+	o := op{rec: rec, wantVer: VersionAny}
+	if err := st.check(&o); err != nil {
+		return fmt.Errorf("server: replayed record type %d: %w", rec.Type, err)
+	}
+	if err := st.apply(&o); err != nil {
+		return fmt.Errorf("server: replayed record type %d: %w", rec.Type, err)
+	}
+	return nil
+}
+
+// check validates a record against the store as it stands and derives what
+// apply needs, so that apply cannot fail on a record check accepted. It runs
+// before Stage on the live path (under writeMu) and before apply on replay:
+// a record that would fail to apply is never logged, because on replay it
+// would fail identically and brick the store.
+func (st *Store) check(o *op) error {
+	rec := &o.rec
 	switch rec.Type {
-	case wal.RecBatch:
+	case wal.RecBatch, wal.RecBatchAt:
 		for _, k := range rec.Keys {
 			if k < 0 || k >= st.eng.Len() {
-				return fmt.Errorf("server: replayed key %d out of range [0,%d)", k, st.eng.Len())
+				return fmt.Errorf("%w: key %d out of range [0,%d)", ErrBadInput, k, st.eng.Len())
 			}
 		}
-		st.eng.ApplyBatch(rec.Keys)
-		st.batches.Add(1)
-		st.keys.Add(uint64(len(rec.Keys)))
-	case wal.RecMerge:
-		snap, err := st.decodePeer(rec.Blob, true)
-		if err != nil {
-			return fmt.Errorf("server: replayed merge: %w", err)
+	case wal.RecTick:
+		if st.windowed == nil {
+			return fmt.Errorf("tick to epoch %d on non-windowed engine %q", rec.Epoch, st.eng.Kind())
 		}
-		if err := st.eng.Merge(snap); err != nil {
-			return fmt.Errorf("server: replayed merge: %w", err)
-		}
-		st.noteInstall(snap)
-		st.merges.Add(1)
-	case wal.RecMergeMax:
-		// A max-join blob is either a full peer snapshot or a block delta.
-		// Deltas re-materialize against the engine state at this log
-		// position — byte-identical to the live base (log order = apply
-		// order), so the replayed join lands the same registers.
-		snap, err := snapcodec.DecodeCapped(rec.Blob, st.decodeCap())
-		if err != nil {
-			return fmt.Errorf("server: replayed merge-max: %w", err)
-		}
-		if snap.IsDelta() {
-			if snap, err = st.materializeLocked(snap); err != nil {
-				return fmt.Errorf("server: replayed delta merge-max: %w", err)
+	case wal.RecMerge, wal.RecMergeMax:
+		if o.snap == nil {
+			snap, err := st.decodePeer(rec.Blob, rec.Type)
+			if err != nil {
+				return err
 			}
-			st.deltaMaxs.Add(1)
+			o.snap = snap
+		}
+		if o.snap.IsDelta() {
+			// A delta re-materializes against the partition as it stands at
+			// this log position — byte-identical on replay to the live base
+			// (log order = apply order), so both land the same registers.
+			p := o.snap.Partition
+			if o.wantVer != VersionAny && st.partVer[p].Load() != o.wantVer {
+				return fmt.Errorf("%w: partition %d moved past version %d", ErrConflict, p, o.wantVer)
+			}
+			full, err := st.materializeLocked(o.snap)
+			if err != nil {
+				return fmt.Errorf("%w: %w", ErrBadInput, err)
+			}
+			o.snap, o.delta = full, true
+		}
+	case wal.RecOwn:
+		for _, p := range slices.Concat(rec.Keys, rec.Parts, rec.Owned) {
+			if err := st.checkPartition(p); err != nil {
+				return err
+			}
+		}
+	case wal.RecEvict:
+		return st.checkPartition(int(rec.Epoch))
+	default:
+		return fmt.Errorf("unknown WAL record type %d", rec.Type)
+	}
+	return nil
+}
+
+// apply performs a checked record's effect on the engine, the ownership
+// state and the operation counters. It is the one definition of what each
+// record type does: the live write path and replay both run it, which is
+// what makes a recovered store equal the live one.
+func (st *Store) apply(o *op) error {
+	rec := &o.rec
+	switch rec.Type {
+	case wal.RecBatch, wal.RecBatchAt:
+		if rec.Type == wal.RecBatchAt && st.windowed != nil {
+			o.applied = st.windowed.ApplyBatchEpoch(rec.Keys, rec.Epoch)
 		} else {
-			if err := st.eng.CheckPeer(snap, false); err != nil {
-				return fmt.Errorf("server: replayed merge-max: %w", err)
-			}
-			st.mergeMaxs.Add(1)
+			st.eng.ApplyBatch(rec.Keys)
+			o.applied = len(rec.Keys)
 		}
-		if err := st.eng.MergeMax(snap); err != nil {
-			return fmt.Errorf("server: replayed merge-max: %w", err)
+		st.batches.Add(1)
+		st.keys.Add(uint64(o.applied))
+		if stale := len(rec.Keys) - o.applied; stale > 0 {
+			st.stales.Add(uint64(stale))
 		}
-		st.noteInstall(snap)
+	case wal.RecTick:
+		st.windowed.Advance(rec.Epoch)
+		st.ticks.Add(1)
+	case wal.RecMerge, wal.RecMergeMax:
+		join, count := st.eng.MergeMax, st.mergeMaxs
+		switch {
+		case rec.Type == wal.RecMerge:
+			join, count = st.eng.Merge, st.merges
+		case o.delta:
+			count = st.deltaMaxs
+		}
+		if err := join(o.snap); err != nil {
+			return err
+		}
+		// A merge into a partition completes its install: recovery derives
+		// the pending set as "last RecOwn minus merges logged after it", so
+		// a crashed node never re-pulls (and disjoint-merges twice) a
+		// partition whose install already committed.
+		if o.snap.IsPartition() && o.snap.Parts == st.cfg.Partitions {
+			st.ownMu.Lock()
+			delete(st.ownPending, o.snap.Partition)
+			st.ownMu.Unlock()
+		}
+		count.Add(1)
 	case wal.RecOwn:
 		st.ownMu.Lock()
 		st.ownRing = rec.Epoch
-		st.ownPending = make(map[int]bool, len(rec.Keys))
-		for _, p := range rec.Keys {
-			st.ownPending[p] = true
-		}
-		st.ownFrozen = make(map[int]bool, len(rec.Parts))
-		for _, p := range rec.Parts {
-			st.ownFrozen[p] = true
-		}
-		st.ownOwned = make(map[int]bool, len(rec.Owned))
-		for _, p := range rec.Owned {
-			st.ownOwned[p] = true
-		}
+		st.ownPending = partSet(rec.Keys)
+		st.ownFrozen = partSet(rec.Parts)
+		st.ownOwned = partSet(rec.Owned)
 		st.ownLogged = true
 		st.ownMu.Unlock()
 	case wal.RecEvict:
 		p := int(rec.Epoch)
-		if p < 0 || p >= st.cfg.Partitions {
-			return fmt.Errorf("server: replayed evict of partition %d out of [0, %d)", p, st.cfg.Partitions)
-		}
-		lo, hi := snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, p)
-		if err := st.eng.ResetRange(lo, hi); err != nil {
-			return fmt.Errorf("server: replayed evict: %w", err)
+		if err := st.eng.ResetRange(snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, p)); err != nil {
+			return err
 		}
 		st.ownMu.Lock()
 		delete(st.ownFrozen, p)
 		st.ownMu.Unlock()
 		st.evicts.Add(1)
-	case wal.RecBatchAt:
-		for _, k := range rec.Keys {
-			if k < 0 || k >= st.eng.Len() {
-				return fmt.Errorf("server: replayed key %d out of range [0,%d)", k, st.eng.Len())
-			}
-		}
-		if st.windowed != nil {
-			applied := st.windowed.ApplyBatchEpoch(rec.Keys, rec.Epoch)
-			st.keys.Add(uint64(applied))
-			st.stales.Add(uint64(len(rec.Keys) - applied))
-		} else {
-			st.eng.ApplyBatch(rec.Keys)
-			st.keys.Add(uint64(len(rec.Keys)))
-		}
-		st.batches.Add(1)
-	case wal.RecTick:
-		if st.windowed == nil {
-			return fmt.Errorf("server: replayed tick to epoch %d on non-windowed engine %q",
-				rec.Epoch, st.eng.Kind())
-		}
-		st.windowed.Advance(rec.Epoch)
-		st.ticks.Add(1)
-	default:
-		return fmt.Errorf("server: unknown WAL record type %d", rec.Type)
 	}
 	return nil
 }
 
-// decodePeer decodes and validates a peer snapshot blob — whole or one
-// partition — against the local engine (engine.CheckPeer). With disjoint
-// the engine's disjoint-stream join must be supported (a max join needs no
-// algorithm support). Every check here runs BEFORE the blob is WAL-staged:
-// a record that fails during live apply would fail identically during
-// recovery replay and brick the store.
-func (st *Store) decodePeer(blob []byte, disjoint bool) (*snapcodec.Snapshot, error) {
+// write is the one live mutation path, behind every write entry point.
+// Under writeMu it checks o, observes the bucket clock when clock is set,
+// stages o's record and applies it; then, outside the lock, it bumps the
+// partition versions the write moved and joins group commit. A nil o only
+// observes the clock. Every tick is staged before the record it precedes,
+// so log order is apply order, and apply is what replay runs.
+func (st *Store) write(o *op, clock bool) error {
+	var err error
+	var ticket, t uint64
+	st.writeMu.Lock()
+	if o != nil {
+		err = st.check(o)
+	}
+	if err == nil && clock && st.windowed != nil {
+		ticket, err = st.tickLocked(st.clock())
+	}
+	// An epoch-tagged batch from an origin whose clock runs ahead first
+	// rotates the ring to that epoch, so the hint is not mistaken for an
+	// expired one.
+	if err == nil && o != nil && o.rec.Type == wal.RecBatchAt {
+		t, err = st.tickLocked(o.rec.Epoch)
+	}
+	ticked := ticket > 0 || t > 0
+	// Committing the record's ticket also makes the ticks staged before it
+	// durable: group commit flushes in stage order.
+	if err == nil && o != nil {
+		if ticket, err = st.log.Stage(o.rec); err == nil {
+			err = st.apply(o)
+		}
+	}
+	st.writeMu.Unlock()
+	// Versions move only after the registers did: the hash memo reads a
+	// partition's version before it scans.
+	if ticked {
+		st.bumpAll()
+	}
+	if err != nil || ticket == 0 {
+		return err
+	}
+	if o != nil {
+		switch o.rec.Type {
+		case wal.RecBatch, wal.RecBatchAt:
+			if o.applied > 0 {
+				st.bumpPartitions(o.rec.Keys)
+			}
+		case wal.RecMerge, wal.RecMergeMax:
+			st.bumpRange(st.peerSpan(o.snap))
+		case wal.RecEvict:
+			st.bumpRange(snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, int(o.rec.Epoch)))
+		}
+	}
+	return st.log.Commit(ticket)
+}
+
+// tickLocked advances a windowed engine to epoch when it is ahead of the
+// engine's clock, staging the tick first so replay rotates at exactly this
+// point in the record order. The epoch is whatever the caller observed —
+// replay never re-derives it. Returns the tick's ticket, 0 when there was
+// nothing to advance. Caller holds writeMu.
+func (st *Store) tickLocked(epoch uint64) (uint64, error) {
+	if st.windowed == nil || epoch <= st.windowed.Epoch() {
+		return 0, nil
+	}
+	tick := op{rec: wal.Record{Type: wal.RecTick, Epoch: epoch}}
+	ticket, err := st.log.Stage(tick.rec)
+	if err != nil {
+		return 0, err
+	}
+	return ticket, st.apply(&tick)
+}
+
+// checkPartition rejects a partition id outside the local split.
+func (st *Store) checkPartition(p int) error {
+	if p < 0 || p >= st.cfg.Partitions {
+		return fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
+	}
+	return nil
+}
+
+// partSet turns a logged partition list into a lookup set.
+func partSet(parts []int) map[int]bool {
+	set := make(map[int]bool, len(parts))
+	for _, p := range parts {
+		set[p] = true
+	}
+	return set
+}
+
+// decodePeer decodes a merge record's blob and validates it against the
+// local engine. A full snapshot — whole or one partition — must pass
+// engine.CheckPeer for the record's join: the disjoint merge (RecMerge)
+// needs algorithm support, the max join none. A block delta must be one
+// partition of the local split and joins only by max: its register section
+// is a scatter of blocks, which check materializes over the local
+// registers before anything splices it.
+func (st *Store) decodePeer(blob []byte, typ byte) (*snapcodec.Snapshot, error) {
 	snap, err := snapcodec.DecodeCapped(blob, st.decodeCap())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
-	// A delta's register section is a scatter of blocks, not the contiguous
-	// range the plain joins splice at the partition offset — feeding one to
-	// Merge/MergeMax would silently corrupt registers. Deltas have their own
-	// ingest path (MergeMaxDelta) that materializes them first.
 	if snap.IsDelta() {
-		return nil, errors.New("server: delta snapshot on a full-snapshot ingest path")
+		if typ != wal.RecMergeMax || !snap.IsPartition() || snap.Parts != st.cfg.Partitions {
+			return nil, fmt.Errorf("%w: a delta joins only by max, as one partition of the local %d-way split",
+				ErrBadInput, st.cfg.Partitions)
+		}
+		return snap, nil
 	}
-	if err := st.eng.CheckPeer(snap, disjoint); err != nil {
-		return nil, err
+	if err := st.eng.CheckPeer(snap, typ == wal.RecMerge); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
 	return snap, nil
 }
@@ -660,11 +783,9 @@ func (st *Store) decodeCap() int {
 // matched the local state — where hashes agree the registers are equal (up
 // to collision), so base-filling from local registers reproduces the peer's
 // snapshot. Caller holds writeMu (or is the single-threaded replay), so the
-// base cannot move between export and join.
+// base cannot move between export and join; decodePeer vetted the delta's
+// partition.
 func (st *Store) materializeLocked(d *snapcodec.Snapshot) (*snapcodec.Snapshot, error) {
-	if !d.IsPartition() || d.Parts != st.cfg.Partitions {
-		return nil, fmt.Errorf("server: delta join needs a partition snapshot of the local %d-way split", st.cfg.Partitions)
-	}
 	base, err := st.eng.Snapshot(d.Partition, d.Parts, false)
 	if err != nil {
 		return nil, err
@@ -691,42 +812,7 @@ func (st *Store) peerSpan(snap *snapcodec.Snapshot) (lo, hi int) {
 // applied to the engine under the write lock (log order = apply order),
 // then group-committed. It returns once the batch is fsync-durable.
 func (st *Store) Apply(keys []int) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if len(keys) > st.cfg.MaxBatch {
-		return fmt.Errorf("%w: batch of %d keys exceeds limit %d", ErrBadInput, len(keys), st.cfg.MaxBatch)
-	}
-	for _, k := range keys {
-		if k < 0 || k >= st.eng.Len() {
-			return fmt.Errorf("%w: key %d out of range [0,%d)", ErrBadInput, k, st.eng.Len())
-		}
-	}
-	t0 := time.Now()
-	st.writeMu.Lock()
-	ticked, err := st.tickLocked()
-	var ticket uint64
-	if err == nil {
-		ticket, err = st.log.Stage(wal.Record{Type: wal.RecBatch, Keys: keys})
-	}
-	if err == nil {
-		st.eng.ApplyBatch(keys)
-	}
-	st.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if ticked {
-		st.bumpAll()
-	}
-	st.bumpPartitions(keys)
-	st.batches.Add(1)
-	st.keys.Add(uint64(len(keys)))
-	st.mBatchLen.Observe(float64(len(keys)))
-	// Committing the batch ticket also makes any tick staged before it
-	// durable (group commit flushes in stage order).
-	err = st.log.Commit(ticket)
-	st.mApply.ObserveSince(t0)
+	_, err := st.ingest(wal.Record{Type: wal.RecBatch, Keys: keys})
 	return err
 }
 
@@ -740,81 +826,29 @@ func (st *Store) Apply(keys []int) error {
 // applies like Apply. Returns the number of keys actually counted.
 func (st *Store) ApplyAt(keys []int, epoch uint64) (int, error) {
 	if st.windowed == nil {
-		if err := st.Apply(keys); err != nil {
-			return 0, err
-		}
-		return len(keys), nil
+		return st.ingest(wal.Record{Type: wal.RecBatch, Keys: keys})
 	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	if len(keys) > st.cfg.MaxBatch {
-		return 0, fmt.Errorf("%w: batch of %d keys exceeds limit %d", ErrBadInput, len(keys), st.cfg.MaxBatch)
-	}
-	for _, k := range keys {
-		if k < 0 || k >= st.eng.Len() {
-			return 0, fmt.Errorf("%w: key %d out of range [0,%d)", ErrBadInput, k, st.eng.Len())
-		}
-	}
-	t0 := time.Now()
-	st.writeMu.Lock()
-	ticked, err := st.tickLocked()
-	if err == nil && epoch > st.windowed.Epoch() {
-		// The origin clock runs ahead of ours: rotate to it (logged) so the
-		// hint is not mistaken for an expired one.
-		if _, err = st.log.Stage(wal.Record{Type: wal.RecTick, Epoch: epoch}); err == nil {
-			st.windowed.Advance(epoch)
-			st.ticks.Add(1)
-			ticked = true
-		}
-	}
-	var ticket uint64
-	applied := 0
-	if err == nil {
-		ticket, err = st.log.Stage(wal.Record{Type: wal.RecBatchAt, Epoch: epoch, Keys: keys})
-	}
-	if err == nil {
-		applied = st.windowed.ApplyBatchEpoch(keys, epoch)
-	}
-	st.writeMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if ticked {
-		st.bumpAll()
-	}
-	if applied > 0 {
-		st.bumpPartitions(keys)
-	}
-	st.batches.Add(1)
-	st.keys.Add(uint64(applied))
-	st.stales.Add(uint64(len(keys) - applied))
-	st.mBatchLen.Observe(float64(len(keys)))
-	err = st.log.Commit(ticket)
-	st.mApply.ObserveSince(t0)
-	return applied, err
+	return st.ingest(wal.Record{Type: wal.RecBatchAt, Epoch: epoch, Keys: keys})
 }
 
-// tickLocked advances a windowed engine to the clock's current bucket
-// epoch, staging the tick in the WAL FIRST so replay rotates at exactly
-// this point in the record order. The epoch value is whatever the clock
-// read now — it is never re-derived on replay. Caller holds writeMu;
-// reports whether a tick was staged (the caller bumps partition versions
-// outside the lock).
-func (st *Store) tickLocked() (bool, error) {
-	if st.windowed == nil {
-		return false, nil
+// ingest is the admission policy the increment entry points share: empty
+// batches are no-ops, and MaxBatch bounds what a request may carry (never
+// what replay accepts). It returns the number of keys counted.
+func (st *Store) ingest(rec wal.Record) (int, error) {
+	if len(rec.Keys) == 0 {
+		return 0, nil
 	}
-	epoch := st.clock()
-	if epoch <= st.windowed.Epoch() {
-		return false, nil
+	if len(rec.Keys) > st.cfg.MaxBatch {
+		return 0, fmt.Errorf("%w: batch of %d keys exceeds limit %d", ErrBadInput, len(rec.Keys), st.cfg.MaxBatch)
 	}
-	if _, err := st.log.Stage(wal.Record{Type: wal.RecTick, Epoch: epoch}); err != nil {
-		return false, err
+	t0 := time.Now()
+	o := op{rec: rec}
+	err := st.write(&o, true)
+	if err == nil {
+		st.mBatchLen.Observe(float64(len(rec.Keys)))
+		st.mApply.ObserveSince(t0)
 	}
-	st.windowed.Advance(epoch)
-	st.ticks.Add(1)
-	return true, nil
+	return o.applied, err
 }
 
 // bumpAll advances every partition's write version — a bucket rotation
@@ -830,17 +864,7 @@ func (st *Store) bumpAll() {
 // still expires), committing the WAL tick before returning. A no-op —
 // including on non-windowed engines — when there is nothing to advance.
 func (st *Store) AdvanceWindow() error {
-	if st.windowed == nil {
-		return nil
-	}
-	st.writeMu.Lock()
-	ticked, err := st.tickLocked()
-	st.writeMu.Unlock()
-	if err != nil || !ticked {
-		return err
-	}
-	st.bumpAll()
-	return st.log.Sync()
+	return st.write(nil, true)
 }
 
 // bumpPartitions advances the write version of every partition the batch
@@ -933,7 +957,7 @@ func (st *Store) PartitionHash(p int) (uint64, error) {
 // it for sketches that absorbed DISJOINT streams; replicas of the same
 // stream converge with MergeMax instead.
 func (st *Store) Merge(blob []byte) error {
-	return st.mergeBlob(blob, wal.RecMerge)
+	return st.mergeBlob(blob, wal.RecMerge, false)
 }
 
 // MergeMax ingests a peer snapshot via the engine's idempotent replica join
@@ -942,43 +966,25 @@ func (st *Store) Merge(blob []byte) error {
 // same logical stream. WAL-logged like Merge; max draws no randomness, so
 // replay is trivially exact.
 func (st *Store) MergeMax(blob []byte) error {
-	return st.mergeBlob(blob, wal.RecMergeMax)
+	return st.mergeBlob(blob, wal.RecMergeMax, false)
 }
 
-func (st *Store) mergeBlob(blob []byte, rec byte) error {
-	snap, err := st.decodePeer(blob, rec == wal.RecMerge)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	st.writeMu.Lock()
-	ticket, err := st.log.Stage(wal.Record{Type: rec, Blob: blob})
-	var mergeErr error
-	if err == nil {
-		if rec == wal.RecMerge {
-			mergeErr = st.eng.Merge(snap)
-		} else {
-			mergeErr = st.eng.MergeMax(snap)
-		}
-	}
-	st.writeMu.Unlock()
+// mergeBlob writes a full peer snapshot as a typ merge record — with
+// install set, only one partition of the local split. The blob is decoded
+// and checked here, before write takes writeMu, because it can be MBs.
+func (st *Store) mergeBlob(blob []byte, typ byte, install bool) error {
+	snap, err := st.decodePeer(blob, typ)
 	if err != nil {
 		return err
 	}
-	if mergeErr != nil {
-		// The record is logged but the merge failed — decodePeer pre-checks
-		// the snapshot via engine.CheckPeer, so this is unreachable short of
-		// a bug; poison nothing, just report.
-		return mergeErr
+	if snap.IsDelta() {
+		return fmt.Errorf("%w: delta snapshot on a full-snapshot ingest path", ErrBadInput)
 	}
-	lo, hi := st.peerSpan(snap)
-	st.bumpRange(lo, hi)
-	st.noteInstall(snap)
-	if rec == wal.RecMerge {
-		st.merges.Add(1)
-	} else {
-		st.mergeMaxs.Add(1)
+	if install && (!snap.IsPartition() || snap.Parts != st.cfg.Partitions) {
+		return fmt.Errorf("%w: install needs a partition snapshot of the local %d-way split",
+			ErrBadInput, st.cfg.Partitions)
 	}
-	return st.log.Commit(ticket)
+	return st.write(&op{rec: wal.Record{Type: typ, Blob: blob}, snap: snap}, false)
 }
 
 // MergeMaxDelta ingests a block delta of one partition via the replica
@@ -995,46 +1001,14 @@ func (st *Store) mergeBlob(blob []byte, rec byte) error {
 // caller accepts joining over the current state, e.g. a rebalance pull,
 // because the max-join itself is idempotent and monotone.
 func (st *Store) MergeMaxDelta(blob []byte, wantVer uint64) error {
-	d, err := snapcodec.DecodeCapped(blob, st.decodeCap())
+	d, err := st.decodePeer(blob, wal.RecMergeMax)
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrBadInput, err)
+		return err
 	}
 	if !d.IsDelta() {
 		return fmt.Errorf("%w: delta join of a non-delta snapshot", ErrBadInput)
 	}
-	if !d.IsPartition() || d.Parts != st.cfg.Partitions {
-		return fmt.Errorf("%w: delta join needs a partition snapshot of the local %d-way split",
-			ErrBadInput, st.cfg.Partitions)
-	}
-	st.writeMu.Lock()
-	if wantVer != VersionAny && st.partVer[d.Partition].Load() != wantVer {
-		st.writeMu.Unlock()
-		return fmt.Errorf("%w: partition %d moved past version %d", ErrConflict, d.Partition, wantVer)
-	}
-	full, err := st.materializeLocked(d)
-	if err != nil {
-		st.writeMu.Unlock()
-		return fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	ticket, err := st.log.Stage(wal.Record{Type: wal.RecMergeMax, Blob: blob})
-	var applyErr error
-	if err == nil {
-		applyErr = st.eng.MergeMax(full)
-	}
-	st.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if applyErr != nil {
-		// materializeLocked ran the full CheckPeer pass, so this is
-		// unreachable short of a bug; report without poisoning anything.
-		return applyErr
-	}
-	lo, hi := st.peerSpan(full)
-	st.bumpRange(lo, hi)
-	st.noteInstall(full)
-	st.deltaMaxs.Add(1)
-	return st.log.Commit(ticket)
+	return st.write(&op{rec: wal.Record{Type: wal.RecMergeMax, Blob: blob}, snap: d, wantVer: wantVer}, false)
 }
 
 // PartitionBlockHashes returns per-block FNV-1a fingerprints of partition
@@ -1078,20 +1052,6 @@ func (st *Store) PartitionDeltaTo(w io.Writer, p int, blocks []uint32) error {
 	return snapcodec.EncodeTo(w, d)
 }
 
-// noteInstall clears a partition's pending-install mark when a merge lands
-// in it. Mirrored on replay, so recovery re-derives the pending set as
-// "last RecOwn minus merges logged after it" — a crashed node never
-// re-pulls (and disjoint-merges twice) a partition whose install already
-// committed.
-func (st *Store) noteInstall(snap *snapcodec.Snapshot) {
-	if !snap.IsPartition() || snap.Parts != st.cfg.Partitions {
-		return
-	}
-	st.ownMu.Lock()
-	delete(st.ownPending, snap.Partition)
-	st.ownMu.Unlock()
-}
-
 // sortedKeys flattens a partition set into a sorted list, so re-logged
 // ownership records are byte-stable.
 func sortedKeys(set map[int]bool) []int {
@@ -1109,38 +1069,7 @@ func sortedKeys(set map[int]bool) []int {
 // Staged under the write lock so the record's position in the log is
 // consistent with the merges and evicts around it.
 func (st *Store) SetOwnership(ring uint64, pending, frozen, owned []int) error {
-	for _, list := range [][]int{pending, frozen, owned} {
-		for _, p := range list {
-			if p < 0 || p >= st.cfg.Partitions {
-				return fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
-			}
-		}
-	}
-	st.writeMu.Lock()
-	ticket, err := st.log.Stage(wal.Record{Type: wal.RecOwn, Epoch: ring, Keys: pending, Parts: frozen, Owned: owned})
-	if err == nil {
-		st.ownMu.Lock()
-		st.ownRing = ring
-		st.ownPending = make(map[int]bool, len(pending))
-		for _, p := range pending {
-			st.ownPending[p] = true
-		}
-		st.ownFrozen = make(map[int]bool, len(frozen))
-		for _, p := range frozen {
-			st.ownFrozen[p] = true
-		}
-		st.ownOwned = make(map[int]bool, len(owned))
-		for _, p := range owned {
-			st.ownOwned[p] = true
-		}
-		st.ownLogged = true
-		st.ownMu.Unlock()
-	}
-	st.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return st.log.Commit(ticket)
+	return st.write(&op{rec: wal.Record{Type: wal.RecOwn, Epoch: ring, Keys: pending, Parts: frozen, Owned: owned}}, false)
 }
 
 // Ownership returns the durable rebalance state: the ring version of the
@@ -1149,24 +1078,21 @@ func (st *Store) SetOwnership(ring uint64, pending, frozen, owned []int) error {
 // ok is false when no ownership epoch was ever logged (a store that has
 // never rebalanced).
 func (st *Store) Ownership() (ring uint64, pending, frozen, owned []int, ok bool) {
-	st.ownMu.Lock()
-	defer st.ownMu.Unlock()
-	if !st.ownLogged {
+	rec, ok := st.ownRecord()
+	if !ok {
 		return 0, nil, nil, nil, false
 	}
-	for p := range st.ownPending {
-		pending = append(pending, p)
-	}
-	for p := range st.ownFrozen {
-		frozen = append(frozen, p)
-	}
-	for p := range st.ownOwned {
-		owned = append(owned, p)
-	}
-	sort.Ints(pending)
-	sort.Ints(frozen)
-	sort.Ints(owned)
-	return st.ownRing, pending, frozen, owned, true
+	return rec.Epoch, rec.Keys, rec.Parts, rec.Owned, true
+}
+
+// ownRecord returns the RecOwn record that reproduces the current
+// ownership state — lists sorted, so a re-logged record is byte-stable —
+// and whether an ownership epoch was ever logged.
+func (st *Store) ownRecord() (wal.Record, bool) {
+	st.ownMu.Lock()
+	defer st.ownMu.Unlock()
+	return wal.Record{Type: wal.RecOwn, Epoch: st.ownRing, Keys: sortedKeys(st.ownPending),
+		Parts: sortedKeys(st.ownFrozen), Owned: sortedKeys(st.ownOwned)}, st.ownLogged
 }
 
 // PendingPartition reports whether partition p is still awaiting its
@@ -1193,31 +1119,7 @@ func (st *Store) FrozenPartition(p int) bool {
 // mutation), so recovery replays it at the same point and the truncated
 // registers stay truncated.
 func (st *Store) EvictPartition(p int) error {
-	if p < 0 || p >= st.cfg.Partitions {
-		return fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
-	}
-	lo, hi := snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, p)
-	st.writeMu.Lock()
-	ticket, err := st.log.Stage(wal.Record{Type: wal.RecEvict, Epoch: uint64(p)})
-	var resetErr error
-	if err == nil {
-		resetErr = st.eng.ResetRange(lo, hi)
-	}
-	st.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if resetErr != nil {
-		// The range is partition-aligned and in bounds, so this is
-		// unreachable short of a bug; report without poisoning anything.
-		return resetErr
-	}
-	st.ownMu.Lock()
-	delete(st.ownFrozen, p)
-	st.ownMu.Unlock()
-	st.bumpRange(lo, hi)
-	st.evicts.Add(1)
-	return st.log.Commit(ticket)
+	return st.write(&op{rec: wal.Record{Type: wal.RecEvict, Epoch: uint64(p)}}, false)
 }
 
 // Fresh reports whether the store started from nothing: no checkpoint and
@@ -1236,49 +1138,13 @@ func (st *Store) Fresh() bool { return !st.fromSnap && st.recovered.Records == 0
 // side keeps the post-flip writes it coordinated while pending, and the
 // frozen copy contributes the history. The merge record's replay re-derives
 // both halves in the same order, and because the pending mark clears with
-// the same record (noteInstall), a crashed node can never pull and
+// the same record (see Store.apply), a crashed node can never pull and
 // disjoint-merge the same history twice.
 func (st *Store) InstallPartition(blob []byte, disjoint bool) error {
-	snap, err := st.decodePeer(blob, disjoint)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	if !snap.IsPartition() || snap.Parts != st.cfg.Partitions {
-		return fmt.Errorf("%w: install needs a partition snapshot of the local %d-way split",
-			ErrBadInput, st.cfg.Partitions)
-	}
-	lo, hi := st.peerSpan(snap)
-	rec := wal.RecMergeMax
 	if disjoint {
-		rec = wal.RecMerge
+		return st.mergeBlob(blob, wal.RecMerge, true)
 	}
-	st.writeMu.Lock()
-	ticket, err := st.log.Stage(wal.Record{Type: rec, Blob: blob})
-	var applyErr error
-	if err == nil {
-		if disjoint {
-			applyErr = st.eng.Merge(snap)
-		} else {
-			applyErr = st.eng.MergeMax(snap)
-		}
-	}
-	st.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if applyErr != nil {
-		// decodePeer pre-validated the snapshot and the range is aligned, so
-		// this is unreachable short of a bug; report without poisoning.
-		return applyErr
-	}
-	st.bumpRange(lo, hi)
-	st.noteInstall(snap)
-	if disjoint {
-		st.merges.Add(1)
-	} else {
-		st.mergeMaxs.Add(1)
-	}
-	return st.log.Commit(ticket)
+	return st.mergeBlob(blob, wal.RecMergeMax, true)
 }
 
 // Estimate returns N̂ for one key.
@@ -1518,19 +1384,11 @@ func (st *Store) Checkpoint() error {
 	// reflects every record before this one, so replaying it is pure
 	// metadata.
 	var ownTicket uint64
-	var ownStaged bool
-	st.ownMu.Lock()
-	if st.ownLogged {
-		rec := wal.Record{Type: wal.RecOwn, Epoch: st.ownRing,
-			Keys: sortedKeys(st.ownPending), Parts: sortedKeys(st.ownFrozen), Owned: sortedKeys(st.ownOwned)}
-		st.ownMu.Unlock()
+	if rec, ok := st.ownRecord(); ok {
 		if ownTicket, err = st.log.Stage(rec); err != nil {
 			st.writeMu.Unlock()
 			return err
 		}
-		ownStaged = true
-	} else {
-		st.ownMu.Unlock()
 	}
 	snap, err := st.eng.Snapshot(0, 0, true)
 	var dirty []uint32
@@ -1554,7 +1412,7 @@ func (st *Store) Checkpoint() error {
 		}
 		return e
 	}
-	if ownStaged {
+	if ownTicket > 0 {
 		if err := st.log.Commit(ownTicket); err != nil {
 			return rearm(err)
 		}
@@ -1562,7 +1420,7 @@ func (st *Store) Checkpoint() error {
 
 	base := st.ckptSeq.Load()
 	nregs := snap.Regs().Len()
-	useDelta := tracked && base > 0 && nregs > 0 &&
+	useDelta := tracked && base > 0 && nregs > 0 && !st.forceFull.Load() &&
 		st.cfg.DeltaFraction >= 0 &&
 		st.chainLen.Load() < int64(st.maxDeltaChain()) &&
 		float64(len(dirty)) <= st.deltaFraction()*float64(snapcodec.NumBlocks(nregs))
@@ -1580,7 +1438,14 @@ func (st *Store) Checkpoint() error {
 	if err != nil {
 		return rearm(err)
 	}
-	syncDir(st.cfg.Dir)
+	if err := syncDir(st.cfg.Dir); err != nil {
+		// The new image's dirent may not survive a power loss, so nothing it
+		// replaces may go: no WAL truncation, no snapshot GC. It may survive
+		// too, so the next checkpoint is full — a delta chained onto the
+		// previous tag would fork the chain.
+		st.forceFull.Store(true)
+		return rearm(fmt.Errorf("server: checkpoint: sync directory: %w", err))
+	}
 
 	st.ckptSeq.Store(seq)
 	st.lastCkpt.Store(time.Now().UnixNano())
@@ -1593,6 +1458,7 @@ func (st *Store) Checkpoint() error {
 		return st.log.TruncateBefore(seq)
 	}
 	st.chainLen.Store(0)
+	st.forceFull.Store(false)
 	st.ckptFull.Add(1)
 	st.ckptBytesFull.Add(uint64(bytes))
 	// Garbage-collect: older full snapshots and every delta (all strictly
@@ -1903,10 +1769,16 @@ func applyDeltaChain(dir string, fullSeq uint64, snap *snapcodec.Snapshot) (int,
 	return chain, prev, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file's dirent is durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir fsyncs a directory so a just-renamed file's dirent is durable. A
+// variable so a test can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
