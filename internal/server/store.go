@@ -523,10 +523,11 @@ type op struct {
 // the live write path ran when it logged it.
 func (st *Store) replay(rec wal.Record) error {
 	o := op{rec: rec, wantVer: VersionAny}
-	if err := st.check(&o); err != nil {
-		return fmt.Errorf("server: replayed record type %d: %w", rec.Type, err)
+	err := st.check(&o)
+	if err == nil {
+		err = st.apply(&o)
 	}
-	if err := st.apply(&o); err != nil {
+	if err != nil {
 		return fmt.Errorf("server: replayed record type %d: %w", rec.Type, err)
 	}
 	return nil
