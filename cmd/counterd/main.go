@@ -75,7 +75,7 @@
 //	counterd -addr :8347 -dir ./d0 -cluster
 //	counterd -addr :8348 -dir ./d1 -cluster -join http://localhost:8347
 //	counterd -addr :8349 -dir ./d2 -cluster -join http://localhost:8347
-//	countertool bench-cluster -nodes http://localhost:8347 -events 1000000
+//	curl -X POST localhost:8348/inc -d '{"keys":[1,2,3,2]}'
 package main
 
 import (

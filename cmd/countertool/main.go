@@ -13,21 +13,18 @@
 //	countertool -algo morris+ -eps 0.1 -delta 1e-4 -n 500000 -trials 100
 //	countertool -algo csuros -bits 17 -n 750000
 //	countertool serve -pages 100000 -events 5000000 -goroutines 8 -compare
-//	countertool bench-serve -addr http://localhost:8347 -events 1000000
-//	countertool bench-cluster -nodes http://localhost:8347 -events 1000000
 //	countertool topk -nodes http://localhost:8347 -events 1000000 -zipf 1.1
 //	countertool windowed -nodes http://localhost:8347 -events 300000 -phases 3
 //	countertool distinct -nodes http://localhost:8347 -events 1000000 -zipf 1.2
 //
-// The bench-serve subcommand (benchserve.go) drives a running counterd
-// daemon over HTTP; bench-cluster (benchcluster.go) drives a whole counterd
-// cluster through the ring-aware smart client; topk (topk.go) drives a
-// Zipf heavy-hitters workload against the topk engine and reports how well
-// the cluster recovered the true top-k; windowed (windowed.go) drives a
-// Zipf-with-drift workload against the window engine and verifies the
-// trailing-window top-k tracks the shifting hot set; distinct (distinct.go)
-// drives a Zipf workload against the distinct engine and reports the
-// cluster's cardinality estimate against the exact unique count.
+// The topk subcommand (topk.go) drives a Zipf heavy-hitters workload
+// against the topk engine and reports how well the cluster recovered the
+// true top-k; windowed (windowed.go) drives a Zipf-with-drift workload
+// against the window engine and verifies the trailing-window top-k tracks
+// the shifting hot set; distinct (distinct.go) drives a Zipf workload
+// against the distinct engine and reports the cluster's cardinality
+// estimate against the exact unique count. End-to-end load tests are
+// bench/run.sh's job: it boots real counterd processes (bench/README.md).
 package main
 
 import (
@@ -42,14 +39,6 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		serveMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench-serve" {
-		benchServeMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench-cluster" {
-		benchClusterMain(os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "topk" {

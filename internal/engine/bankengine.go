@@ -107,6 +107,7 @@ func (e *BankEngine) HashRange(lo, hi int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer v.Release()
 	h := newFNV()
 	snapcodec.EachBlock(v, func(block []uint64) {
 		for _, reg := range block {
@@ -116,10 +117,11 @@ func (e *BankEngine) HashRange(lo, hi int) (uint64, error) {
 	return h.sum(), nil
 }
 
-// Snapshot implements Engine. The register section is a packed view of the
-// bank (shardbank.FreezeRange) — a globally consistent cut the encoder reads
-// block by block — so a snapshot costs the bank's packed size, never a
-// []uint64 of every register.
+// Snapshot implements Engine. The register section is a copy-on-write cut
+// of the bank (shardbank.FreezeRange): the encoder reads the registers of
+// the instant of the cut block by block while writers go on, so a snapshot
+// costs one chunk buffer plus what writers change while it is open, never
+// a copy of the bank. Callers Release the snapshot once they have read it.
 func (e *BankEngine) Snapshot(part, parts int, withState bool) (*snapcodec.Snapshot, error) {
 	snap := &snapcodec.Snapshot{
 		N:      e.b.Len(),
@@ -244,5 +246,6 @@ func (e *BankEngine) BlockHashes(part, parts int) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer v.Release()
 	return blockHashes(v), nil
 }

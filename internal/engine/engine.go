@@ -237,6 +237,7 @@ func SnapshotTo(w io.Writer, e Engine, part, parts int, withState bool) error {
 	if err != nil {
 		return err
 	}
+	defer snap.Release()
 	return snapcodec.EncodeTo(w, snap)
 }
 

@@ -6,10 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/snapcodec"
 )
 
 // scrape fetches path and returns the body.
@@ -117,5 +120,79 @@ func TestReadyzReportsWALFailure(t *testing.T) {
 	}
 	if !strings.Contains(body, `"ready":false`) {
 		t.Fatalf("/v1/readyz after close: body %q", body)
+	}
+}
+
+// counterd_mem_bytes reports the registers exactly, and the words writers
+// save for an open snapshot go back to 0 once it is released — and stay 0
+// across a /v1/snapshot of an idle store.
+func TestMemGauges(t *testing.T) {
+	st, err := Open(testConfig(t, 100_000))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close(false)
+	srv := httptest.NewServer(Handler(st))
+	defer srv.Close()
+	for _, b := range zipfBatches(100_000, 20, 1024, 5) {
+		if err := st.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	part := func(p string) (float64, bool) {
+		t.Helper()
+		_, body := scrape(t, srv.URL, "/metrics")
+		prefix := `counterd_mem_bytes{part="` + p + `"} `
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f, true
+			}
+		}
+		return 0, false
+	}
+	if v, _ := part("registers"); v != float64(st.Bank().SizeBytes()) {
+		t.Errorf("registers = %v, bank is %d bytes", v, st.Bank().SizeBytes())
+	}
+	runtime.GC() // heap_live is what the last GC marked: 0 before the first
+	for _, p := range []string{"heap_live", "heap_goal"} {
+		if v, ok := part(p); !ok || v <= 0 {
+			t.Errorf("%s = %v (present %v)", p, v, ok)
+		}
+	}
+	if runtime.GOOS == "linux" {
+		rss, _ := part("rss")
+		peak, _ := part("rss_peak")
+		if rss <= 0 || peak < rss {
+			t.Errorf("rss = %v, rss_peak = %v", rss, peak)
+		}
+	}
+	if code, _ := scrape(t, srv.URL, "/v1/snapshot"); code != 200 {
+		t.Fatalf("/v1/snapshot: status %d", code)
+	}
+	if v, ok := part("cut_copies"); !ok || v != 0 {
+		t.Fatalf("cut_copies = %v after /v1/snapshot on an idle store (present %v)", v, ok)
+	}
+	// A snapshot still being read holds what writers change under it ...
+	snap, err := st.Engine().Snapshot(0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Apply(zipfBatches(100_000, 1, 4096, 6)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := part("cut_copies"); v <= 0 {
+		t.Fatalf("cut_copies = %v while a written snapshot is open", v)
+	}
+	// ... and nothing once it is read and released.
+	if err := snapcodec.EncodeTo(io.Discard, snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	if v, _ := part("cut_copies"); v != 0 {
+		t.Fatalf("cut_copies = %v after the snapshot was released", v)
 	}
 }

@@ -72,6 +72,7 @@ func TestMetricNamesPinned(t *testing.T) {
 		{"counterd_checkpoint_total", "counter"},
 		{"counterd_checkpoint_bytes_total", "counter"},
 		{"counterd_checkpoint_chain_len", "gauge"},
+		{"counterd_mem_bytes", "gauge"},
 		{"counterd_wal_append_seconds", "histogram"},
 		{"counterd_wal_fsync_seconds", "histogram"},
 		{"counterd_wal_commit_seconds", "histogram"},

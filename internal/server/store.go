@@ -487,6 +487,7 @@ func (st *Store) initMetrics(reg *metrics.Registry) {
 		})
 	reg.Gauge("counterd_store_start_time_seconds",
 		"Unix time this store opened.").Set(float64(st.started.UnixNano()) / 1e9)
+	st.memGauges(reg)
 }
 
 // Metrics returns the store's registry — the one /metrics renders and
@@ -791,6 +792,7 @@ func (st *Store) materializeLocked(d *snapcodec.Snapshot) (*snapcodec.Snapshot, 
 	if err != nil {
 		return nil, err
 	}
+	defer base.Release()
 	full, err := snapcodec.MaterializeDelta(d, base.Regs())
 	if err != nil {
 		return nil, err
@@ -1043,6 +1045,7 @@ func (st *Store) PartitionDeltaTo(w io.Writer, p int, blocks []uint32) error {
 	if err != nil {
 		return err
 	}
+	defer snap.Release()
 	if snap.Regs().Len() == 0 {
 		return fmt.Errorf("%w: engine %q snapshots carry no register blocks", ErrBadInput, st.eng.Kind())
 	}
@@ -1372,7 +1375,8 @@ func (st *Store) Checkpoint() error {
 	// Rotation, state capture, and the dirty-block drain happen under
 	// writeMu so no write lands between "records before S", "engine state
 	// at S", and "blocks dirtied before S". The bank engine's capture is a
-	// memcpy of its packed words; encoding runs after the lock is released.
+	// copy-on-write cut that copies no register: encoding runs after the
+	// lock is released, reading the registers of S while writers go on.
 	st.writeMu.Lock()
 	seq, err := st.log.Rotate()
 	if err != nil {
@@ -1404,6 +1408,7 @@ func (st *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
+	defer snap.Release()
 	// From here on the drained blocks are owed to the next checkpoint: any
 	// failure before the new image is durable must re-arm them, or a later
 	// delta would silently miss churn.

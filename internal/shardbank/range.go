@@ -61,6 +61,7 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 		for k := first; k < hi; k += p {
 			local := k >> b.shift
 			if v := regs[k-lo]; v > s.arr.Get(local) {
+				b.cow(si, local)
 				s.arr.Set(local, v)
 				b.touch(k, v)
 			}
@@ -87,8 +88,9 @@ func (b *Bank) ResetRange(lo, hi int) error {
 	b.lockAll()
 	defer b.unlockAll()
 	for k := lo; k < hi; k++ {
-		s, local := b.shards[uint64(k)&b.mask], k>>b.shift
-		if s.arr.Get(local) != 0 {
+		si, local := int(uint64(k)&b.mask), k>>b.shift
+		if s := b.shards[si]; s.arr.Get(local) != 0 {
+			b.cow(si, local)
 			s.arr.Set(local, 0)
 			b.dirty.Mark(k)
 		}
@@ -130,6 +132,7 @@ func (b *Bank) MergeRange(lo int, regs []uint64) error {
 			local := k >> b.shift
 			old := s.arr.Get(local)
 			if merged := ma.MergeRegs(old, regs[k-lo], s.rng); merged != old {
+				b.cow(si, local)
 				s.arr.Set(local, merged)
 				b.touch(k, merged)
 			}

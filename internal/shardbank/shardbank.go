@@ -27,14 +27,16 @@
 //     division, no interface call. Unknown algorithms fall back to the
 //     generic Algorithm.Step path.
 //
-// The one thing the hot path pays for the readers is touch (blockmax.go),
-// called for each register that actually changed: two atomic loads and
-// compares in the common case, never a lock.
+// What the hot path pays for the readers is touch (blockmax.go), called for
+// each register that actually changed — two atomic loads and compares in
+// the common case, never a lock — and, just before it, cow (cut.go): one
+// branch while no view is open.
 //
 // Reads come in two sizes. Estimate/Register lock one shard. Bulk readers
 // — snapshots, checkpoints, range hashes, top-k — go through the packed read
-// path in view.go: Freeze copies the shards' packed words under all locks
-// and serves registers off the copy; TopRegisters ranks registers in place,
+// path in view.go: Freeze takes a copy-on-write cut under all locks and
+// serves the registers of that instant a chunk at a time, copying only what
+// writers change while it is open; TopRegisters ranks registers in place,
 // and reads only the blocks that can rank. What lets it skip is the second
 // of two facts the bank keeps per 128-key block of the global key order,
 // both written by the one touch every register write path calls: a dirty
@@ -174,6 +176,11 @@ type Bank struct {
 	// blockMax[bi] bounds every register of block bi from above; see
 	// blockmax.go.
 	blockMax []atomic.Uint64
+
+	// cuts lists the open views' copy-on-write cuts (cut.go); it changes
+	// only under every shard lock. cutBytes counts the words they saved.
+	cuts     []*cut
+	cutBytes atomic.Int64
 }
 
 // New allocates a Bank of n registers striped across the given shard count
@@ -287,6 +294,7 @@ func (b *Bank) Increment(i int) {
 	s.mu.Lock()
 	reg := s.arr.Get(local)
 	if next := b.step(reg, s); next != reg {
+		b.cow(int(uint64(i)&b.mask), local)
 		s.arr.Set(local, next)
 		b.touch(i, next)
 	}
@@ -303,6 +311,7 @@ func (b *Bank) IncrementBy(i int, k uint64) {
 		reg = b.step(reg, s)
 	}
 	if reg != reg0 {
+		b.cow(int(uint64(i)&b.mask), local)
 		s.arr.Set(local, reg)
 		b.touch(i, reg)
 	}
@@ -327,7 +336,7 @@ func (b *Bank) IncrementBatch(keys []int) {
 		}
 		s := b.shards[0]
 		s.mu.Lock()
-		applyKeys(b, s, keys)
+		applyKeys(b, 0, keys)
 		s.mu.Unlock()
 		return
 	}
@@ -362,14 +371,14 @@ func (b *Bank) IncrementBatch(keys []int) {
 		}
 		s := b.shards[si]
 		s.mu.Lock()
-		applyKeys(b, s, sorted[lo:hi])
+		applyKeys(b, si, sorted[lo:hi])
 		s.mu.Unlock()
 	}
 	b.scratch.Put(sc)
 }
 
-// applyKeys advances one register per key, all keys belonging to shard s,
-// under s's already-held lock. This loop is the hot core of the batched
+// applyKeys advances one register per key, all keys belonging to shard si,
+// under si's already-held lock. This loop is the hot core of the batched
 // increment path, so the table branch works on the shard's raw packed words
 // (bitpack.Array.Words) with the field addressing computed once per key and
 // shared between the read and the write-back; the trailing pad word makes
@@ -379,13 +388,20 @@ func (b *Bank) IncrementBatch(keys []int) {
 // this loop bit-for-bit to the checked single-increment path. It is generic
 // so the sharded path can feed it the compact int32 scatter buffer while
 // the single-shard path passes the caller's []int straight through.
-func applyKeys[K int | int32](b *Bank, s *shard, keys []K) {
+//
+// Algorithms without a table, and every run while a view is open (cut.go),
+// take the checked path instead: step draws exactly what the fused loop
+// draws, and cow runs before each Set. Choosing it costs one branch per
+// shard run and keeps the fused loop free of copy-on-write checks.
+func applyKeys[K int | int32](b *Bank, si int, keys []K) {
+	s := b.shards[si]
 	t := b.table
-	if t == nil {
+	if t == nil || len(b.cuts) != 0 {
 		for _, k := range keys {
 			local := int(k) >> b.shift
 			reg := s.arr.Get(local)
-			if next := b.alg.Step(reg, s.rng); next != reg {
+			if next := b.step(reg, s); next != reg {
+				b.cow(si, local)
 				s.arr.Set(local, next)
 				b.touch(int(k), next)
 			}
@@ -573,6 +589,7 @@ func (b *Bank) Merge(other *Bank) error {
 		for local := 0; local < s.arr.Len(); local++ {
 			old := s.arr.Get(local)
 			if merged := ma.MergeRegs(old, o.arr.Get(local), s.rng); merged != old {
+				b.cow(si, local)
 				s.arr.Set(local, merged)
 				b.touch(local<<b.shift|si, merged)
 			}

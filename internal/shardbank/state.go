@@ -91,8 +91,9 @@ func (b *Bank) RestoreState(st State) error {
 	b.lockAll()
 	defer b.unlockAll()
 	for i, v := range st.Registers {
-		s := b.shards[uint64(i)&b.mask]
-		s.arr.Set(i>>b.shift, v)
+		si := int(uint64(i) & b.mask)
+		b.cow(si, i>>b.shift)
+		b.shards[si].arr.Set(i>>b.shift, v)
 	}
 	if st.RNG != nil {
 		for si, s := range b.shards {

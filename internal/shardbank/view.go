@@ -3,36 +3,50 @@
 // as width-bit fields of the shards' packed words, instead of inflating them
 // to one uint64 each. Two entry points:
 //
-//   - FreezeRange/Freeze copy the packed words (and generator states) of a
-//     key range under every shard lock and release the locks at once; the
-//     returned View is immutable and serves registers in key order, a block
-//     at a time, with no further locking. A frozen partition costs its
-//     packed size — width/64 of what a []uint64 export cost.
+//   - FreezeRange/Freeze take a copy-on-write cut of a key range (cut.go):
+//     under every shard lock they capture the generator states and list the
+//     cut, and they copy no register. The returned View serves the
+//     registers of the instant of the cut, one chunk at a time through one
+//     reused buffer, taking each shard lock briefly per chunk. A view costs
+//     that buffer plus the words writers change while it is open — never
+//     more than the packed size of the range, which is what a frozen copy
+//     cost up front.
 //   - TopRegisters ranks raw registers in place, opening only the blocks
 //     whose block-max entry says they can rank, so a top-k read allocates k
 //     entries and one bit per block, not n estimates.
 package shardbank
 
 import (
+	"runtime"
 	"sort"
 	"sync/atomic"
 )
 
-// View is an immutable image of the registers of a key range [lo, hi) and
-// of every shard's generator state, all captured at one instant. It
-// satisfies snapcodec.RegisterSource, so the codec packs a snapshot
-// straight off it.
+// View is an image of the registers of a key range [lo, hi) and of every
+// shard's generator state, all as of one instant. It satisfies
+// snapcodec.RegisterSource, so the codec packs a snapshot straight off it.
+//
+// A view may be read in any order, any number of times, until Release;
+// while it is open, writers save the words of each chunk they change
+// first. Release it as soon as it has been read. A view dropped unreleased
+// is released by the garbage collector, so an abandoned view never leaves
+// writers copying for good. A view is read by one goroutine at a time.
 type View struct {
 	lo, n int
 	width uint
 	shift uint
 	mask  uint64
-	// words holds each shard's copied word span back to back; base[s] is
-	// the bit position in words at which shard s's local slot 0 would
-	// start, so slot l of shard s sits at base[s] + l·width.
-	words []uint64
-	base  []int
 	rng   [][4]uint64
+
+	cut     *cut // nil once released, and for an empty range
+	cleanup runtime.Cleanup
+	// buf holds the loaded chunk: each shard's words of it and a pad word,
+	// back to back. base[si] is the bit position in buf at which shard si's
+	// local slot 0 would start, so slot l of shard si sits at
+	// base[si] + l·width.
+	buf  []uint64
+	base []int
+	cur  int // chunk held in buf, −1 for none
 }
 
 // Freeze captures the whole bank: FreezeRange(0, Len).
@@ -41,51 +55,40 @@ func (b *Bank) Freeze() *View {
 	return v
 }
 
-// FreezeRange captures keys [lo, hi) as a View. Every shard lock is held
-// for the duration of the packed copy — a memcpy of ⌈(hi−lo)·width/8⌉
-// bytes plus one pad word per shard — so the image is a globally consistent
-// cut: registers and generator states correspond to the same instant, with
-// no increment straddling the capture.
+// FreezeRange cuts keys [lo, hi) as a View. Every shard lock is held while
+// the generator states are captured and the cut is listed — no register is
+// copied — so the view is a globally consistent cut: registers and
+// generator states correspond to the same instant, with no increment
+// straddling it.
 func (b *Bank) FreezeRange(lo, hi int) (*View, error) {
 	if err := b.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
 	p := len(b.shards)
-	width := b.alg.Width()
 	v := &View{
 		lo: lo, n: hi - lo,
-		width: uint(width), shift: b.shift, mask: b.mask,
-		base: make([]int, p),
-		rng:  make([][4]uint64, p),
+		width: uint(b.alg.Width()), shift: b.shift, mask: b.mask,
+		rng: make([][4]uint64, p),
+		cur: -1,
 	}
-	// Word spans depend only on the bank's shape, so size and place them
-	// before taking any lock.
-	type span struct{ from, to int }
-	spans := make([]span, p)
-	total := 0
-	for si := range b.shards {
-		first := b.firstInShard(lo, si)
-		if first >= hi {
-			continue
-		}
-		l0 := first >> b.shift
-		l1 := (hi-1-si)>>b.shift + 1 // one past the last slot of a key < hi
-		from := l0 * width >> 6
-		// One word past the payload so ReadRegisters can always touch
-		// idx+1, as bitpack.Array does; the shard's own pad word covers it.
-		to := (l1*width+63)>>6 + 1
-		spans[si] = span{from, to}
-		v.base[si] = (total - from) * 64
-		total += to - from
+	var ct *cut
+	if hi > lo {
+		ct = b.newCut(lo, hi)
+		v.buf = make([]uint64, b.chunkBufWords())
+		v.base = make([]int, p)
 	}
-	v.words = make([]uint64, total)
 	b.lockAll()
-	off := 0
 	for si, s := range b.shards {
-		off += copy(v.words[off:], s.words[spans[si].from:spans[si].to])
 		v.rng[si] = s.xo.State()
 	}
+	if ct != nil {
+		b.cuts = append(b.cuts, ct)
+	}
 	b.unlockAll()
+	if ct != nil {
+		v.cut = ct
+		v.cleanup = runtime.AddCleanup(v, (*cut).release, ct)
+	}
 	return v, nil
 }
 
@@ -96,6 +99,17 @@ func (v *View) Len() int { return v.n }
 // (shared; do not mutate).
 func (v *View) RNG() [][4]uint64 { return v.rng }
 
+// Release ends the view's cut: writers stop saving for it and the words
+// they saved are dropped. Reading after Release panics. Idempotent.
+func (v *View) Release() {
+	if v.cut == nil {
+		return
+	}
+	v.cleanup.Stop()
+	v.cut.release()
+	v.cut, v.buf, v.cur = nil, nil, -1
+}
+
 // ReadRegisters fills dst with the registers of view positions
 // [at, at+len(dst)) — keys lo+at onward — in key order.
 func (v *View) ReadRegisters(dst []uint64, at int) {
@@ -104,13 +118,34 @@ func (v *View) ReadRegisters(dst []uint64, at int) {
 	}
 	rmask := ^uint64(0) >> (64 - v.width)
 	width := int(v.width)
-	k := v.lo + at
-	for i := range dst {
-		pos := uint(v.base[uint64(k)&v.mask] + (k>>v.shift)*width)
-		idx, off := pos>>6, pos&63
-		dst[i] = (v.words[idx]>>off | v.words[idx+1]<<(64-off)) & rmask
-		k++
+	cs := v.shift + chunkShift
+	for k, end := v.lo+at, v.lo+at+len(dst); k < end; {
+		if c := k >> cs; c != v.cur {
+			v.load(c)
+		}
+		for stop := min(end, (v.cur+1)<<cs); k < stop; k++ {
+			pos := uint(v.base[uint64(k)&v.mask] + (k>>v.shift)*width)
+			idx, off := pos>>6, pos&63
+			dst[k-v.lo-at] = (v.buf[idx]>>off | v.buf[idx+1]<<(64-off)) & rmask
+		}
 	}
+}
+
+// load fills buf with chunk c as of the cut, one shard lock at a time.
+func (v *View) load(c int) {
+	ct := v.cut
+	if ct == nil {
+		panic("shardbank: view read after release")
+	}
+	off := 0
+	for si, s := range ct.b.shards {
+		s.mu.Lock()
+		n := ct.read(v.buf[off:], si, c)
+		s.mu.Unlock()
+		v.base[si] = (off - c*2*ct.width) * 64
+		off += n + 1 // the pad word: its bits never reach a register
+	}
+	v.cur = c
 }
 
 // RegEntry is one ranked register of a TopRegisters report.

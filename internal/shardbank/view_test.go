@@ -45,9 +45,12 @@ func TestFreezeRangeMatchesState(t *testing.T) {
 				}
 			}
 		}
-		if words := len(b.Freeze().words); words*8 > b.SizeBytes()+8*b.Shards() {
-			t.Fatalf("whole view holds %d bytes for a %d-byte bank", words*8, b.SizeBytes())
+		// A whole view holds one chunk — 2·width+1 words a shard — whatever n.
+		v := b.Freeze()
+		if words := len(v.buf); words > b.Shards()*(2*tc.alg.Width()+1) {
+			t.Fatalf("whole view holds %d words for %d shards × %d bits", words, b.Shards(), tc.alg.Width())
 		}
+		v.Release()
 	}
 	b := New(10_000, bank.NewExactAlg(8), 4, 1)
 	for _, r := range [][2]int{{-1, 5}, {0, 10_001}, {7, 3}} {

@@ -196,6 +196,16 @@ func (s *Snapshot) Regs() RegisterSource {
 	return RegisterSlice(s.Registers)
 }
 
+// Release frees what a live register source holds until its reader is done
+// with it — shardbank.View's copy-on-write cut, which makes writers save
+// what they change while it is open. A no-op for a Source that holds
+// nothing, and for decoded snapshots.
+func (s *Snapshot) Release() {
+	if r, ok := s.Source.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
 // EachBlock calls fn on every BlockLen-register block of src in order (the
 // last may be short), reading each into one reused buffer — the single
 // register loop the encoder and the range hashes share.
@@ -545,12 +555,17 @@ func (e *encoder) write(p []byte) {
 	}
 }
 
-func (e *encoder) writeByte(b byte) { e.write([]byte{b}) }
+// writeByte and writeU64 stage through varbuf: a local array would escape
+// through the io.Writer and allocate per call — 8 KiB of generator state
+// per snapshot at 256 shards.
+func (e *encoder) writeByte(b byte) {
+	e.varbuf[0] = b
+	e.write(e.varbuf[:1])
+}
 
 func (e *encoder) writeU64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.write(b[:])
+	binary.LittleEndian.PutUint64(e.varbuf[:8], v)
+	e.write(e.varbuf[:8])
 }
 
 func (e *encoder) writeUvarint(v uint64) {

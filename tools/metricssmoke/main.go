@@ -132,6 +132,9 @@ func run(counterd string) error {
 		"counterd_cluster_outbox_pending_keys",
 		"counterd_rebalance_transfers 0",
 		"counterd_store_start_time_seconds",
+		`counterd_mem_bytes{part="registers"} `,
+		`counterd_mem_bytes{part="heap_live"} `,
+		`counterd_mem_bytes{part="cut_copies"} `,
 	} {
 		if !strings.Contains(body, want) {
 			return fmt.Errorf("/metrics is missing %q", want)
