@@ -94,6 +94,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/bank"
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -208,7 +209,7 @@ func parseFlags(args []string) (*options, error) {
 // openStore turns parsed options into an open durable store — the daemon's
 // entire flag-to-engine plumbing, shared with the integration tests.
 func openStore(o *options) (*server.Store, error) {
-	alg, err := server.ParseAlgorithm(o.alg, o.a, o.width, o.mantissa)
+	alg, err := bank.Parse(o.alg, o.a, o.width, o.mantissa)
 	if err != nil {
 		return nil, err
 	}

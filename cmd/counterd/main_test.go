@@ -172,7 +172,7 @@ func TestWireDaemonIngest(t *testing.T) {
 }
 
 // TestCsurosDaemonCheckpointRestart drives -alg csuros end to end through
-// the daemon's own plumbing: flags → ParseAlgorithm → store → HTTP, then a
+// the daemon's own plumbing: flags → bank.Parse → store → HTTP, then a
 // mid-stream checkpoint, a crash (no final checkpoint), and a restart that
 // must serve byte-identical /snapshot output — the Csűrös generator states
 // ride the checkpoint exactly like Morris ones.
@@ -358,5 +358,31 @@ func TestWindowDaemonFlags(t *testing.T) {
 	defer st2.Close(false)
 	if got := fetchSnapshot(t, srv2); !bytes.Equal(got, want) {
 		t.Fatal("window /snapshot not byte-identical across restart")
+	}
+}
+
+// Register flags the algorithms reject are an open error the daemon logs
+// and exits on, not a panic with a goroutine dump.
+func TestBadRegisterFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-a", "2"}, "bank: morris a = 2 out of (0, 1]"},
+		{[]string{"-width", "70"}, "bank: morris width 70 out of [1, 62]"},
+		{[]string{"-alg", "csuros", "-width", "14", "-mantissa", "20"}, "bank: csuros mantissa 20 out of [1, 14)"},
+	} {
+		o, err := parseFlags(daemonArgs(t.TempDir(), tc.flags...))
+		if err != nil {
+			t.Fatalf("%v: parse flags: %v", tc.flags, err)
+		}
+		st, err := openStore(o)
+		if err == nil {
+			st.Close(false)
+			t.Fatalf("%v: store opened", tc.flags)
+		}
+		if err.Error() != tc.want {
+			t.Fatalf("%v: error %q, want %q", tc.flags, err, tc.want)
+		}
 	}
 }

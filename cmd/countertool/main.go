@@ -12,7 +12,7 @@
 //	countertool -algo morris -a 0.01 -n 1000000
 //	countertool -algo morris+ -eps 0.1 -delta 1e-4 -n 500000 -trials 100
 //	countertool -algo csuros -bits 17 -n 750000
-//	countertool serve -pages 100000 -events 5000000 -goroutines 8 -compare
+//	countertool serve -pages 100000 -events 5000000 -goroutines 8
 //	countertool topk -nodes http://localhost:8347 -events 1000000 -zipf 1.1
 //	countertool windowed -nodes http://localhost:8347 -events 300000 -phases 3
 //	countertool distinct -nodes http://localhost:8347 -events 1000000 -zipf 1.2

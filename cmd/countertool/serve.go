@@ -3,8 +3,7 @@
 // Zipf-distributed page-view workload from G goroutines — the paper's
 // motivating system under the ROADMAP's heavy-traffic load — then reports
 // throughput, accuracy against the exactly-tracked truth, and the packed
-// memory footprint. With -compare it replays the identical workload against
-// the single-mutex bank.Bank for a speedup figure.
+// memory footprint.
 //
 //	countertool serve -pages 100000 -events 5000000 -goroutines 8
 //	countertool serve -algo csuros -width 16 -mantissa 10 -batch 0
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/bank"
-	"repro/internal/server"
 	"repro/internal/shardbank"
 	"repro/internal/stream"
 	"repro/internal/xrand"
@@ -40,7 +38,6 @@ func serveMain(args []string) {
 		mantissa   = fs.Int("mantissa", 8, "Csűrös mantissa bits")
 		zipfS      = fs.Float64("zipf", 1.05, "Zipf exponent of the page popularity law")
 		seed       = fs.Uint64("seed", 42, "PRNG seed")
-		compare    = fs.Bool("compare", false, "replay the workload on the single-mutex bank.Bank")
 	)
 	fs.Parse(args)
 
@@ -49,7 +46,7 @@ func serveMain(args []string) {
 		os.Exit(2)
 	}
 
-	alg, err := server.ParseAlgorithm(*algo, *a, *width, *mantissa)
+	alg, err := bank.Parse(*algo, *a, *width, *mantissa)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "countertool serve: %v\n", err)
 		os.Exit(2)
@@ -106,20 +103,6 @@ func serveMain(args []string) {
 	exactBits := bits.Len64(uint64(total))
 	fmt.Printf("memory:      %d bytes packed (%d-bit exact registers would need %d)\n",
 		sb.SizeBytes(), exactBits, (*pages*exactBits+63)/64*8)
-
-	if *compare {
-		mb := bank.New(*pages, alg, xrand.NewSeeded(*seed))
-		mutexElapsed := drive(streams, func(keys []int) {
-			for _, k := range keys {
-				mb.Increment(k)
-			}
-		})
-		fmt.Printf("\nsingle-mutex bank.Bank on the same workload:\n")
-		fmt.Printf("throughput:  %.2f M events/s  (%.1f ns/event)\n",
-			float64(total)/mutexElapsed.Seconds()/1e6,
-			float64(mutexElapsed.Nanoseconds())/float64(total))
-		fmt.Printf("speedup:     %.2f×\n", mutexElapsed.Seconds()/elapsed.Seconds())
-	}
 }
 
 // drive runs one goroutine per key stream, applying fn to its stream, and

@@ -5,8 +5,7 @@
 // goroutines, with batched increments amortizing each shard lock across
 // thousands of events. With 100k pages, cutting each counter from a 64-bit
 // word to a ~14-bit packed register is a 4–5× memory reduction at a few
-// percent counting error — and the sharded bank sustains several times the
-// single-mutex throughput while doing it.
+// percent counting error.
 //
 // Next to the per-page bank, the same stream feeds the heavy-hitters
 // engine (internal/engine.TopKEngine): SpaceSaving summaries over Morris

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/dist"
+	"repro/internal/shardbank"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/xrand"
@@ -74,7 +75,7 @@ func TestBankOverZipfWorkloadAgainstTruth(t *testing.T) {
 	const pages = 5000
 	const views = 500000
 	src := stream.NewZipf(pages, 1.1, rng)
-	b := bank.New(pages, bank.NewMorrisAlg(0.01, 14), rng)
+	b := shardbank.New(pages, bank.NewMorrisAlg(0.01, 14), 16, 101)
 	truth := make([]uint64, pages)
 	for i := 0; i < views; i++ {
 		p := src.Next()
@@ -96,7 +97,7 @@ func TestBankOverZipfWorkloadAgainstTruth(t *testing.T) {
 	}
 	// Snapshot → restore → identical estimates.
 	snap := b.Snapshot()
-	b2 := bank.New(pages, bank.NewMorrisAlg(0.01, 14), rng)
+	b2 := shardbank.New(pages, bank.NewMorrisAlg(0.01, 14), 1, 102)
 	if err := b2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}

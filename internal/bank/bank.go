@@ -1,28 +1,25 @@
-// Package bank implements the paper's motivating application (Section 1):
-// an analytics system maintaining a very large number of approximate
-// counters — e.g. visits to every page of Wikipedia — where shaving bits per
-// counter multiplies into real memory savings.
+// Package bank defines the register algorithms behind the paper's motivating
+// application (Section 1): an analytics system keeping a very large number
+// of approximate counters — e.g. visits to every page of Wikipedia — where
+// shaving bits per counter multiplies into real memory savings.
 //
-// A Bank packs n fixed-width counter registers physically contiguously in a
-// bitpack.Array (no per-counter Go object, no padding), so SizeBytes is the
-// true footprint. The per-register transition function is pluggable: the
-// bounded Morris(a) register, a Csűrös floating-point register, or an exact
-// saturating register for baseline comparisons. A string-keyed Map sits on
-// top for the "page name → count" interface.
-//
-// Banks are safe for concurrent use; a single mutex guards the packed array
-// (the contention profile of a metrics registry, where increments are cheap,
-// makes finer sharding an orthogonal concern — see the sharding example,
-// which gives each shard its own Bank and merges).
+// A register algorithm is a fixed-width automaton: the bounded Morris(a)
+// register, a Csűrös floating-point register, or an exact saturating
+// register for baseline comparisons. This package is the only one that
+// knows what each algorithm is. The packed, lock-striped storage
+// (internal/shardbank) tabulates StepProb, and the snapshot header
+// (internal/snapcodec) stores Name, Width and Param and rebuilds the
+// algorithm with Decode; neither switches on the concrete type. Parse
+// builds an algorithm from the daemon's flags.
 package bank
 
 import (
-	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sync"
+	"slices"
+	"strings"
 
-	"repro/internal/bitpack"
 	"repro/internal/xrand"
 )
 
@@ -35,10 +32,17 @@ type Algorithm interface {
 	Width() int
 	// Step returns the register value after one increment.
 	Step(reg uint64, rng *xrand.Rand) uint64
+	// StepProb returns the probability that Step increments reg: 0 when reg
+	// is saturated, and positive below saturation, even where the true
+	// probability underflows a float64.
+	StepProb(reg uint64) float64
 	// Estimate returns N̂ for a register value.
 	Estimate(reg uint64) float64
 	// Name identifies the algorithm.
 	Name() string
+	// Param returns the value of the snapshot header's 8-byte parameter
+	// slot; Decode(Name(), Width(), Param()) rebuilds an equal Algorithm.
+	Param() uint64
 }
 
 // MergeAlgorithm is implemented by algorithms whose registers can be merged
@@ -48,6 +52,72 @@ type MergeAlgorithm interface {
 	// MergeRegs returns a register distributed as a counter that saw both
 	// registers' streams.
 	MergeRegs(a, b uint64, rng *xrand.Rand) uint64
+}
+
+// decoders maps each algorithm's Name to the function that rebuilds it from
+// a width and a header parameter, validating both.
+var decoders = map[string]func(width int, param uint64) (Algorithm, error){
+	"morris": func(width int, param uint64) (Algorithm, error) {
+		return asAlgorithm(newMorrisAlg(math.Float64frombits(param), width))
+	},
+	"csuros": func(width int, param uint64) (Algorithm, error) {
+		return asAlgorithm(newCsurosAlg(width, int(min(param, math.MaxInt32))))
+	},
+	"exact": func(width int, param uint64) (Algorithm, error) {
+		if param != 0 {
+			return nil, fmt.Errorf("bank: unexpected parameter %d for exact", param)
+		}
+		return asAlgorithm(newExactAlg(width))
+	},
+}
+
+// Decode rebuilds the algorithm a snapshot header names, or returns an
+// error when the name is unknown or the shape out of range.
+func Decode(name string, width int, param uint64) (Algorithm, error) {
+	decode, ok := decoders[name]
+	if !ok {
+		names := slices.Sorted(maps.Keys(decoders))
+		return nil, fmt.Errorf("bank: unknown algorithm %q (want %s)", name, strings.Join(names, " | "))
+	}
+	return decode(width, param)
+}
+
+// Parse builds an algorithm from flag-style parameters: a is Morris's base,
+// mantissa the Csűrös mantissa bits; each is ignored by the other
+// algorithms.
+func Parse(name string, a float64, width, mantissa int) (Algorithm, error) {
+	switch name {
+	case "morris":
+		return asAlgorithm(newMorrisAlg(a, width))
+	case "csuros":
+		return asAlgorithm(newCsurosAlg(width, mantissa))
+	}
+	return Decode(name, width, 0)
+}
+
+// asAlgorithm returns a constructor's result as Decode does: a nil
+// Algorithm with the error.
+func asAlgorithm[A Algorithm](alg A, err error) (Algorithm, error) {
+	if err != nil {
+		return nil, err
+	}
+	return alg, nil
+}
+
+// must unwraps a constructor result, panicking on a shape the calling code
+// supplied itself.
+func must[A Algorithm](alg A, err error) A {
+	if err != nil {
+		panic(err.Error())
+	}
+	return alg
+}
+
+func checkWidth(name string, width, lo int) error {
+	if width < lo || width > 62 {
+		return fmt.Errorf("bank: %s width %d out of [%d, 62]", name, width, lo)
+	}
+	return nil
 }
 
 // MorrisAlg is the bounded Morris(a) register: the register holds X,
@@ -61,27 +131,35 @@ type MorrisAlg struct {
 
 var _ MergeAlgorithm = MorrisAlg{}
 
-// NewMorrisAlg returns a Morris(a) register algorithm of the given width.
-func NewMorrisAlg(a float64, width int) MorrisAlg {
+// NewMorrisAlg returns a Morris(a) register algorithm of the given width. It
+// panics unless a ∈ (0, 1] and width ∈ [1, 62].
+func NewMorrisAlg(a float64, width int) MorrisAlg { return must(newMorrisAlg(a, width)) }
+
+func newMorrisAlg(a float64, width int) (MorrisAlg, error) {
 	if !(a > 0 && a <= 1) {
-		panic(fmt.Sprintf("bank: morris a = %v out of (0, 1]", a))
+		return MorrisAlg{}, fmt.Errorf("bank: morris a = %v out of (0, 1]", a)
 	}
-	if width < 1 || width > 62 {
-		panic(fmt.Sprintf("bank: width %d out of [1, 62]", width))
+	if err := checkWidth("morris", width, 1); err != nil {
+		return MorrisAlg{}, err
 	}
-	return MorrisAlg{a: a, lnBase: math.Log1p(a), width: width, cap: 1<<uint(width) - 1}
+	return MorrisAlg{a: a, lnBase: math.Log1p(a), width: width, cap: 1<<uint(width) - 1}, nil
 }
 
 // Width implements Algorithm.
 func (m MorrisAlg) Width() int { return m.width }
 
-// Step implements Algorithm.
-func (m MorrisAlg) Step(reg uint64, rng *xrand.Rand) uint64 {
+// StepProb implements Algorithm: (1+a)^-reg below the cap.
+func (m MorrisAlg) StepProb(reg uint64) float64 {
 	if reg >= m.cap {
-		return reg
+		return 0
 	}
-	p := math.Exp(-float64(reg) * m.lnBase)
-	if p >= 1e-300 && rng.Bernoulli(p) {
+	return max(math.Exp(-float64(reg)*m.lnBase), math.SmallestNonzeroFloat64)
+}
+
+// Step implements Algorithm. Probabilities below 1e-300 never fire: those
+// states need more events than any stream holds.
+func (m MorrisAlg) Step(reg uint64, rng *xrand.Rand) uint64 {
+	if p := m.StepProb(reg); p >= 1e-300 && rng.Bernoulli(p) {
 		return reg + 1
 	}
 	return reg
@@ -95,8 +173,9 @@ func (m MorrisAlg) Estimate(reg uint64) float64 {
 // Name implements Algorithm.
 func (m MorrisAlg) Name() string { return "morris" }
 
-// Base returns the Morris base parameter a.
-func (m MorrisAlg) Base() float64 { return m.a }
+// Param implements Algorithm: the IEEE-754 bits of a, so a round trip
+// through a snapshot header is exact.
+func (m MorrisAlg) Param() uint64 { return math.Float64bits(m.a) }
 
 // MergeRegs implements MergeAlgorithm via the [CY20] subsampling merge.
 func (m MorrisAlg) MergeRegs(a, b uint64, rng *xrand.Rand) uint64 {
@@ -124,19 +203,31 @@ type CsurosAlg struct {
 var _ Algorithm = CsurosAlg{}
 
 // NewCsurosAlg returns a Csűrös register algorithm with the given total
-// width and mantissa bits.
-func NewCsurosAlg(width, mantissa int) CsurosAlg {
-	if width < 2 || width > 62 {
-		panic(fmt.Sprintf("bank: csuros width %d out of [2, 62]", width))
+// width and mantissa bits. It panics unless width ∈ [2, 62] and mantissa ∈
+// [1, width).
+func NewCsurosAlg(width, mantissa int) CsurosAlg { return must(newCsurosAlg(width, mantissa)) }
+
+func newCsurosAlg(width, mantissa int) (CsurosAlg, error) {
+	if err := checkWidth("csuros", width, 2); err != nil {
+		return CsurosAlg{}, err
 	}
 	if mantissa < 1 || mantissa >= width {
-		panic(fmt.Sprintf("bank: csuros mantissa %d out of [1, %d)", mantissa, width))
+		return CsurosAlg{}, fmt.Errorf("bank: csuros mantissa %d out of [1, %d)", mantissa, width)
 	}
-	return CsurosAlg{d: uint(mantissa), width: width, cap: 1<<uint(width) - 1}
+	return CsurosAlg{d: uint(mantissa), width: width, cap: 1<<uint(width) - 1}, nil
 }
 
 // Width implements Algorithm.
 func (c CsurosAlg) Width() int { return c.width }
+
+// StepProb implements Algorithm: 2^-e below the cap, e the register's
+// exponent field.
+func (c CsurosAlg) StepProb(reg uint64) float64 {
+	if reg >= c.cap {
+		return 0
+	}
+	return max(math.Ldexp(1, -int(reg>>c.d)), math.SmallestNonzeroFloat64)
+}
 
 // Step implements Algorithm.
 func (c CsurosAlg) Step(reg uint64, rng *xrand.Rand) uint64 {
@@ -160,8 +251,8 @@ func (c CsurosAlg) Estimate(reg uint64) float64 {
 // Name implements Algorithm.
 func (c CsurosAlg) Name() string { return "csuros" }
 
-// Mantissa returns the mantissa width d in bits.
-func (c CsurosAlg) Mantissa() int { return int(c.d) }
+// Param implements Algorithm: the mantissa width d in bits.
+func (c CsurosAlg) Param() uint64 { return uint64(c.d) }
 
 // ExactAlg is a saturating exact register — the baseline whose width must
 // reach ⌈log2 N⌉ to stay accurate.
@@ -172,16 +263,27 @@ type ExactAlg struct {
 
 var _ Algorithm = ExactAlg{}
 
-// NewExactAlg returns an exact saturating register algorithm.
-func NewExactAlg(width int) ExactAlg {
-	if width < 1 || width > 62 {
-		panic(fmt.Sprintf("bank: width %d out of [1, 62]", width))
+// NewExactAlg returns an exact saturating register algorithm. It panics
+// unless width ∈ [1, 62].
+func NewExactAlg(width int) ExactAlg { return must(newExactAlg(width)) }
+
+func newExactAlg(width int) (ExactAlg, error) {
+	if err := checkWidth("exact", width, 1); err != nil {
+		return ExactAlg{}, err
 	}
-	return ExactAlg{width: width, cap: 1<<uint(width) - 1}
+	return ExactAlg{width: width, cap: 1<<uint(width) - 1}, nil
 }
 
 // Width implements Algorithm.
 func (e ExactAlg) Width() int { return e.width }
+
+// StepProb implements Algorithm: 1 below the cap.
+func (e ExactAlg) StepProb(reg uint64) float64 {
+	if reg >= e.cap {
+		return 0
+	}
+	return 1
+}
 
 // Step implements Algorithm.
 func (e ExactAlg) Step(reg uint64, _ *xrand.Rand) uint64 {
@@ -197,173 +299,5 @@ func (e ExactAlg) Estimate(reg uint64) float64 { return float64(reg) }
 // Name implements Algorithm.
 func (e ExactAlg) Name() string { return "exact" }
 
-// Bank is a packed array of n registers sharing one Algorithm and one RNG.
-type Bank struct {
-	mu  sync.Mutex
-	alg Algorithm
-	arr *bitpack.Array
-	rng *xrand.Rand
-}
-
-// New allocates a Bank of n registers.
-func New(n int, alg Algorithm, rng *xrand.Rand) *Bank {
-	if n <= 0 {
-		panic("bank: non-positive size")
-	}
-	if rng == nil {
-		panic("bank: nil rng")
-	}
-	return &Bank{alg: alg, arr: bitpack.NewArray(n, alg.Width()), rng: rng}
-}
-
-// Len returns the number of registers.
-func (b *Bank) Len() int { return b.arr.Len() }
-
-// Increment advances register i by one event.
-func (b *Bank) Increment(i int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.arr.Set(i, b.alg.Step(b.arr.Get(i), b.rng))
-}
-
-// IncrementBy advances register i by n events (per-event transitions; the
-// registers are fixed-width automata, so there is no generic skip-ahead).
-func (b *Bank) IncrementBy(i int, n uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	reg := b.arr.Get(i)
-	for k := uint64(0); k < n; k++ {
-		reg = b.alg.Step(reg, b.rng)
-	}
-	b.arr.Set(i, reg)
-}
-
-// Estimate returns N̂ for register i.
-func (b *Bank) Estimate(i int) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.alg.Estimate(b.arr.Get(i))
-}
-
-// Register returns the raw register value (for tests and serialization).
-func (b *Bank) Register(i int) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.arr.Get(i)
-}
-
-// SizeBytes returns the physical footprint of the packed registers.
-func (b *Bank) SizeBytes() int { return b.arr.SizeBytes() }
-
-// BitsPerCounter returns the per-register width.
-func (b *Bank) BitsPerCounter() int { return b.alg.Width() }
-
-// Algorithm returns the bank's register algorithm.
-func (b *Bank) Algorithm() Algorithm { return b.alg }
-
-// Merge folds other into the receiver register-by-register. Both banks must
-// have the same length and a common MergeAlgorithm.
-func (b *Bank) Merge(other *Bank) error {
-	ma, ok := b.alg.(MergeAlgorithm)
-	if !ok {
-		return fmt.Errorf("bank: algorithm %q does not support merge", b.alg.Name())
-	}
-	if other.alg != b.alg {
-		return errors.New("bank: algorithm mismatch")
-	}
-	if other.Len() != b.Len() {
-		return fmt.Errorf("bank: length mismatch %d vs %d", b.Len(), other.Len())
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	for i := 0; i < b.arr.Len(); i++ {
-		b.arr.Set(i, ma.MergeRegs(b.arr.Get(i), other.arr.Get(i), b.rng))
-	}
-	return nil
-}
-
-// Snapshot returns a copy of the packed register payload plus the metadata
-// needed to restore it. The payload is exactly SizeBytes() long — the
-// bank's state really is that many bytes.
-func (b *Bank) Snapshot() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	w := bitpack.NewWriter()
-	for i := 0; i < b.arr.Len(); i++ {
-		w.WriteBits(b.arr.Get(i), b.arr.Width())
-	}
-	return w.Bytes()
-}
-
-// Restore loads a payload produced by Snapshot on a bank with identical
-// shape (length, width, algorithm). It returns an error if the payload is
-// too short or any register exceeds the field width.
-func (b *Bank) Restore(data []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r := bitpack.NewReader(data, b.arr.Len()*b.arr.Width())
-	for i := 0; i < b.arr.Len(); i++ {
-		v, err := r.ReadBits(b.arr.Width())
-		if err != nil {
-			return fmt.Errorf("bank: restore register %d: %w", i, err)
-		}
-		b.arr.Set(i, v)
-	}
-	return nil
-}
-
-// Map is a string-keyed view over a Bank: the "page name → approximate
-// count" interface of the motivating analytics system. Keys are assigned
-// dense slots on first use; inserting beyond the bank's capacity returns an
-// error from Inc.
-type Map struct {
-	mu    sync.Mutex
-	bank  *Bank
-	index map[string]int
-}
-
-// NewMap returns a Map over a fresh Bank of the given capacity.
-func NewMap(capacity int, alg Algorithm, rng *xrand.Rand) *Map {
-	return &Map{bank: New(capacity, alg, rng), index: make(map[string]int, capacity)}
-}
-
-// Inc counts one event for key, allocating a slot on first sight.
-func (m *Map) Inc(key string) error {
-	m.mu.Lock()
-	slot, ok := m.index[key]
-	if !ok {
-		if len(m.index) >= m.bank.Len() {
-			m.mu.Unlock()
-			return fmt.Errorf("bank: map full (%d keys)", m.bank.Len())
-		}
-		slot = len(m.index)
-		m.index[key] = slot
-	}
-	m.mu.Unlock()
-	m.bank.Increment(slot)
-	return nil
-}
-
-// Count returns the approximate count for key (0 if never seen).
-func (m *Map) Count(key string) float64 {
-	m.mu.Lock()
-	slot, ok := m.index[key]
-	m.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return m.bank.Estimate(slot)
-}
-
-// Keys returns the number of distinct keys seen.
-func (m *Map) Keys() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.index)
-}
-
-// CounterBytes returns the footprint of the packed counters (excluding the
-// key dictionary, which any exact system needs too).
-func (m *Map) CounterBytes() int { return m.bank.SizeBytes() }
+// Param implements Algorithm: exact registers have no parameter.
+func (e ExactAlg) Param() uint64 { return 0 }

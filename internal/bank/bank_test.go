@@ -1,9 +1,7 @@
 package bank
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -105,88 +103,49 @@ func TestAlgConstructorPanics(t *testing.T) {
 	}
 }
 
-func TestBankBasics(t *testing.T) {
-	rng := xrand.NewSeeded(5)
-	b := New(100, NewExactAlg(20), rng)
-	for i := 0; i < 100; i++ {
-		b.IncrementBy(i, uint64(i*10))
-	}
-	for i := 0; i < 100; i++ {
-		if got := b.Estimate(i); got != float64(i*10) {
-			t.Fatalf("slot %d = %v, want %d", i, got, i*10)
-		}
-	}
-	if b.Len() != 100 || b.BitsPerCounter() != 20 {
-		t.Fatalf("Len/Bits = %d/%d", b.Len(), b.BitsPerCounter())
-	}
-}
-
-func TestBankIsPacked(t *testing.T) {
-	rng := xrand.NewSeeded(6)
-	b := New(10000, NewMorrisAlg(0.05, 12), rng)
-	// 10000 × 12 bits = 15000 bytes; a []uint64 would be 80000.
-	if b.SizeBytes() > 16000 {
-		t.Fatalf("bank footprint %d bytes, want ≈ 15000", b.SizeBytes())
-	}
-}
-
-func TestBankSlotIndependence(t *testing.T) {
-	rng := xrand.NewSeeded(7)
-	b := New(50, NewMorrisAlg(0.1, 14), rng)
-	b.IncrementBy(7, 100000)
-	for i := 0; i < 50; i++ {
-		if i != 7 && b.Register(i) != 0 {
-			t.Fatalf("slot %d moved: %d", i, b.Register(i))
-		}
-	}
-	if b.Register(7) == 0 {
-		t.Fatal("slot 7 never moved")
-	}
-}
-
 func TestBankAccuracyAcrossManyCounters(t *testing.T) {
 	rng := xrand.NewSeeded(8)
-	const slots = 2000
-	b := New(slots, NewMorrisAlg(0.02, 14), rng)
-	const N = 5000
-	for i := 0; i < slots; i++ {
-		b.IncrementBy(i, N)
-	}
+	alg := NewMorrisAlg(0.02, 14)
+	const slots, N = 2000, 5000
 	var errs stats.Summary
 	for i := 0; i < slots; i++ {
-		errs.Add(stats.SignedRelativeError(b.Estimate(i), N))
+		var reg uint64
+		for j := 0; j < N; j++ {
+			reg = alg.Step(reg, rng)
+		}
+		errs.Add(stats.SignedRelativeError(alg.Estimate(reg), N))
 	}
 	if math.Abs(errs.Mean()) > 6*errs.StdErr() {
-		t.Fatalf("bank estimates biased: mean rel err %v", errs.Mean())
+		t.Fatalf("estimates biased: mean rel err %v", errs.Mean())
 	}
 	// Relative std ≈ √(a/2) = 10%.
 	if errs.StdDev() > 0.2 {
-		t.Fatalf("bank rel err std %v too large", errs.StdDev())
+		t.Fatalf("rel err std %v too large", errs.StdDev())
 	}
 }
 
+// TestBankMerge checks Remark 2.4 in law: a register merged from two that
+// counted n1 and n2 events is distributed as one that counted n1 + n2.
 func TestBankMerge(t *testing.T) {
 	rng := xrand.NewSeeded(9)
 	alg := NewMorrisAlg(0.05, 16)
-	const slots, n1, n2, trials = 1, 2000, 3000, 3000
+	const n1, n2, trials = 2000, 3000, 3000
+	steps := func(n int) uint64 {
+		var reg uint64
+		for i := 0; i < n; i++ {
+			reg = alg.Step(reg, rng)
+		}
+		return reg
+	}
 	merged := make([]float64, trials)
 	direct := make([]float64, trials)
 	for tr := 0; tr < trials; tr++ {
-		b1 := New(slots, alg, rng)
-		b2 := New(slots, alg, rng)
-		b1.IncrementBy(0, n1)
-		b2.IncrementBy(0, n2)
-		if err := b1.Merge(b2); err != nil {
-			t.Fatal(err)
-		}
-		merged[tr] = b1.Estimate(0)
-		d := New(slots, alg, rng)
-		d.IncrementBy(0, n1+n2)
-		direct[tr] = d.Estimate(0)
+		merged[tr] = alg.Estimate(alg.MergeRegs(steps(n1), steps(n2), rng))
+		direct[tr] = alg.Estimate(steps(n1 + n2))
 	}
 	ks := stats.KolmogorovSmirnov(merged, direct)
 	if crit := stats.KSCritical(0.001, trials, trials); ks > crit {
-		t.Fatalf("bank merge KS %v > %v", ks, crit)
+		t.Fatalf("merge KS %v > %v", ks, crit)
 	}
 }
 
@@ -217,136 +176,127 @@ func TestMergeRegsAtMostSum(t *testing.T) {
 	}
 }
 
+// TestBankMergeErrors pins what a bank merge checks of its algorithms:
+// only a MergeAlgorithm merges, and banks merge only under equal
+// algorithms, so Morris registers with different bases never fold.
 func TestBankMergeErrors(t *testing.T) {
-	rng := xrand.NewSeeded(10)
-	b1 := New(10, NewMorrisAlg(0.05, 16), rng)
-	b2 := New(20, NewMorrisAlg(0.05, 16), rng)
-	if err := b1.Merge(b2); err == nil {
-		t.Fatal("length mismatch accepted")
+	var algs []Algorithm = []Algorithm{NewCsurosAlg(16, 10), NewExactAlg(16)}
+	for _, alg := range algs {
+		if _, ok := alg.(MergeAlgorithm); ok {
+			t.Fatalf("%s claims a Remark 2.4 merge", alg.Name())
+		}
 	}
-	b3 := New(10, NewMorrisAlg(0.1, 16), rng)
-	if err := b1.Merge(b3); err == nil {
-		t.Fatal("parameter mismatch accepted")
-	}
-	c1 := New(10, NewCsurosAlg(16, 10), rng)
-	c2 := New(10, NewCsurosAlg(16, 10), rng)
-	if err := c1.Merge(c2); err == nil {
-		t.Fatal("csuros merge (unsupported) accepted")
+	var a, b, c Algorithm = NewMorrisAlg(0.05, 16), NewMorrisAlg(0.05, 16), NewMorrisAlg(0.1, 16)
+	if a != b || a == c || a == Algorithm(NewMorrisAlg(0.05, 15)) {
+		t.Fatal("algorithm identity does not follow (a, width)")
 	}
 }
 
-func TestBankConcurrentIncrements(t *testing.T) {
-	rng := xrand.NewSeeded(11)
-	b := New(8, NewExactAlg(30), rng)
-	var wg sync.WaitGroup
-	const perG = 10000
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				b.Increment(slot)
+func TestParseAlgorithm(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		a           float64
+		width, mant int
+		wantErr     string
+	}{
+		{"morris", 0.01, 14, 8, ""},
+		{"csuros", 0.01, 14, 8, ""},
+		{"exact", 0.01, 14, 8, ""},
+		{"bogus", 0.01, 14, 8, `bank: unknown algorithm "bogus" (want csuros | exact | morris)`},
+		{"morris", 2, 14, 8, "bank: morris a = 2 out of (0, 1]"},
+		{"morris", 0.01, 70, 8, "bank: morris width 70 out of [1, 62]"},
+		{"csuros", 0.01, 14, 20, "bank: csuros mantissa 20 out of [1, 14)"},
+	} {
+		alg, err := Parse(tc.name, tc.a, tc.width, tc.mant)
+		if tc.wantErr == "" {
+			if err != nil || alg.Name() != tc.name || alg.Width() != tc.width {
+				t.Fatalf("Parse(%s, %v, %d, %d) = %v, %v", tc.name, tc.a, tc.width, tc.mant, alg, err)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for i := 0; i < 8; i++ {
-		if got := b.Estimate(i); got != perG {
-			t.Fatalf("slot %d = %v after concurrent increments, want %d", i, got, perG)
+		} else if err == nil || err.Error() != tc.wantErr || alg != nil {
+			t.Fatalf("Parse(%s, %v, %d, %d) = %v, %v; want error %q", tc.name, tc.a, tc.width, tc.mant, alg, err, tc.wantErr)
 		}
 	}
 }
 
-func TestMapBasics(t *testing.T) {
-	rng := xrand.NewSeeded(12)
-	m := NewMap(100, NewExactAlg(20), rng)
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("page-%d", i%10)
-		if err := m.Inc(key); err != nil {
-			t.Fatal(err)
+// TestDecode checks the snapshot header's view of an algorithm: Decode
+// rebuilds every algorithm from (Name, Width, Param) exactly, and rejects
+// every shape a hostile header can name with an error, never a panic.
+func TestDecode(t *testing.T) {
+	for _, alg := range []Algorithm{
+		NewMorrisAlg(0.005, 14), NewMorrisAlg(1, 1), NewMorrisAlg(0.3, 62),
+		NewCsurosAlg(2, 1), NewCsurosAlg(16, 10), NewCsurosAlg(62, 61),
+		NewExactAlg(1), NewExactAlg(62),
+	} {
+		got, err := Decode(alg.Name(), alg.Width(), alg.Param())
+		if err != nil || got != alg {
+			t.Fatalf("Decode(%s, %d, %#x) = %v, %v; want %v", alg.Name(), alg.Width(), alg.Param(), got, err, alg)
 		}
 	}
-	if m.Keys() != 10 {
-		t.Fatalf("Keys = %d", m.Keys())
+	bad := []struct {
+		name  string
+		width int
+		param uint64
+	}{
+		{"morris", 14, math.Float64bits(math.NaN())},
+		{"morris", 14, math.Float64bits(math.Inf(1))},
+		{"morris", 14, math.Float64bits(0)},
+		{"morris", 14, math.Float64bits(1.5)},
+		{"morris", 0, math.Float64bits(0.5)},
+		{"morris", 63, math.Float64bits(0.5)},
+		{"csuros", 14, 0},
+		{"csuros", 14, 14},
+		{"csuros", 14, 63},
+		{"csuros", 14, 1 << 40},
+		{"csuros", 14, math.MaxUint64},
+		{"csuros", 1, 1},
+		{"csuros", 64, 8},
+		{"exact", 14, 1},
+		{"exact", 0, 0},
+		{"exact", 64, 0},
+		{"bogus", 14, 0},
+		{"", 14, 0},
 	}
-	for i := 0; i < 10; i++ {
-		if got := m.Count(fmt.Sprintf("page-%d", i)); got != 5 {
-			t.Fatalf("page-%d count = %v, want 5", i, got)
+	for _, b := range bad {
+		if alg, err := Decode(b.name, b.width, b.param); err == nil || alg != nil {
+			t.Fatalf("Decode(%q, %d, %#x) = %v, %v; want an error", b.name, b.width, b.param, alg, err)
 		}
-	}
-	if m.Count("never-seen") != 0 {
-		t.Fatal("unknown key nonzero")
 	}
 }
 
-func TestMapFull(t *testing.T) {
-	rng := xrand.NewSeeded(13)
-	m := NewMap(2, NewExactAlg(8), rng)
-	if err := m.Inc("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Inc("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Inc("a"); err != nil {
-		t.Fatal("existing key rejected on full map")
-	}
-	if err := m.Inc("c"); err == nil {
-		t.Fatal("overflow key accepted")
-	}
-}
-
-func TestMapConcurrent(t *testing.T) {
-	rng := xrand.NewSeeded(14)
-	m := NewMap(64, NewExactAlg(24), rng)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", id)
-			for i := 0; i < 5000; i++ {
-				if err := m.Inc(key); err != nil {
-					t.Error(err)
-					return
+// TestStepProbMatchesStep checks StepProb against the Step it describes:
+// 0 at the cap, positive below it, and the observed increment rate of Step
+// within sampling error of it in every state.
+func TestStepProbMatchesStep(t *testing.T) {
+	rng := xrand.NewSeeded(15)
+	const trials = 4000
+	for _, alg := range []Algorithm{NewMorrisAlg(0.3, 6), NewCsurosAlg(6, 2), NewExactAlg(5)} {
+		limit := uint64(1)<<uint(alg.Width()) - 1
+		if p := alg.StepProb(limit); p != 0 {
+			t.Fatalf("%s: StepProb(cap) = %v, want 0", alg.Name(), p)
+		}
+		for reg := uint64(0); reg < limit; reg++ {
+			p := alg.StepProb(reg)
+			if !(p > 0 && p <= 1) {
+				t.Fatalf("%s: StepProb(%d) = %v outside (0, 1]", alg.Name(), reg, p)
+			}
+			moved := 0
+			for i := 0; i < trials; i++ {
+				if alg.Step(reg, rng) != reg {
+					moved++
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < 8; g++ {
-		if got := m.Count(fmt.Sprintf("k%d", g)); got != 5000 {
-			t.Fatalf("k%d = %v", g, got)
+			if d := math.Abs(float64(moved)/trials - p); d > 5*math.Sqrt(p*(1-p)/trials)+1e-9 {
+				t.Fatalf("%s: state %d stepped at rate %v, StepProb %v", alg.Name(), reg, float64(moved)/trials, p)
+			}
 		}
 	}
-}
-
-func TestBankSnapshotRestore(t *testing.T) {
-	rng := xrand.NewSeeded(16)
-	b := New(500, NewMorrisAlg(0.05, 13), rng)
-	for i := 0; i < 500; i++ {
-		b.IncrementBy(i, uint64(i)*17)
-	}
-	snap := b.Snapshot()
-	if len(snap) != (500*13+7)/8 {
-		t.Fatalf("snapshot %d bytes, want packed %d", len(snap), (500*13+7)/8)
-	}
-	c := New(500, NewMorrisAlg(0.05, 13), rng)
-	if err := c.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if c.Register(i) != b.Register(i) {
-			t.Fatalf("register %d mismatch after restore", i)
+	// Below the cap StepProb stays positive where the probability itself
+	// underflows a float64, so a step table never mistakes the state for a
+	// saturated one.
+	for _, alg := range []Algorithm{NewMorrisAlg(1, 16), NewCsurosAlg(16, 1)} {
+		if p := alg.StepProb(1<<16 - 2); p <= 0 {
+			t.Fatalf("%s: StepProb underflowed to %v below the cap", alg.Name(), p)
 		}
-	}
-}
-
-func TestBankRestoreTruncated(t *testing.T) {
-	rng := xrand.NewSeeded(17)
-	b := New(100, NewExactAlg(16), rng)
-	if err := b.Restore([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated payload accepted")
 	}
 }
 

@@ -470,21 +470,6 @@ func TestCheckpointGarbageCollects(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ok   bool
-	}{{"morris", true}, {"csuros", true}, {"exact", true}, {"bogus", false}} {
-		alg, err := ParseAlgorithm(tc.name, 0.01, 14, 8)
-		if tc.ok && (err != nil || alg.Name() != tc.name) {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !tc.ok && err == nil {
-			t.Fatalf("%s accepted", tc.name)
-		}
-	}
-}
-
 func TestOpenEmptyDirNeedsShape(t *testing.T) {
 	_, err := Open(Config{Dir: t.TempDir()})
 	if err == nil {

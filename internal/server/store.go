@@ -1657,21 +1657,6 @@ func (st *Store) syncPolicy() wal.SyncPolicy {
 	return st.cfg.Sync
 }
 
-// ParseAlgorithm builds a bank algorithm from flag-style parameters — the
-// shared vocabulary of counterd, countertool serve, and tests.
-func ParseAlgorithm(name string, a float64, width, mantissa int) (bank.Algorithm, error) {
-	switch name {
-	case "morris":
-		return bank.NewMorrisAlg(a, width), nil
-	case "csuros":
-		return bank.NewCsurosAlg(width, mantissa), nil
-	case "exact":
-		return bank.NewExactAlg(width), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want morris | csuros | exact)", name)
-	}
-}
-
 func snapPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix))
 }

@@ -316,6 +316,8 @@ func TestAbandonedViewReleasedByGC(t *testing.T) {
 		v := b.Freeze()
 		v.ReadRegisters(make([]uint64, 10), 0)
 		b.IncrementBatch(zipfKeys(20_000, 20_000, 3)) // leave saved words behind
+		// Collecting v before the batch would release its cut early.
+		runtime.KeepAlive(v)
 	}()
 	if b.CutCopyBytes() == 0 {
 		t.Fatal("writers saved nothing for the open view")

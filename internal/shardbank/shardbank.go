@@ -1,4 +1,4 @@
-// Package shardbank is the concurrency-first successor to internal/bank: a
+// Package shardbank stores the registers of internal/bank's algorithms: a
 // lock-striped bank of packed approximate counters built to serve heavy
 // multi-goroutine increment traffic.
 //
@@ -20,12 +20,12 @@
 //     near zero. Within a shard, keys are applied in their original batch
 //     order against the shard's own rng, so a batched run produces
 //     bit-identical registers to the equivalent unbatched run.
-//   - Table-driven stepping: for the known register algorithms (Morris,
-//     Csűrös, exact) the per-state increment probability is precomputed as
-//     a 64-bit fixed-point table indexed by register value, so a step is a
-//     table load, one rng word, and a compare — no math.Exp, no float
-//     division, no interface call. Unknown algorithms fall back to the
-//     generic Algorithm.Step path.
+//   - Table-driven stepping: for every register algorithm up to 16 bits
+//     wide, the per-state increment probability (Algorithm.StepProb) is
+//     precomputed as a 64-bit fixed-point table indexed by register value,
+//     so a step is a table load, one rng word, and a compare — no math.Exp,
+//     no float division, no interface call. Wider registers fall back to
+//     the generic Algorithm.Step path.
 //
 // What the hot path pays for the readers is touch (blockmax.go), called for
 // each register that actually changed — two atomic loads and compares in
@@ -45,9 +45,8 @@
 // one entry per block before it opens any.
 //
 // Snapshot takes every shard lock simultaneously and emits the registers as
-// one contiguous packed payload in global key order — byte-compatible with
-// bank.Bank's snapshot format, so the merged view can be restored into a
-// single-mutex Bank. Two shard banks of identical shape fold together with
+// one contiguous packed payload in global key order, which Restore loads
+// into any bank of the same length and width. Two shard banks of identical shape fold together with
 // Merge, register by register, via the paper's Remark 2.4 merge — the merged
 // bank is distributed exactly as one that saw both banks' streams.
 package shardbank
@@ -85,60 +84,31 @@ const (
 type stepTable []uint64
 
 // buildStepTable returns the fixed-point table for alg, or nil when alg is
-// unknown or too wide to tabulate.
+// too wide to tabulate.
 func buildStepTable(alg bank.Algorithm) stepTable {
 	if alg.Width() > maxTableWidth {
 		return nil
 	}
-	size := uint64(1) << uint(alg.Width())
-	switch a := alg.(type) {
-	case bank.MorrisAlg:
-		t := make(stepTable, size)
-		lnBase := math.Log1p(a.Base())
-		for x := uint64(0); x < size-1; x++ {
-			t[x] = fixedProb(math.Exp(-float64(x) * lnBase))
-		}
-		t[size-1] = stepNever
-		return t
-	case bank.CsurosAlg:
-		t := make(stepTable, size)
-		d := uint(a.Mantissa())
-		for x := uint64(0); x < size-1; x++ {
-			e := x >> d
-			switch {
-			case e == 0:
-				t[x] = stepAlways
-			case e < 64:
-				t[x] = uint64(1) << (64 - e)
-			default:
-				// p = 2^-e < 2^-64: representable only as the minimum
-				// fixed-point step. These states need ≳2^64 events to
-				// reach, so the rounding is unobservable.
-				t[x] = 1
-			}
-		}
-		t[size-1] = stepNever
-		return t
-	case bank.ExactAlg:
-		t := make(stepTable, size)
-		for x := uint64(0); x < size-1; x++ {
-			t[x] = stepAlways
-		}
-		t[size-1] = stepNever
-		return t
-	default:
-		return nil
+	t := make(stepTable, 1<<uint(alg.Width()))
+	for x := range t {
+		t[x] = fixedProb(alg.StepProb(uint64(x)))
 	}
+	return t
 }
 
-// fixedProb converts p ∈ (0, 1] to its 64-bit fixed-point representation,
-// collapsing values that round to 1 into the deterministic sentinel.
+// fixedProb converts p ∈ [0, 1] to its 64-bit fixed-point representation:
+// 0 is the saturated sentinel, values that round to 1 collapse into the
+// deterministic one, and positive values below 2^-64 round up to the
+// minimum step — states that need ≳2^64 events to reach, so the rounding
+// is unobservable.
 func fixedProb(p float64) uint64 {
 	v := math.Ldexp(p, 64)
-	if v >= math.Ldexp(1, 64) {
+	switch {
+	case p <= 0:
+		return stepNever
+	case v >= math.Ldexp(1, 64):
 		return stepAlways
-	}
-	if v < 1 {
+	case v < 1:
 		return 1
 	}
 	return uint64(v)
@@ -535,10 +505,9 @@ func (b *Bank) unlockAll() {
 }
 
 // Snapshot returns a globally consistent packed payload of all n registers
-// in key order, taken with every shard lock held. The format is exactly
-// bank.Bank's snapshot format — SizeBytes of a single-mutex bank of the
-// same shape — so the merged view restores into one Bank via
-// (*bank.Bank).Restore (see SnapshotBank).
+// in key order, taken with every shard lock held: n fixed-width fields,
+// ⌈n·width/8⌉ bytes, which Restore loads into a bank of the same length
+// and width whatever its shard count.
 func (b *Bank) Snapshot() []byte {
 	b.lockAll()
 	defer b.unlockAll()
@@ -550,26 +519,13 @@ func (b *Bank) Snapshot() []byte {
 	return w.Bytes()
 }
 
-// SnapshotBank materializes the consistent merged view as a single-mutex
-// bank.Bank (e.g. to hand a stable copy to a slow reader while the sharded
-// bank keeps absorbing writes). The rng seeds the new bank's future steps
-// only; the copied registers are exact.
-func (b *Bank) SnapshotBank(rng *xrand.Rand) (*bank.Bank, error) {
-	snap := b.Snapshot()
-	out := bank.New(b.n, b.alg, rng)
-	if err := out.Restore(snap); err != nil {
-		return nil, fmt.Errorf("shardbank: snapshot restore: %w", err)
-	}
-	return out, nil
-}
-
 // Merge folds other into the receiver register by register using the
 // paper's Remark 2.4 merge: each merged register is distributed exactly as
 // a counter that saw both inputs' streams, so two banks counting disjoint
 // slices of a workload fold into one with no loss in (ε, δ). Both banks
 // must have the same length, shard count, and a common MergeAlgorithm.
-// Like bank.Bank.Merge, concurrent opposite-direction merges of the same
-// two banks may deadlock; merge under a single owner.
+// Concurrent opposite-direction merges of the same two banks may deadlock;
+// merge under a single owner.
 func (b *Bank) Merge(other *Bank) error {
 	ma, ok := b.alg.(bank.MergeAlgorithm)
 	if !ok {

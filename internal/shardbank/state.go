@@ -10,9 +10,8 @@ import (
 	"repro/internal/bitpack"
 )
 
-// Restore loads a packed register payload produced by Snapshot (or by
-// bank.Bank.Snapshot on a bank of identical shape) into the sharded bank,
-// overwriting every register. The payload is shape-validated: it must be
+// Restore loads a packed register payload produced by Snapshot on a bank of
+// the same length and width into the sharded bank, overwriting every register. The payload is shape-validated: it must be
 // exactly SizeBytes-of-the-merged-view long, i.e. ⌈n·width/8⌉ bytes, and
 // every field must decode (the packed reader masks each field to the
 // register width, so out-of-width values cannot arise). The shard rng

@@ -115,8 +115,7 @@ func MakeDelta(full *Snapshot, baseID uint64, blocks []uint32) (*Snapshot, error
 	d := &Snapshot{
 		AlgName:   full.AlgName,
 		Width:     full.Width,
-		Base:      full.Base,
-		Mantissa:  full.Mantissa,
+		Param:     full.Param,
 		N:         full.N,
 		Shards:    full.Shards,
 		Seed:      full.Seed,
@@ -178,8 +177,7 @@ func MaterializeDelta(d *Snapshot, base RegisterSource) (*Snapshot, error) {
 	full := &Snapshot{
 		AlgName:   d.AlgName,
 		Width:     d.Width,
-		Base:      d.Base,
-		Mantissa:  d.Mantissa,
+		Param:     d.Param,
 		N:         d.N,
 		Shards:    d.Shards,
 		Seed:      d.Seed,
@@ -211,8 +209,7 @@ func ApplyDelta(base, d *Snapshot) error {
 		return errors.New("snapcodec: ApplyDelta onto a delta snapshot")
 	}
 	switch {
-	case base.AlgName != d.AlgName || base.Width != d.Width ||
-		base.Base != d.Base || base.Mantissa != d.Mantissa:
+	case base.AlgName != d.AlgName || base.Width != d.Width || base.Param != d.Param:
 		return errors.New("snapcodec: delta algorithm mismatch with base")
 	case base.N != d.N || base.Shards != d.Shards || base.Seed != d.Seed:
 		return errors.New("snapcodec: delta shape mismatch with base")

@@ -56,7 +56,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/bits"
 
 	"repro/internal/bank"
@@ -120,10 +119,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the per-shard xoshiro256++ states that make a restore bit-exact under
 // future increments.
 type Snapshot struct {
-	AlgName  string  // "morris" | "csuros" | "exact"
-	Width    int     // register width in bits
-	Base     float64 // Morris base parameter a (morris only)
-	Mantissa int     // Csűrös mantissa bits (csuros only)
+	AlgName string // register algorithm name (bank.Algorithm.Name)
+	Width   int    // register width in bits
+	Param   uint64 // algorithm parameter (bank.Algorithm.Param)
 
 	N      int    // number of registers in the full bank
 	Shards int    // lock stripes of the originating bank
@@ -243,89 +241,25 @@ func PartitionRange(n, parts, p int) (lo, hi int) {
 	return lo, hi
 }
 
-// SetAlg fills the algorithm identity fields from a bank algorithm.
+// SetAlg fills the algorithm identity fields from a bank algorithm, and
+// fails when bank.Decode cannot rebuild it from them.
 func (s *Snapshot) SetAlg(alg bank.Algorithm) error {
-	s.AlgName = alg.Name()
-	s.Width = alg.Width()
-	s.Base = 0
-	s.Mantissa = 0
-	switch a := alg.(type) {
-	case bank.MorrisAlg:
-		s.Base = a.Base()
-	case bank.CsurosAlg:
-		s.Mantissa = a.Mantissa()
-	case bank.ExactAlg:
-	default:
-		return fmt.Errorf("snapcodec: unsupported algorithm %q", alg.Name())
-	}
-	return nil
+	s.AlgName, s.Width, s.Param = alg.Name(), alg.Width(), alg.Param()
+	_, err := s.Alg()
+	return err
 }
 
 // Alg reconstructs the bank algorithm described by the header fields. The
-// reconstruction is exact — Base round-trips through its IEEE-754 bits — so
-// the returned value compares equal to the original algorithm and satisfies
-// bank.Merge / shardbank.Merge identity checks.
+// reconstruction is exact, so the returned value compares equal to the
+// original algorithm and satisfies shardbank.Merge's identity check.
 func (s *Snapshot) Alg() (bank.Algorithm, error) {
-	switch s.AlgName {
-	case "morris":
-		if !(s.Base > 0 && s.Base <= 1) {
-			return nil, fmt.Errorf("snapcodec: morris base %v out of (0, 1]", s.Base)
-		}
-		if s.Width < 1 || s.Width > 62 {
-			return nil, fmt.Errorf("snapcodec: morris width %d out of [1, 62]", s.Width)
-		}
-		return bank.NewMorrisAlg(s.Base, s.Width), nil
-	case "csuros":
-		if s.Width < 2 || s.Width > 62 || s.Mantissa < 1 || s.Mantissa >= s.Width {
-			return nil, fmt.Errorf("snapcodec: csuros shape width=%d mantissa=%d invalid", s.Width, s.Mantissa)
-		}
-		return bank.NewCsurosAlg(s.Width, s.Mantissa), nil
-	case "exact":
-		if s.Width < 1 || s.Width > 62 {
-			return nil, fmt.Errorf("snapcodec: exact width %d out of [1, 62]", s.Width)
-		}
-		return bank.NewExactAlg(s.Width), nil
-	default:
-		return nil, fmt.Errorf("snapcodec: unknown algorithm %q", s.AlgName)
-	}
+	return bank.Decode(s.AlgName, s.Width, s.Param)
 }
 
 // RawPayloadBytes returns the size of the uncompressed fixed-width register
 // payload (bank.Snapshot format) for a bank of the given shape — the
 // baseline that compression ratios in this repository are quoted against.
 func RawPayloadBytes(n, width int) int { return (n*width + 7) / 8 }
-
-// param packs the algorithm parameter into the fixed 8-byte header slot.
-func (s *Snapshot) param() uint64 {
-	switch s.AlgName {
-	case "morris":
-		return math.Float64bits(s.Base)
-	case "csuros":
-		return uint64(s.Mantissa)
-	default:
-		return 0
-	}
-}
-
-func (s *Snapshot) setParam(p uint64) error {
-	switch s.AlgName {
-	case "morris":
-		s.Base = math.Float64frombits(p)
-		if math.IsNaN(s.Base) || math.IsInf(s.Base, 0) {
-			return fmt.Errorf("snapcodec: non-finite morris base")
-		}
-	case "csuros":
-		if p > 62 {
-			return fmt.Errorf("snapcodec: csuros mantissa %d out of range", p)
-		}
-		s.Mantissa = int(p)
-	default:
-		if p != 0 {
-			return fmt.Errorf("snapcodec: unexpected parameter %d for algorithm %q", p, s.AlgName)
-		}
-	}
-	return nil
-}
 
 // validate checks a Snapshot before encoding. Register values are checked
 // against the header width by the encoder, block by block, as it reads them.
@@ -337,8 +271,8 @@ func (s *Snapshot) validate() error {
 	if len(s.AlgName) == 0 || len(s.AlgName) > maxAlgName {
 		return fmt.Errorf("snapcodec: algorithm name length %d out of [1, %d]", len(s.AlgName), maxAlgName)
 	}
-	if s.Width < 1 || s.Width > 64 {
-		return fmt.Errorf("snapcodec: width %d out of [1, 64]", s.Width)
+	if _, err := s.Alg(); err != nil {
+		return fmt.Errorf("snapcodec: %w", err)
 	}
 	if s.N < 0 || s.N > MaxRegisters {
 		return fmt.Errorf("snapcodec: register count %d out of [0, %d]", s.N, MaxRegisters)
@@ -459,7 +393,7 @@ func EncodeTo(w io.Writer, s *Snapshot) error {
 	e.writeByte(byte(len(s.AlgName)))
 	e.write([]byte(s.AlgName))
 	e.writeByte(byte(s.Width))
-	e.writeU64(s.param())
+	e.writeU64(s.Param)
 	e.writeUvarint(uint64(s.N))
 	e.writeUvarint(uint64(s.Shards))
 	e.writeU64(s.Seed)
@@ -643,10 +577,7 @@ func runDecode(cr *crcReader, maxRegisters int) (*Snapshot, error) {
 	d.read(name)
 	s.AlgName = string(name)
 	s.Width = int(d.byte())
-	if d.err == nil && (s.Width < 1 || s.Width > 64) {
-		return nil, fmt.Errorf("snapcodec: width %d out of [1, 64]", s.Width)
-	}
-	param := d.u64()
+	s.Param = d.u64()
 	n := d.uvarint()
 	shards := d.uvarint()
 	s.Seed = d.u64()
@@ -655,8 +586,8 @@ func runDecode(cr *crcReader, maxRegisters int) (*Snapshot, error) {
 	if d.err != nil {
 		return nil, d.fail("header")
 	}
-	if err := s.setParam(param); err != nil {
-		return nil, err
+	if _, err := s.Alg(); err != nil {
+		return nil, fmt.Errorf("snapcodec: %w", err)
 	}
 	if n > uint64(maxRegisters) {
 		return nil, fmt.Errorf("snapcodec: register count %d exceeds %d", n, maxRegisters)

@@ -60,7 +60,7 @@ func testSnapshot(t *testing.T, regs []uint64, alg bank.Algorithm, shards int, w
 func assertEqual(t *testing.T, got, want *Snapshot) {
 	t.Helper()
 	if got.AlgName != want.AlgName || got.Width != want.Width ||
-		got.Base != want.Base || got.Mantissa != want.Mantissa ||
+		got.Param != want.Param ||
 		got.N != want.N || got.Shards != want.Shards || got.Seed != want.Seed {
 		t.Fatalf("header mismatch: got %+v want %+v", got, want)
 	}
@@ -314,10 +314,13 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 }
 
 func FuzzDecodeNeverPanics(f *testing.F) {
-	seed := testSnapshotBytes(f)
-	f.Add(seed)
+	f.Add(testSnapshotBytes(f, bank.NewMorrisAlg(0.005, 14)))
 	f.Add([]byte("NYS1"))
 	f.Add([]byte{})
+	// Headers of the other algorithms, whose parameter slot bank.Decode
+	// checks differently: a mantissa width, and zero.
+	f.Add(testSnapshotBytes(f, bank.NewCsurosAlg(14, 6)))
+	f.Add(testSnapshotBytes(f, bank.NewExactAlg(14)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err == nil {
@@ -333,9 +336,14 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 	})
 }
 
-func testSnapshotBytes(f *testing.F) []byte {
+// testSnapshotBytes encodes a 500-key Zipf register section (14-bit
+// registers) under alg's header.
+func testSnapshotBytes(f *testing.F, alg bank.Algorithm) []byte {
 	regs := zipfRegisters(500, 1e4, 1.05, 0.005, 14)
-	s := &Snapshot{AlgName: "morris", Width: 14, Base: 0.005, N: 500, Shards: 4, Seed: 1, Registers: regs}
+	s := &Snapshot{N: 500, Shards: 4, Seed: 1, Registers: regs}
+	if err := s.SetAlg(alg); err != nil {
+		f.Fatalf("seed header: %v", err)
+	}
 	data, err := Encode(s)
 	if err != nil {
 		f.Fatalf("seed encode: %v", err)
@@ -346,7 +354,7 @@ func testSnapshotBytes(f *testing.F) []byte {
 func BenchmarkEncodeZipf1M(b *testing.B) {
 	const n = 1_000_000
 	regs := zipfRegisters(n, 1e7, 1.05, 0.005, 14)
-	s := &Snapshot{AlgName: "morris", Width: 14, Base: 0.005, N: n, Shards: 256, Seed: 1, Registers: regs}
+	s := &Snapshot{AlgName: "morris", Width: 14, Param: math.Float64bits(0.005), N: n, Shards: 256, Seed: 1, Registers: regs}
 	data, err := Encode(s)
 	if err != nil {
 		b.Fatalf("encode: %v", err)
@@ -367,7 +375,7 @@ func BenchmarkEncodeZipf1M(b *testing.B) {
 func BenchmarkDecodeZipf1M(b *testing.B) {
 	const n = 1_000_000
 	regs := zipfRegisters(n, 1e7, 1.05, 0.005, 14)
-	s := &Snapshot{AlgName: "morris", Width: 14, Base: 0.005, N: n, Shards: 256, Seed: 1, Registers: regs}
+	s := &Snapshot{AlgName: "morris", Width: 14, Param: math.Float64bits(0.005), N: n, Shards: 256, Seed: 1, Registers: regs}
 	data, err := Encode(s)
 	if err != nil {
 		b.Fatalf("encode: %v", err)
@@ -634,5 +642,58 @@ func TestEngineSectionValidation(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc)
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("v2 snapshot with engine flag accepted")
+	}
+}
+
+// TestDecodeRejectsBadAlgorithmHeader patches the algorithm fields of valid
+// snapshots, re-seals the checksum, and expects bank.Decode's verdict from
+// both Decode and Encode: a non-finite or out-of-range Morris base, a
+// Csűrös mantissa past the width, a stray parameter on exact, a width past
+// 62, and an unknown name are each an error.
+func TestDecodeRejectsBadAlgorithmHeader(t *testing.T) {
+	regs := []uint64{1, 2, 3}
+	for _, tc := range []struct {
+		alg   bank.Algorithm
+		name  string // replaces the algorithm name, same length
+		width int    // replaces the width when non-zero
+		param uint64
+	}{
+		{alg: bank.NewMorrisAlg(0.01, 12), param: math.Float64bits(math.NaN())},
+		{alg: bank.NewMorrisAlg(0.01, 12), param: math.Float64bits(math.Inf(1))},
+		{alg: bank.NewMorrisAlg(0.01, 12), param: math.Float64bits(2)},
+		{alg: bank.NewMorrisAlg(0.01, 12), param: math.Float64bits(0.01), width: 63},
+		{alg: bank.NewCsurosAlg(12, 4), param: 63},
+		{alg: bank.NewCsurosAlg(12, 4), param: 12},
+		{alg: bank.NewExactAlg(12), param: 1},
+		{alg: bank.NewExactAlg(12), param: 0, width: 64},
+		{alg: bank.NewExactAlg(12), param: 0, name: "exakt"},
+	} {
+		s := &Snapshot{N: len(regs), Shards: 1, Seed: 1, Registers: regs}
+		if err := s.SetAlg(tc.alg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nameOff := 4 + 1 + 1 // magic, version, name length
+		widthOff := nameOff + len(tc.alg.Name())
+		if tc.name != "" {
+			copy(data[nameOff:], tc.name)
+			s.AlgName = tc.name
+		}
+		if tc.width != 0 {
+			data[widthOff] = byte(tc.width)
+			s.Width = tc.width
+		}
+		binary.LittleEndian.PutUint64(data[widthOff+1:], tc.param)
+		s.Param = tc.param
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], castagnoli))
+		if _, err := Decode(data); err == nil {
+			t.Fatalf("%+v: decode accepted the header", tc)
+		}
+		if _, err := Encode(s); err == nil {
+			t.Fatalf("%+v: encode accepted the header", tc)
+		}
 	}
 }
