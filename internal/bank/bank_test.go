@@ -180,8 +180,7 @@ func TestMergeRegsAtMostSum(t *testing.T) {
 // only a MergeAlgorithm merges, and banks merge only under equal
 // algorithms, so Morris registers with different bases never fold.
 func TestBankMergeErrors(t *testing.T) {
-	var algs []Algorithm = []Algorithm{NewCsurosAlg(16, 10), NewExactAlg(16)}
-	for _, alg := range algs {
+	for _, alg := range []Algorithm{NewCsurosAlg(16, 10), NewExactAlg(16)} {
 		if _, ok := alg.(MergeAlgorithm); ok {
 			t.Fatalf("%s claims a Remark 2.4 merge", alg.Name())
 		}

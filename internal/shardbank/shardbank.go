@@ -46,9 +46,10 @@
 //
 // Snapshot takes every shard lock simultaneously and emits the registers as
 // one contiguous packed payload in global key order, which Restore loads
-// into any bank of the same length and width. Two shard banks of identical shape fold together with
-// Merge, register by register, via the paper's Remark 2.4 merge — the merged
-// bank is distributed exactly as one that saw both banks' streams.
+// into any bank of the same length and width. Two shard banks of identical
+// shape fold together with Merge, register by register, via the paper's
+// Remark 2.4 merge — the merged bank is distributed exactly as one that saw
+// both banks' streams.
 package shardbank
 
 import (
@@ -97,10 +98,10 @@ func buildStepTable(alg bank.Algorithm) stepTable {
 }
 
 // fixedProb converts p ∈ [0, 1] to its 64-bit fixed-point representation:
-// 0 is the saturated sentinel, values that round to 1 collapse into the
-// deterministic one, and positive values below 2^-64 round up to the
-// minimum step — states that need ≳2^64 events to reach, so the rounding
-// is unobservable.
+// 0 (a saturated state) becomes stepNever, values that round to 1 collapse
+// into stepAlways, and positive values below 2^-64 round up to the minimum
+// step — states that need ≳2^64 events to reach, so the rounding is
+// unobservable.
 func fixedProb(p float64) uint64 {
 	v := math.Ldexp(p, 64)
 	switch {
