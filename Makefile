@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check doclint test race bench-test fuzz-smoke ci \
+.PHONY: all build vet fmt-check doclint test race mapped-test bench-test fuzz-smoke ci \
 	counterd serve cluster-smoke cluster-demo windowed-demo wire-smoke grow-smoke \
 	distinct-smoke \
 	metrics-smoke manifest-check
@@ -56,6 +56,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# shardbank's mapped-register tests without the race detector, which keeps
+# every bank on the Go heap (internal/shardbank/arena_heap.go), so `race`
+# never runs the mapped path. Twenty runs: one test races the collector
+# against every register-touching call.
+MAPPED_TESTS = TestMapped
+
+mapped-test:
+	$(GO) test -count=20 -run '$(MAPPED_TESTS)' ./internal/shardbank
 
 # The benchmark harness is a module of its own (bench/, see its README), so
 # ./... does not reach it: its unit tests — tables vs BENCHMARK.json, the
@@ -116,4 +125,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzF2Snapshot -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzRingSnapshot -fuzztime=5s ./internal/engine
 
-ci: build vet fmt-check doclint manifest-check race bench-test metrics-smoke fuzz-smoke
+ci: build vet fmt-check doclint manifest-check race mapped-test bench-test metrics-smoke fuzz-smoke

@@ -123,6 +123,47 @@ func TestReadyzReportsWALFailure(t *testing.T) {
 	}
 }
 
+// memParts reads every counterd_mem_bytes{part} off one scrape of a
+// server's /metrics, so parts compared with each other come from one instant.
+func memParts(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	_, body := scrape(t, url, "/metrics")
+	parts := make(map[string]float64)
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, `counterd_mem_bytes{part="`)
+		if !ok {
+			continue
+		}
+		p, v, _ := strings.Cut(rest, `"} `)
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		parts[p] = f
+	}
+	return parts
+}
+
+// A 4 M-key store's registers sit in shardbank's mapping outside the Go
+// heap, and counterd_mem_bytes{part="mapped"} reports it (0 in builds that
+// keep every bank on the heap).
+func TestMemGaugesMappedBank(t *testing.T) {
+	st, err := Open(testConfig(t, 4_000_000))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close(false)
+	srv := httptest.NewServer(Handler(st))
+	defer srv.Close()
+	b := st.Bank()
+	if m := b.MappedBytes(); m != 0 && m < b.SizeBytes() {
+		t.Fatalf("a %d-byte mapping holds %d bytes of registers", m, b.SizeBytes())
+	}
+	if v, ok := memParts(t, srv.URL)["mapped"]; !ok || v != float64(b.MappedBytes()) {
+		t.Fatalf("mapped = %v (present %v), the bank maps %d bytes", v, ok, b.MappedBytes())
+	}
+}
+
 // counterd_mem_bytes reports the registers exactly, and the words writers
 // save for an open snapshot go back to 0 once it is released — and stay 0
 // across a /v1/snapshot of an idle store.
@@ -141,21 +182,14 @@ func TestMemGauges(t *testing.T) {
 	}
 	part := func(p string) (float64, bool) {
 		t.Helper()
-		_, body := scrape(t, srv.URL, "/metrics")
-		prefix := `counterd_mem_bytes{part="` + p + `"} `
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, prefix); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Fatalf("%s: %v", line, err)
-				}
-				return f, true
-			}
-		}
-		return 0, false
+		v, ok := memParts(t, srv.URL)[p]
+		return v, ok
 	}
 	if v, _ := part("registers"); v != float64(st.Bank().SizeBytes()) {
 		t.Errorf("registers = %v, bank is %d bytes", v, st.Bank().SizeBytes())
+	}
+	if v, ok := part("mapped"); !ok || v != 0 {
+		t.Errorf("mapped = %v (present %v) for %d bytes of registers, under the 4 MiB line", v, ok, st.Bank().SizeBytes())
 	}
 	runtime.GC() // heap_live is what the last GC marked: 0 before the first
 	for _, p := range []string{"heap_live", "heap_goal"} {
@@ -164,10 +198,10 @@ func TestMemGauges(t *testing.T) {
 		}
 	}
 	if runtime.GOOS == "linux" {
-		rss, _ := part("rss")
-		peak, _ := part("rss_peak")
-		if rss <= 0 || peak < rss {
-			t.Errorf("rss = %v, rss_peak = %v", rss, peak)
+		m := memParts(t, srv.URL)
+		rss, peak, file := m["rss"], m["rss_peak"], m["rss_file"]
+		if rss <= 0 || peak < rss || file <= 0 || file > rss {
+			t.Errorf("rss = %v, rss_peak = %v, rss_file = %v", rss, peak, file)
 		}
 	}
 	if code, _ := scrape(t, srv.URL, "/v1/snapshot"); code != 200 {

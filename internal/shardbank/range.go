@@ -17,6 +17,7 @@ package shardbank
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/bank"
 )
@@ -68,6 +69,7 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 		}
 		s.mu.Unlock()
 	}
+	runtime.KeepAlive(b)
 	return nil
 }
 
@@ -139,5 +141,6 @@ func (b *Bank) MergeRange(lo int, regs []uint64) error {
 		}
 		s.mu.Unlock()
 	}
+	runtime.KeepAlive(b)
 	return nil
 }

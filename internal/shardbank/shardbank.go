@@ -11,6 +11,12 @@
 // batched runs, see below) are exactly replayable; no rng is ever shared
 // across shards.
 //
+// The shards' arrays are cache-line-aligned slices of one allocation
+// (arena.go). A bank of 4 MiB of registers or more — a 4 M-key node's
+// 7 MB of 14-bit Morris registers — maps it outside the Go heap, so the
+// garbage collector's heap goal, twice the live heap, no longer doubles
+// them; a smaller bank keeps it on the heap, under the goal's 4 MiB floor.
+//
 // Three things make the hot path fast:
 //
 //   - Lock striping: an increment takes only its shard's mutex, so
@@ -57,6 +63,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -152,6 +159,8 @@ type Bank struct {
 	// only under every shard lock. cutBytes counts the words they saved.
 	cuts     []*cut
 	cutBytes atomic.Int64
+
+	mapped int // bytes of the registers' mapping outside the Go heap, 0 on the heap (arena.go)
 }
 
 // New allocates a Bank of n registers striped across the given shard count
@@ -189,11 +198,19 @@ func New(n int, alg bank.Algorithm, shards int, seed uint64) *Bank {
 		blockMax: make([]atomic.Uint64, (n+DirtyBlockLen-1)/DirtyBlockLen),
 	}
 	b.scratch.New = func() any { return new(batchScratch) }
+	width := alg.Width()
+	local := func(s int) int { return (n - s + p - 1) / p } // registers i with i mod p == s
+	total := 0
+	for s := range p {
+		total += lineUp(bitpack.ArrayWords(local(s), width))
+	}
+	words := b.allocRegisters(total)
 	sm := xrand.NewSplitMix64(seed)
 	for s := range b.shards {
-		local := (n - s + p - 1) / p // registers i with i mod p == s
 		xo := xrand.New(sm.Uint64())
-		arr := bitpack.NewArray(local, alg.Width())
+		nw := bitpack.ArrayWords(local(s), width)
+		arr := bitpack.NewArrayOn(words[:nw:nw], local(s), width)
+		words = words[lineUp(nw):]
 		b.shards[s] = &shard{
 			arr:   arr,
 			words: arr.Words(),
@@ -206,6 +223,11 @@ func New(n int, alg bank.Algorithm, shards int, seed uint64) *Bank {
 
 // Len returns the number of registers.
 func (b *Bank) Len() int { return b.n }
+
+// MappedBytes returns the size of the mapping outside the Go heap that holds
+// the registers: 0 for a bank under 4 MiB, and for every bank of a build
+// that keeps registers on the heap (arena.go).
+func (b *Bank) MappedBytes() int { return b.mapped }
 
 // Shards returns the number of lock stripes.
 func (b *Bank) Shards() int { return len(b.shards) }
@@ -401,6 +423,7 @@ func applyKeys[K int | int32](b *Bank, si int, keys []K) {
 			b.touch(int(k), reg)
 		}
 	}
+	runtime.KeepAlive(b) // words may be mapped: b must outlive the loop (arena.go)
 }
 
 // batchScratch holds the reusable counting-sort buffers for IncrementBatch.
@@ -473,6 +496,7 @@ func (b *Bank) Register(i int) uint64 {
 	s.mu.Lock()
 	reg := s.arr.Get(local)
 	s.mu.Unlock()
+	runtime.KeepAlive(b)
 	return reg
 }
 
@@ -489,6 +513,7 @@ func (b *Bank) EstimateAll() []float64 {
 		}
 		s.mu.Unlock()
 	}
+	runtime.KeepAlive(b)
 	return vals
 }
 
@@ -554,5 +579,7 @@ func (b *Bank) Merge(other *Bank) error {
 		o.mu.Unlock()
 		s.mu.Unlock()
 	}
+	runtime.KeepAlive(b)
+	runtime.KeepAlive(other)
 	return nil
 }

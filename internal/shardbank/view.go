@@ -311,5 +311,6 @@ func (b *Bank) rankRuns(out []RegEntry, k int, runs []keyRun) []RegEntry {
 			s.mu.Unlock()
 		}
 	}
+	runtime.KeepAlive(b)
 	return out
 }

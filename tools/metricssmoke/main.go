@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -118,7 +119,7 @@ func run(counterd string) error {
 
 	// Key series from every instrumented layer, with live values where the
 	// traffic above pins them exactly.
-	for _, want := range []string{
+	wants := []string{
 		`counterd_http_requests_total{endpoint="/inc",code="200"} 50`,
 		`counterd_store_apply_keys_total{engine=`,
 		"counterd_store_apply_seconds_bucket{",
@@ -135,7 +136,12 @@ func run(counterd string) error {
 		`counterd_mem_bytes{part="registers"} `,
 		`counterd_mem_bytes{part="heap_live"} `,
 		`counterd_mem_bytes{part="cut_copies"} `,
-	} {
+		`counterd_mem_bytes{part="mapped"} `,
+	}
+	if runtime.GOOS == "linux" { // the rss parts read /proc/self/status
+		wants = append(wants, `counterd_mem_bytes{part="rss_file"} `)
+	}
+	for _, want := range wants {
 		if !strings.Contains(body, want) {
 			return fmt.Errorf("/metrics is missing %q", want)
 		}
