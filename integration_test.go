@@ -5,12 +5,14 @@ package approxcount
 // generated workloads, and validate simulated laws against the exact DP.
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/bank"
 	"repro/internal/dist"
 	"repro/internal/shardbank"
+	"repro/internal/snapcodec"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/xrand"
@@ -96,9 +98,25 @@ func TestBankOverZipfWorkloadAgainstTruth(t *testing.T) {
 		t.Fatalf("bank biased on workload: mean rel err %v over %d pages", errs.Mean(), errs.N())
 	}
 	// Snapshot → restore → identical estimates.
-	snap := b.Snapshot()
-	b2 := shardbank.New(pages, bank.NewMorrisAlg(0.01, 14), 1, 102)
-	if err := b2.Restore(snap); err != nil {
+	v := b.Freeze()
+	snap := &snapcodec.Snapshot{N: pages, Shards: b.Shards(), Seed: b.Seed(), Source: v}
+	if err := snap.SetAlg(b.Algorithm()); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := snapcodec.Encode(snap)
+	v.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r *shardbank.Restorer
+	if _, err := snapcodec.DecodeInto(bytes.NewReader(blob), func(h *snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
+		r = shardbank.NewRestorer(h.N, bank.NewMorrisAlg(0.01, 14), 1, 102)
+		return r, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := r.Finish(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < pages; p += 97 {

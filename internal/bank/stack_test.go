@@ -1,6 +1,7 @@
 package bank_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -88,16 +89,25 @@ func TestBankSnapshotRestore(t *testing.T) {
 		if back.Algorithm() != alg {
 			t.Fatalf("%s: restored algorithm %v", name, back.Algorithm())
 		}
-		packed := shardbank.New(n, alg, 1, 1)
-		if err := packed.Restore(live.Bank().Snapshot()); err != nil {
-			t.Fatalf("%s: packed restore: %v", name, err)
+		// The same blob decoded straight into a one-stripe bank, as a
+		// store restores its checkpoints.
+		var r *shardbank.Restorer
+		if _, err := snapcodec.DecodeInto(bytes.NewReader(blob), func(h *snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
+			r = shardbank.NewRestorer(h.N, alg, 1, 1)
+			return r, nil
+		}); err != nil {
+			t.Fatalf("%s: streamed decode: %v", name, err)
+		}
+		streamed, err := r.Finish(nil)
+		if err != nil {
+			t.Fatalf("%s: streamed restore: %v", name, err)
 		}
 		moved := false
 		for i := 0; i < n; i++ {
 			reg := live.Bank().Register(i)
-			if back.Bank().Register(i) != reg || packed.Register(i) != reg {
-				t.Fatalf("%s: register %d restored as %d (codec) and %d (packed), want %d",
-					name, i, back.Bank().Register(i), packed.Register(i), reg)
+			if back.Bank().Register(i) != reg || streamed.Register(i) != reg {
+				t.Fatalf("%s: register %d restored as %d (decoded) and %d (streamed), want %d",
+					name, i, back.Bank().Register(i), streamed.Register(i), reg)
 			}
 			moved = moved || reg != 0
 		}

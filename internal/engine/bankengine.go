@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bank"
@@ -26,21 +27,45 @@ type BankEngine struct {
 // NewBank wraps an existing sharded bank.
 func NewBank(b *shardbank.Bank) *BankEngine { return &BankEngine{b: b} }
 
-// BankFromSnapshot reconstructs a bank engine from a (whole-bank) snapshot,
-// restoring registers and, when present, the per-shard generator states.
-func BankFromSnapshot(snap *snapcodec.Snapshot) (*BankEngine, error) {
-	if snap.IsEngine() {
+// BankRestorer checks that a snapshot header describes a whole register
+// bank and returns a restorer of that bank: the sink a checkpoint's register
+// blocks decode into (snapcodec.DecodeInto), and the one restore path
+// BankFromSnapshot takes too.
+func BankRestorer(snap *snapcodec.Snapshot) (*shardbank.Restorer, error) {
+	switch {
+	case snap.IsEngine():
 		return nil, fmt.Errorf("engine: %q snapshot is not a bank snapshot", snap.Engine)
-	}
-	if snap.IsPartition() {
+	case snap.IsPartition():
 		return nil, fmt.Errorf("engine: cannot restore a bank from partition %d/%d", snap.Partition, snap.Parts)
+	case snap.IsDelta():
+		return nil, errors.New("engine: cannot restore a bank from a delta snapshot alone")
+	case snap.N < 1 || snap.Shards < 1:
+		return nil, fmt.Errorf("engine: bank snapshot of %d keys in %d shards", snap.N, snap.Shards)
 	}
 	alg, err := snap.Alg()
 	if err != nil {
 		return nil, err
 	}
-	b := shardbank.New(snap.N, alg, snap.Shards, snap.Seed)
-	if err := b.RestoreState(shardbank.State{Registers: snap.Registers, RNG: snap.RNG}); err != nil {
+	return shardbank.NewRestorer(snap.N, alg, snap.Shards, snap.Seed), nil
+}
+
+// BankFromSnapshot reconstructs a bank engine from a (whole-bank) snapshot,
+// restoring registers and, when present, the per-shard generator states.
+func BankFromSnapshot(snap *snapcodec.Snapshot) (*BankEngine, error) {
+	r, err := BankRestorer(snap)
+	if err != nil {
+		return nil, err
+	}
+	if got := snap.Regs().Len(); got != snap.N {
+		return nil, fmt.Errorf("engine: bank snapshot of %d keys holds %d registers", snap.N, got)
+	}
+	at := 0
+	snapcodec.EachBlock(snap.Regs(), func(block []uint64) {
+		r.WriteRegisters(block, at)
+		at += len(block)
+	})
+	b, err := r.Finish(snap.RNG)
+	if err != nil {
 		return nil, err
 	}
 	return &BankEngine{b: b}, nil

@@ -257,24 +257,13 @@ func Open(cfg Config) (*Store, error) {
 	}
 	st := &Store{cfg: cfg, started: time.Now()}
 
-	snapSeq, snap, err := newestSnapshot(cfg.Dir)
+	eng, ckptSeq, chain, err := restoreCheckpoint(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if snap != nil {
-		// Replay the delta chain on top of the full snapshot: each delta
-		// splices its changed blocks, landing on the exact state the newest
-		// checkpoint captured. The WAL below that checkpoint is gone, so a
-		// broken chain is a loud error, never a silent fallback.
-		chain, chainSeq, err := applyDeltaChain(cfg.Dir, snapSeq, snap)
-		if err != nil {
-			return nil, err
-		}
-		st.eng, err = engine.FromSnapshot(snap)
-		if err != nil {
-			return nil, fmt.Errorf("server: checkpoint %d: %w", chainSeq, err)
-		}
-		st.ckptSeq.Store(chainSeq)
+	if eng != nil {
+		st.eng = eng
+		st.ckptSeq.Store(ckptSeq)
 		st.chainLen.Store(int64(chain))
 		st.fromSnap = true
 	} else {
@@ -1689,75 +1678,119 @@ func listSeqs(dir, suffix string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// loadSnap reads and decodes one checkpoint file.
-func loadSnap(path string) (*snapcodec.Snapshot, error) {
+// loadSnap reads and decodes one checkpoint file, writing its register
+// section where header says (snapcodec.DecodeInto).
+func loadSnap(path string, header snapcodec.SinkFunc) (*snapcodec.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return snapcodec.DecodeFrom(f)
+	return snapcodec.DecodeInto(f, header)
 }
 
-// newestSnapshot loads the highest-sequence FULL checkpoint. Snapshots are
-// written atomically (tmp + rename after fsync), so a listed checkpoint
-// that fails its CRC is bit rot, not a torn write — and because the WAL
-// below it was truncated when it landed, no older checkpoint can be trusted
-// to cover the gap. That is a loud error, not a silent fallback.
-func newestSnapshot(dir string) (uint64, *snapcodec.Snapshot, error) {
-	seqs, err := listSeqs(dir, snapSuffix)
+// restoreCheckpoint rebuilds the engine the newest checkpoint captured: the
+// highest-sequence FULL snapshot, then every delta above it in sequence
+// order, each delta's base id naming the previous chain element. Every file
+// decodes straight into one register sink — a new bank's restorer for the
+// bank engine, the full snapshot's own register section for the others —
+// and the payload and rng come from the newest chain element. Deltas at or
+// below the full snapshot are leftovers of a crashed GC: obsolete, ignored,
+// and left for the next full checkpoint's GC. Returns a nil engine when dir
+// holds no full snapshot, else the engine, the newest chain element's
+// sequence and the number of deltas.
+//
+// Checkpoints are written atomically (tmp + rename after fsync), so one
+// that fails its CRC is bit rot, not a torn write, and a delta that does
+// not link is a hole in the chain. Since the WAL below the newest
+// checkpoint was truncated when it landed, neither is recoverable from an
+// older checkpoint: each is a loud error, never a silent fallback, and the
+// half-restored engine is dropped with it. That is what lets a file's
+// blocks reach the sink before its CRC is read — the CRC still decides
+// whether a register is served.
+func restoreCheckpoint(dir string) (engine.Engine, uint64, int, error) {
+	fulls, err := listSeqs(dir, snapSuffix)
+	if err != nil || len(fulls) == 0 {
+		return nil, 0, 0, err
+	}
+	fullSeq := fulls[len(fulls)-1]
+	var restorer *shardbank.Restorer
+	base, err := loadSnap(snapPath(dir, fullSeq), func(h *snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
+		switch {
+		case h.IsDelta():
+			return nil, errors.New("a delta snapshot where a full one belongs")
+		case h.IsEngine():
+			return nil, nil // decoded into base.Registers
+		}
+		var err error
+		if restorer, err = engine.BankRestorer(h); err != nil {
+			return nil, err
+		}
+		return restorer, nil
+	})
 	if err != nil {
-		return 0, nil, err
+		return nil, 0, 0, fmt.Errorf("server: checkpoint %d: %w", fullSeq, err)
 	}
-	if len(seqs) == 0 {
-		return 0, nil, nil
+	var sink snapcodec.RegisterSink = snapcodec.RegisterSlice(base.Registers)
+	if restorer != nil {
+		sink = restorer
 	}
-	seq := seqs[len(seqs)-1]
-	snap, err := loadSnap(snapPath(dir, seq))
+	deltas, err := listSeqs(dir, deltaSuffix)
 	if err != nil {
-		return 0, nil, fmt.Errorf("server: checkpoint %d unreadable: %w", seq, err)
+		return nil, 0, 0, err
 	}
-	return seq, snap, nil
-}
-
-// applyDeltaChain splices every delta checkpoint above the full snapshot at
-// fullSeq onto snap, in sequence order, verifying the chain links: each
-// delta's base id must name the previous chain element, starting at the
-// full snapshot itself. Deltas at or below fullSeq are leftovers of a
-// crashed GC — obsolete, ignored (and left for the next full checkpoint's
-// GC). A delta above fullSeq that does not link is a hole in the chain;
-// since the WAL below the newest checkpoint is truncated, that is
-// unrecoverable and loudly so. Returns the chain length and the sequence of
-// the newest chain element (fullSeq when no deltas apply).
-func applyDeltaChain(dir string, fullSeq uint64, snap *snapcodec.Snapshot) (int, uint64, error) {
-	seqs, err := listSeqs(dir, deltaSuffix)
-	if err != nil {
-		return 0, 0, err
-	}
-	chain := 0
-	prev := fullSeq
-	for _, seq := range seqs {
+	last, prev, chain := base, fullSeq, 0
+	for _, seq := range deltas {
 		if seq <= fullSeq {
 			continue
 		}
-		d, err := loadSnap(deltaPath(dir, seq))
+		last, err = loadSnap(deltaPath(dir, seq), func(h *snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
+			return sink, chainsOnto(base, h, prev)
+		})
 		if err != nil {
-			return 0, 0, fmt.Errorf("server: delta checkpoint %d unreadable: %w", seq, err)
+			return nil, 0, 0, fmt.Errorf("server: delta checkpoint %d: %w", seq, err)
 		}
-		if !d.IsDelta() {
-			return 0, 0, fmt.Errorf("server: delta checkpoint %d is not a delta snapshot", seq)
-		}
-		if d.DeltaBase != prev {
-			return 0, 0, fmt.Errorf("server: delta checkpoint %d chains onto %d, want %d — chain broken",
-				seq, d.DeltaBase, prev)
-		}
-		if err := snapcodec.ApplyDelta(snap, d); err != nil {
-			return 0, 0, fmt.Errorf("server: delta checkpoint %d: %w", seq, err)
-		}
-		prev = seq
-		chain++
+		prev, chain = seq, chain+1
 	}
-	return chain, prev, nil
+	var eng engine.Engine
+	if restorer != nil {
+		var b *shardbank.Bank
+		if b, err = restorer.Finish(last.RNG); err == nil {
+			eng = engine.NewBank(b)
+		}
+	} else {
+		base.Payload, base.RNG = last.Payload, last.RNG
+		eng, err = engine.FromSnapshot(base)
+	}
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("server: checkpoint %d: %w", prev, err)
+	}
+	return eng, prev, chain, nil
+}
+
+// chainsOnto checks that the delta header d applies on top of a chain whose
+// full snapshot is base and whose newest element is checkpoint prev: its
+// base id names prev, and it has base's algorithm, shape, seed, partition,
+// engine and register count (a bank's count the decoder already matched
+// to the shape).
+func chainsOnto(base, d *snapcodec.Snapshot, prev uint64) error {
+	switch {
+	case !d.IsDelta():
+		return errors.New("not a delta snapshot")
+	case d.DeltaBase != prev:
+		return fmt.Errorf("chains onto %d, want %d — chain broken", d.DeltaBase, prev)
+	case base.AlgName != d.AlgName || base.Width != d.Width || base.Param != d.Param:
+		return errors.New("algorithm differs from the full snapshot's")
+	case base.N != d.N || base.Shards != d.Shards || base.Seed != d.Seed:
+		return errors.New("shape differs from the full snapshot's")
+	case base.Partition != d.Partition || base.Parts != d.Parts:
+		return errors.New("partition differs from the full snapshot's")
+	case base.Engine != d.Engine:
+		return errors.New("engine differs from the full snapshot's")
+	case base.IsEngine() && d.DeltaRegs != len(base.Registers):
+		return fmt.Errorf("delta addresses %d registers, the full snapshot has %d", d.DeltaRegs, len(base.Registers))
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file's dirent is durable. A

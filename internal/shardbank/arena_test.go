@@ -227,9 +227,12 @@ func TestMappedBankOutlivesCalls(t *testing.T) {
 		{"MergeMaxRange", func() uint64 { return mustNil(loaded().MergeMaxRange(lo, regs)) }},
 		{"MergeRange", func() uint64 { return mustNil(loaded().MergeRange(lo, regs)) }},
 		{"ResetRange", func() uint64 { return mustNil(loaded().ResetRange(0, mappedN)) }},
-		{"Snapshot", func() uint64 { return bytesDigest(loaded().Snapshot()) }},
 		{"ExportState", func() uint64 { return regsDigest(loaded().ExportState().Registers) }},
-		{"RestoreState", func() uint64 { return mustNil(mappedBank(1).RestoreState(st)) }},
+		{"Restorer", func() uint64 {
+			b, err := restoreState(mappedN, bank.NewMorrisAlg(0.005, 14), 1, 1, st)
+			mustNil(err)
+			return regsDigest(b.ExportState().Registers[:1024])
+		}},
 		{"TopRegisters", func() uint64 {
 			top, err := flat().TopRegisters(100, 0, mappedN)
 			mustNil(err)

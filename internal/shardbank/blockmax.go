@@ -6,11 +6,12 @@
 //
 // The invariant is the upper bound: blockMax[bi] ≥ every register of block
 // bi, at every instant. Tightness (equality with the block's largest
-// register) is the optimisation, and holds whenever no ResetRange or
-// RestoreState is in flight: registers only grow under increments and
-// merges, every writer raises the entry under the lock of the register it
-// raised, and the two operations that lower registers hold every shard lock
-// while they recompute the entries they invalidated.
+// register) is the optimisation, and holds whenever no ResetRange is in
+// flight: registers only grow under increments and merges, every writer
+// raises the entry under the lock of the register it raised, and ResetRange,
+// which lowers registers, holds every shard lock while it recomputes the
+// entries it invalidated. A Restorer's bank is unreachable until Finish
+// rebuilds every entry.
 //
 // A block's keys interleave across shards exactly as dirty.go describes, so
 // writers holding different shard locks raise the same entry: like

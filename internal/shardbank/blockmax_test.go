@@ -118,7 +118,7 @@ func runBlockIndexScript(t *testing.T, data []byte) {
 	for step := 0; s.more() && step < 64; step++ {
 		op := s.byte()
 		what := []string{"Increment", "IncrementBy", "IncrementBatch", "MergeRange",
-			"MergeMaxRange", "ResetRange", "RestoreState"}[op%7]
+			"MergeMaxRange", "ResetRange", "Restorer"}[op%7]
 		switch op % 7 {
 		case 0:
 			b.Increment(s.u16() % n)
@@ -152,9 +152,9 @@ func runBlockIndexScript(t *testing.T, data []byte) {
 			extra = [2]int{lo, hi}
 		case 6:
 			// A restart: the exported state installed into a fresh bank.
-			fresh := New(n, alg, shards, uint64(shape))
-			if err := fresh.RestoreState(b.ExportState()); err != nil {
-				t.Fatalf("RestoreState: %v", err)
+			fresh, err := restoreState(n, alg, shards, uint64(shape), b.ExportState())
+			if err != nil {
+				t.Fatalf("restore: %v", err)
 			}
 			b = fresh
 		}

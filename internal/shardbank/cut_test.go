@@ -119,16 +119,6 @@ func bankWriters(n int, alg bank.Algorithm, shards int) []struct {
 				t.Fatal(err)
 			}
 		}},
-		{"Restore", func(t testing.TB, b *Bank) {
-			if err := b.Restore(peer.Snapshot()); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"RestoreState", func(t testing.TB, b *Bank) {
-			if err := b.RestoreState(peer.ExportState()); err != nil {
-				t.Fatal(err)
-			}
-		}},
 	}
 }
 
@@ -388,7 +378,7 @@ func runCutScript(t *testing.T, data []byte) {
 		return at, min(s.u16()%700, o.v.Len()-at)
 	}
 	for step := 0; s.more() && step < 80; step++ {
-		switch op := s.byte() % 13; op {
+		switch op := s.byte() % 11; op {
 		case 0:
 			if len(views) < 3 {
 				lo := s.u16() % n
@@ -449,14 +439,6 @@ func runCutScript(t *testing.T, data []byte) {
 				}
 			}
 		case 10:
-			if err := b.Restore(peer.Snapshot()); err != nil {
-				t.Fatal(err)
-			}
-		case 11:
-			if err := b.RestoreState(peer.ExportState()); err != nil {
-				t.Fatal(err)
-			}
-		case 12:
 			if o := pick(); o != nil {
 				o.ref.check(t, o.v, 0, o.v.Len(), "whole read")
 			}

@@ -70,13 +70,12 @@ func TestDirtyTrackingMergesAndResets(t *testing.T) {
 }
 
 func TestDirtyTrackingRestoreMarksAll(t *testing.T) {
-	b := New(300, bank.NewExactAlg(16), 4, 1)
-	st := b.ExportState()
-	if err := b.RestoreState(st); err != nil {
+	b, err := restoreState(300, bank.NewExactAlg(16), 4, 1, State{Registers: make([]uint64, 300)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := takeSorted(b); !reflect.DeepEqual(got, []uint32{0, 1, 2}) {
-		t.Fatalf("after RestoreState: %v", got)
+		t.Fatalf("after a restore: %v", got)
 	}
 }
 

@@ -50,12 +50,12 @@
 // upper bound on the block's registers (blockmax.go), so a ranking consults
 // one entry per block before it opens any.
 //
-// Snapshot takes every shard lock simultaneously and emits the registers as
-// one contiguous packed payload in global key order, which Restore loads
-// into any bank of the same length and width. Two shard banks of identical
-// shape fold together with Merge, register by register, via the paper's
-// Remark 2.4 merge — the merged bank is distributed exactly as one that saw
-// both banks' streams.
+// A bank is restored only whole and only new: a Restorer (state.go) fills
+// the registers of a fresh bank block by block, under every shard lock, and
+// hands the bank out when it is done. Two shard banks of identical shape
+// fold together with Merge, register by register, via the paper's Remark
+// 2.4 merge — the merged bank is distributed exactly as one that saw both
+// banks' streams.
 package shardbank
 
 import (
@@ -528,21 +528,6 @@ func (b *Bank) unlockAll() {
 	for _, s := range b.shards {
 		s.mu.Unlock()
 	}
-}
-
-// Snapshot returns a globally consistent packed payload of all n registers
-// in key order, taken with every shard lock held: n fixed-width fields,
-// ⌈n·width/8⌉ bytes, which Restore loads into a bank of the same length
-// and width whatever its shard count.
-func (b *Bank) Snapshot() []byte {
-	b.lockAll()
-	defer b.unlockAll()
-	w := bitpack.NewWriter()
-	for i := 0; i < b.n; i++ {
-		s := b.shards[uint64(i)&b.mask]
-		w.WriteBits(s.arr.Get(i>>b.shift), s.arr.Width())
-	}
-	return w.Bytes()
 }
 
 // Merge folds other into the receiver register by register using the

@@ -108,10 +108,7 @@ func TestSnapshotAccuracy(t *testing.T) {
 		b := New(n, bank.NewMorrisAlg(a, 14), shards, 21)
 		b.IncrementBatch(keys)
 
-		restored := New(n, b.Algorithm(), 1, 1)
-		if err := restored.Restore(b.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
+		restored := restoreVia(t, b, 1, 1)
 		var sumRel, hit float64
 		for i := 0; i < n; i++ {
 			if restored.Estimate(i) != b.Estimate(i) {
@@ -247,19 +244,19 @@ func TestConcurrentHammer(t *testing.T) {
 					}
 				}
 			default: // global readers
+				regs := make([]uint64, n)
 				for i := 0; i < 40; i++ {
 					_ = b.EstimateAll()
-					_ = b.Snapshot()
+					v := b.Freeze()
+					v.ReadRegisters(regs, 0)
+					v.Release()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	// The bank must still satisfy its own snapshot/restore round trip.
-	restored := New(n, b.Algorithm(), 1, 1)
-	if err := restored.Restore(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	restored := restoreVia(t, b, 1, 1)
 	for i := 0; i < n; i += 37 {
 		if restored.Register(i) != b.Register(i) {
 			t.Fatalf("register %d differs after concurrent hammer", i)
@@ -290,74 +287,6 @@ func TestShardRounding(t *testing.T) {
 		if b.Len() != c.n {
 			t.Errorf("Len = %d, want %d", b.Len(), c.n)
 		}
-	}
-}
-
-// TestMap exercises the sharded string-keyed view.
-func TestMap(t *testing.T) {
-	m := NewMap(256, bank.NewExactAlg(16), 8, 4)
-	for i := 0; i < 1000; i++ {
-		if err := m.Inc("alpha"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch := make([]string, 500)
-	for i := range batch {
-		if i%2 == 0 {
-			batch[i] = "beta"
-		} else {
-			batch[i] = "gamma"
-		}
-	}
-	if err := m.IncBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Count("alpha"); got != 1000 {
-		t.Fatalf("alpha = %v, want 1000", got)
-	}
-	if got := m.Count("beta"); got != 250 {
-		t.Fatalf("beta = %v, want 250", got)
-	}
-	if got := m.Count("never-seen"); got != 0 {
-		t.Fatalf("unseen key = %v, want 0", got)
-	}
-	if got := m.Keys(); got != 3 {
-		t.Fatalf("Keys = %d, want 3", got)
-	}
-	if m.CounterBytes() != m.Bank().SizeBytes() {
-		t.Fatal("CounterBytes disagrees with bank footprint")
-	}
-}
-
-// TestMapStripeFull: a stripe that runs out of slots reports a full error
-// rather than corrupting neighbors, and IncBatch keeps counting the keys
-// that do fit instead of discarding the whole batch.
-func TestMapStripeFull(t *testing.T) {
-	m := NewMap(8, bank.NewExactAlg(16), 8, 4) // one slot per stripe
-	const firstKey = "a"
-	if err := m.Inc(firstKey); err != nil {
-		t.Fatal(err)
-	}
-	// Fill every stripe: with one slot per stripe, Keys() == 8 means all 8
-	// stripes are occupied and any further novel key must be rejected.
-	for i := 0; i < 256 && m.Keys() < 8; i++ {
-		_ = m.Inc(string(rune('b' + i)))
-	}
-	if m.Keys() != 8 {
-		t.Fatalf("could not fill all stripes: %d/8 keys", m.Keys())
-	}
-	if err := m.Inc("definitely-novel"); err == nil {
-		t.Fatal("expected a stripe-full error after exhausting capacity")
-	}
-	// A batch mixing a known key with novel keys that cannot fit must
-	// still count the known key and report the allocation failure.
-	before := m.Count(firstKey)
-	err := m.IncBatch([]string{firstKey, "novel-0", "novel-1", firstKey})
-	if err == nil {
-		t.Fatal("expected IncBatch to report the stripe-full error")
-	}
-	if got := m.Count(firstKey); got != before+2 {
-		t.Fatalf("known key counted %v times in failing batch, want %v", got-before, 2)
 	}
 }
 

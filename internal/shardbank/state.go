@@ -1,39 +1,17 @@
-// Durability support for the sharded bank: restoring register payloads and
-// exporting/importing the complete bank state (registers plus per-shard rng
-// streams). internal/snapcodec serializes the exported state to a compressed
-// on-disk format; internal/wal replays logged increments on top of it.
+// Durability support for the sharded bank: exporting the complete bank
+// state (registers plus per-shard rng streams) and restoring a new bank a
+// block at a time. internal/snapcodec serializes the state to a compressed
+// on-disk format and decodes it straight into a Restorer; internal/wal
+// replays logged increments on top of it.
 package shardbank
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 
-	"repro/internal/bitpack"
+	"repro/internal/bank"
 )
-
-// Restore loads a packed register payload produced by Snapshot on a bank of
-// the same length and width into the sharded bank, overwriting every register. The payload is shape-validated: it must be
-// exactly SizeBytes-of-the-merged-view long, i.e. ⌈n·width/8⌉ bytes, and
-// every field must decode (the packed reader masks each field to the
-// register width, so out-of-width values cannot arise). The shard rng
-// streams are left untouched; use RestoreState to restore those too.
-func (b *Bank) Restore(payload []byte) error {
-	width := b.alg.Width()
-	want := (b.n*width + 7) / 8
-	if len(payload) != want {
-		return fmt.Errorf("shardbank: restore payload is %d bytes, want %d (n=%d, width=%d)",
-			len(payload), want, b.n, width)
-	}
-	r := bitpack.NewReader(payload, b.n*width)
-	regs := make([]uint64, b.n)
-	for i := range regs {
-		v, err := r.ReadBits(width)
-		if err != nil {
-			return fmt.Errorf("shardbank: restore register %d: %w", i, err)
-		}
-		regs[i] = v
-	}
-	return b.RestoreState(State{Registers: regs})
-}
 
 // State is a complete serializable image of a Bank at one instant: all n
 // register values in global key order, and optionally the 256-bit xoshiro
@@ -67,43 +45,77 @@ func (b *Bank) ExportState() State {
 	return st
 }
 
-// RestoreState overwrites the bank's registers (and, when st.RNG is
-// non-nil, its per-shard generator states) with a previously exported State.
-// The state is shape-validated: len(Registers) must equal Len, every
-// register must fit the algorithm width, and RNG, if present, must have one
-// entry per shard. On any validation error the bank is left unmodified.
-func (b *Bank) RestoreState(st State) error {
-	if len(st.Registers) != b.n {
-		return fmt.Errorf("shardbank: state has %d registers, bank has %d", len(st.Registers), b.n)
-	}
-	if st.RNG != nil && len(st.RNG) != len(b.shards) {
-		return fmt.Errorf("shardbank: state has %d rng streams, bank has %d shards",
-			len(st.RNG), len(b.shards))
-	}
-	maxReg := ^uint64(0) >> uint(64-b.alg.Width())
-	for i, v := range st.Registers {
-		if v > maxReg {
-			return fmt.Errorf("shardbank: state register %d = %d exceeds %d-bit width",
-				i, v, b.alg.Width())
-		}
-	}
+// Restorer fills the registers of a new bank — the only way to restore
+// one — and hands the bank out only when it is whole. It holds every shard
+// lock until Finish, so nothing can read a half-restored bank; a restorer
+// dropped without Finish takes its bank, locks and all, with it. Its
+// WriteRegisters is a snapcodec.RegisterSink: a checkpoint chain decodes
+// into it block by block, the full snapshot first and then each delta's
+// changed blocks, and the registers are never inflated to 64 bits each.
+type Restorer struct {
+	b   *Bank
+	err error // the first bad write; Finish returns it
+}
+
+// NewRestorer returns a restorer of the bank New(n, alg, shards, seed)
+// builds, all registers zero.
+func NewRestorer(n int, alg bank.Algorithm, shards int, seed uint64) *Restorer {
+	b := New(n, alg, shards, seed)
 	b.lockAll()
-	defer b.unlockAll()
-	for i, v := range st.Registers {
-		si := int(uint64(i) & b.mask)
-		b.cow(si, i>>b.shift)
-		b.shards[si].arr.Set(i>>b.shift, v)
+	return &Restorer{b: b}
+}
+
+// WriteRegisters stores src as registers [at, at+len(src)). A span outside
+// the bank, or a register wider than the algorithm, writes nothing and
+// fails Finish.
+func (r *Restorer) WriteRegisters(src []uint64, at int) {
+	b := r.b
+	if r.err != nil {
+		return
 	}
-	if st.RNG != nil {
+	if at < 0 || at > b.n-len(src) {
+		r.err = fmt.Errorf("shardbank: restore of registers [%d, %d) in a bank of %d", at, at+len(src), b.n)
+		return
+	}
+	var or uint64
+	for _, v := range src {
+		or |= v
+	}
+	if bits.Len64(or) > b.alg.Width() {
+		r.err = fmt.Errorf("shardbank: restored register above %d bits in [%d, %d)", b.alg.Width(), at, at+len(src))
+		return
+	}
+	for i, v := range src {
+		k := at + i
+		b.shards[uint64(k)&b.mask].arr.Set(k>>b.shift, v)
+	}
+	runtime.KeepAlive(b) // the words may be mapped (arena.go)
+}
+
+// Finish completes the restore, once, and returns the bank: rng, when
+// non-nil, sets every shard's generator state (one entry per shard), every
+// block is marked dirty and the block maxima are rebuilt from the
+// registers. After an error the bank is dropped, and with it anything
+// written to it.
+func (r *Restorer) Finish(rng [][4]uint64) (*Bank, error) {
+	b := r.b
+	defer b.unlockAll()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if rng != nil {
+		if len(rng) != len(b.shards) {
+			return nil, fmt.Errorf("shardbank: state has %d rng streams, bank has %d shards", len(rng), len(b.shards))
+		}
 		for si, s := range b.shards {
-			s.xo.SetState(st.RNG[si])
+			s.xo.SetState(rng[si])
 		}
 	}
-	// A restore rewrites the whole register section; conservatively mark
+	// A restore writes the whole register section; conservatively mark
 	// every block so the next checkpoint cannot miss restored state. The
 	// store's recovery path drains the bitmap right after construction when
 	// it knows the restored image is already durable.
 	b.dirty.MarkRange(0, b.n)
 	b.rebuildBlockMax(0, b.n)
-	return nil
+	return b, nil
 }

@@ -130,8 +130,8 @@ func TestFreezeUnderConcurrentIncrementBatch(t *testing.T) {
 		}
 	}
 
-	restored := New(n, alg, shards, 99)
-	if err := restored.RestoreState(State{Registers: frozen, RNG: v.RNG()}); err != nil {
+	restored, err := restoreState(n, alg, shards, 99, State{Registers: frozen, RNG: v.RNG()})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := at[shards-1]; i < nBatches; i++ {

@@ -15,7 +15,8 @@
 // changed block, and a descending or overlapping list is unrepresentable,
 // so a decoder rejects it structurally rather than by scanning. Payload and
 // RNG sections are always carried whole — only the register section is
-// differential — so applying a delta on top of its base reproduces the full
+// differential — so decoding a delta into its base's register section
+// (DecodeInto, each listed block written at its place) reproduces the full
 // snapshot exactly, byte-identically under re-encode (blocks encode
 // independently, so splicing value spans is enough).
 package snapcodec
@@ -146,27 +147,14 @@ func MakeDelta(full *Snapshot, baseID uint64, blocks []uint32) (*Snapshot, error
 	return d, nil
 }
 
-// spliceDelta overwrites the blocks d lists in regs, a full section of
-// d.DeltaRegs registers, with d's values.
-func spliceDelta(regs []uint64, d *Snapshot) {
-	src := d.Regs()
-	off := 0
-	for _, bi := range d.DeltaBlocks {
-		lo := int(bi) * BlockLen
-		sz := blockSpan(d.DeltaRegs, BlockLen, int(bi))
-		src.ReadRegisters(regs[lo:lo+sz], off)
-		off += sz
-	}
-}
-
 // MaterializeDelta builds the full snapshot a delta describes from the
 // delta's own header plus a base register section supplied by the caller.
-// Unlike ApplyDelta it carries no identity coupling to a base *Snapshot*:
-// anti-entropy materializes a peer's delta against locally exported
-// registers, and the peers may legitimately differ in seed (replica joins
-// never compare seeds), so the result's header — including the seed — is
-// the delta's, verbatim. base must span exactly d.DeltaRegs values; it is
-// read into a fresh slice, never aliased.
+// It carries no identity coupling to a base snapshot: anti-entropy
+// materializes a peer's delta against locally exported registers, and the
+// peers may legitimately differ in seed (replica joins never compare
+// seeds), so the result's header — including the seed — is the delta's,
+// verbatim. base must span exactly d.DeltaRegs values; it is read into a
+// fresh slice, never aliased.
 func MaterializeDelta(d *Snapshot, base RegisterSource) (*Snapshot, error) {
 	if !d.Delta {
 		return nil, errors.New("snapcodec: MaterializeDelta of a non-delta snapshot")
@@ -189,40 +177,13 @@ func MaterializeDelta(d *Snapshot, base RegisterSource) (*Snapshot, error) {
 	}
 	full.Registers = make([]uint64, d.DeltaRegs)
 	base.ReadRegisters(full.Registers, 0)
-	spliceDelta(full.Registers, d)
+	src := d.Regs()
+	off := 0
+	for _, bi := range d.DeltaBlocks {
+		lo := int(bi) * BlockLen
+		sz := blockSpan(d.DeltaRegs, BlockLen, int(bi))
+		src.ReadRegisters(full.Registers[lo:lo+sz], off)
+		off += sz
+	}
 	return full, nil
-}
-
-// ApplyDelta splices delta d onto base in place: the listed blocks replace
-// base's register spans, and the payload and rng sections are replaced
-// wholesale (they are carried complete in every delta). base must be a full
-// (non-delta) snapshot with the same identity — algorithm, shape, seed,
-// partition, engine kind — and a register section of exactly d.DeltaRegs
-// values. After a successful apply, base is the full snapshot d described;
-// re-encoding it reproduces the bytes a direct full encode would, because
-// blocks encode independently.
-func ApplyDelta(base, d *Snapshot) error {
-	if !d.Delta {
-		return errors.New("snapcodec: ApplyDelta of a non-delta snapshot")
-	}
-	if base.Delta {
-		return errors.New("snapcodec: ApplyDelta onto a delta snapshot")
-	}
-	switch {
-	case base.AlgName != d.AlgName || base.Width != d.Width || base.Param != d.Param:
-		return errors.New("snapcodec: delta algorithm mismatch with base")
-	case base.N != d.N || base.Shards != d.Shards || base.Seed != d.Seed:
-		return errors.New("snapcodec: delta shape mismatch with base")
-	case base.Partition != d.Partition || base.Parts != d.Parts:
-		return errors.New("snapcodec: delta partition mismatch with base")
-	case base.Engine != d.Engine:
-		return errors.New("snapcodec: delta engine mismatch with base")
-	}
-	if len(base.Registers) != d.DeltaRegs {
-		return fmt.Errorf("snapcodec: delta addresses %d registers, base has %d", d.DeltaRegs, len(base.Registers))
-	}
-	spliceDelta(base.Registers, d)
-	base.Payload = d.Payload
-	base.RNG = d.RNG
-	return nil
 }

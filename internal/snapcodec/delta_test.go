@@ -40,11 +40,9 @@ func TestDeltaRoundTripAndApply(t *testing.T) {
 		if !got.IsDelta() || got.DeltaBase != 7 || got.DeltaRegs != n {
 			t.Fatalf("n=%d: decoded delta header %+v", n, got)
 		}
-		// Applying the decoded delta onto the base reproduces the mutated
-		// full snapshot, byte-identically under re-encode.
-		if err := ApplyDelta(base, got); err != nil {
-			t.Fatalf("n=%d: ApplyDelta: %v", n, err)
-		}
+		// Decoding the delta into the base's register section reproduces
+		// the mutated full snapshot, byte-identically under re-encode.
+		decodeOnto(t, base, data)
 		wantBytes, err := Encode(full)
 		if err != nil {
 			t.Fatal(err)
@@ -116,16 +114,6 @@ func TestDeltaValidation(t *testing.T) {
 	if _, err := MakeDelta(d, 0, nil); err == nil {
 		t.Fatal("delta of a delta accepted")
 	}
-	other := testSnapshot(t, make([]uint64, 1000), alg, 4, false)
-	other.Seed = 99
-	if err := ApplyDelta(other, d); err == nil {
-		t.Fatal("seed mismatch accepted by ApplyDelta")
-	}
-	short := testSnapshot(t, make([]uint64, 999), alg, 4, false)
-	short.N = 1000 // identity matches; register section does not
-	if err := ApplyDelta(short, d); err == nil {
-		t.Fatal("short base accepted by ApplyDelta")
-	}
 	// Zero-block deltas are legal: payload/rng still ride them.
 	empty, err := MakeDelta(full, 3, nil)
 	if err != nil {
@@ -142,6 +130,26 @@ func TestDeltaValidation(t *testing.T) {
 	if !got.IsDelta() || len(got.DeltaBlocks) != 0 || len(got.Registers) != 0 {
 		t.Fatalf("zero-block delta decoded as %+v", got)
 	}
+}
+
+// decodeOnto decodes the delta snapshot data straight into base's register
+// section, as a store restoring a checkpoint chain does, and takes the
+// delta's payload and rng.
+func decodeOnto(t testing.TB, base *Snapshot, data []byte) {
+	t.Helper()
+	d, err := DecodeInto(bytes.NewReader(data), func(h *Snapshot) (RegisterSink, error) {
+		if !h.IsDelta() || h.DeltaRegs != len(base.Registers) {
+			t.Fatalf("delta header %+v does not fit a base of %d registers", h, len(base.Registers))
+		}
+		return RegisterSlice(base.Registers), nil
+	})
+	if err != nil {
+		t.Fatalf("decode delta onto base: %v", err)
+	}
+	if len(d.Registers) != 0 {
+		t.Fatalf("a sink-decoded delta kept %d registers", len(d.Registers))
+	}
+	base.Payload, base.RNG = d.Payload, d.RNG
 }
 
 // FuzzDeltaSnapshot drives the delta lifecycle from fuzzer-chosen shapes:
@@ -194,9 +202,7 @@ func FuzzDeltaSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("materialize: %v", err)
 		}
-		if err := ApplyDelta(base, got); err != nil {
-			t.Fatalf("apply: %v", err)
-		}
+		decodeOnto(t, base, data)
 		for i := range full.Registers {
 			if base.Registers[i] != full.Registers[i] || mat.Registers[i] != full.Registers[i] {
 				t.Fatalf("register %d: apply=%d materialize=%d want %d",

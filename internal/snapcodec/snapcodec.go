@@ -45,6 +45,16 @@
 // trusted. Encode/Decode work on []byte; EncodeTo/DecodeFrom stream over
 // io.Writer/io.Reader (GET /snapshot in internal/server streams straight
 // from the bank into the response body).
+//
+// Both directions go a 128-register block at a time. The encoder pulls
+// blocks from a RegisterSource (EachBlock); the decoder writes each block,
+// width-checked as it is read, into a RegisterSink that a header callback
+// chooses once the header is validated (DecodeInto). Decode's sink is
+// Snapshot.Registers; a store restoring a checkpoint chain decodes the full
+// snapshot and every delta straight into the packed registers of a new bank
+// (shardbank.Restorer), so a restore never inflates them to 64 bits each.
+// Blocks reach the sink before the trailer is checked, so a failed decode's
+// sink is discarded, never served.
 package snapcodec
 
 import (
@@ -148,9 +158,9 @@ type Snapshot struct {
 	// Delta marks a version-5 delta snapshot (see delta.go): Registers then
 	// holds only the blocks listed in DeltaBlocks — concatenated in index
 	// order — out of a full register section of DeltaRegs values, and the
-	// snapshot applies on top of the base identified by DeltaBase
-	// (ApplyDelta). Payload and RNG are always carried whole: only the
-	// register section is differential.
+	// snapshot applies on top of the base identified by DeltaBase. Payload
+	// and RNG are always carried whole: only the register section is
+	// differential.
 	Delta       bool
 	DeltaBase   uint64   // caller-defined base snapshot id (checkpoint sequence)
 	DeltaBlocks []uint32 // strictly ascending BlockLen-block indices
@@ -163,8 +173,9 @@ type Snapshot struct {
 	Registers []uint64
 	// Source, when non-nil, is the register section in place of Registers
 	// (which must then be empty): the encoder pulls it a block at a time,
-	// so a snapshot of packed registers never inflates them. The decoder
-	// always fills Registers. Read either through Regs.
+	// so a snapshot of packed registers never inflates them. Decode fills
+	// Registers; DecodeInto can send the section to a sink instead. Read
+	// either through Regs.
 	Source RegisterSource
 	RNG    [][4]uint64 // len Shards or nil (whole-bank snapshots only)
 }
@@ -179,11 +190,20 @@ type RegisterSource interface {
 	ReadRegisters(dst []uint64, at int)
 }
 
-// RegisterSlice adapts a []uint64 to RegisterSource.
+// RegisterSink is a register section written in place, a span at a time —
+// the mirror of RegisterSource, which lets a decoder fill a bank's packed
+// registers (shardbank.Restorer) instead of a []uint64 of every register.
+type RegisterSink interface {
+	// WriteRegisters stores src as registers [at, at+len(src)).
+	WriteRegisters(src []uint64, at int)
+}
+
+// RegisterSlice adapts a []uint64 to RegisterSource and RegisterSink.
 type RegisterSlice []uint64
 
-func (r RegisterSlice) Len() int                           { return len(r) }
-func (r RegisterSlice) ReadRegisters(dst []uint64, at int) { copy(dst, r[at:]) }
+func (r RegisterSlice) Len() int                            { return len(r) }
+func (r RegisterSlice) ReadRegisters(dst []uint64, at int)  { copy(dst, r[at:]) }
+func (r RegisterSlice) WriteRegisters(src []uint64, at int) { copy(r[at:], src) }
 
 // Regs returns the snapshot's register section: Source when set, else
 // Registers.
@@ -257,8 +277,9 @@ func (s *Snapshot) Alg() (bank.Algorithm, error) {
 }
 
 // RawPayloadBytes returns the size of the uncompressed fixed-width register
-// payload (bank.Snapshot format) for a bank of the given shape — the
-// baseline that compression ratios in this repository are quoted against.
+// payload for a bank of the given shape — n registers of width bits packed
+// with no padding, what a bank's registers occupy in memory — the baseline
+// that compression ratios in this repository are quoted against.
 func RawPayloadBytes(n, width int) int { return (n*width + 7) / 8 }
 
 // validate checks a Snapshot before encoding. Register values are checked
@@ -347,7 +368,7 @@ func Decode(data []byte) (*Snapshot, error) {
 // register-proportional allocation. Use it when the expected bank shape is
 // known (e.g. ingesting an untrusted peer snapshot for a merge).
 func DecodeCapped(data []byte, maxRegisters int) (*Snapshot, error) {
-	s, consumed, err := decodeFrom(bytes.NewReader(data), maxRegisters)
+	s, consumed, err := decodeFrom(bytes.NewReader(data), maxRegisters, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -510,20 +531,29 @@ func (e *encoder) writeUvarint(v uint64) {
 // block emits one packed register block (bitpack.AppendPatched) after
 // checking every register against the header width.
 func (e *encoder) block(vals []uint64) {
-	var or uint64
-	for _, v := range vals {
-		or |= v
-	}
-	if bits.Len64(or) > e.width && e.err == nil {
-		for i, v := range vals {
-			if bits.Len64(v) > e.width {
-				e.err = fmt.Errorf("snapcodec: register %d = %d exceeds %d-bit width", e.regs+i, v, e.width)
-				break
-			}
-		}
+	if err := checkWidth(vals, e.width, e.regs); err != nil && e.err == nil {
+		e.err = err
 	}
 	e.regs += len(vals)
 	e.write(bitpack.AppendPatched(e.scratch[:0], vals))
+}
+
+// checkWidth fails when a register of block, registers [at, at+len(block))
+// of a section, is wider than width bits.
+func checkWidth(block []uint64, width, at int) error {
+	var or uint64
+	for _, v := range block {
+		or |= v
+	}
+	if bits.Len64(or) <= width {
+		return nil
+	}
+	for i, v := range block {
+		if bits.Len64(v) > width {
+			return fmt.Errorf("snapcodec: register %d = %d exceeds %d-bit width", at+i, v, width)
+		}
+	}
+	return nil
 }
 
 // DecodeFrom reads one snapshot from r, verifying the CRC32C trailer before
@@ -531,11 +561,27 @@ func (e *encoder) block(vals []uint64) {
 // last byte; when exact framing matters, length-delimit the snapshot (as
 // internal/wal merge records do) and use Decode.
 func DecodeFrom(r io.Reader) (*Snapshot, error) {
-	s, _, err := decodeFrom(r, MaxRegisters)
+	return DecodeInto(r, nil)
+}
+
+// SinkFunc chooses where a decode writes a snapshot's register section. It
+// is called once, after every header, delta, partition and engine field has
+// been read and validated — s holds them, and the engine payload — and
+// before the first register block. A nil sink keeps the section in
+// s.Registers, a delta's listed blocks back to back; any other sink gets
+// each block at its place in the full section and leaves s.Registers
+// empty. An error ends the decode with that error.
+type SinkFunc func(s *Snapshot) (RegisterSink, error)
+
+// DecodeInto is DecodeFrom with the register section written where header
+// says. Blocks reach the sink before the CRC32C trailer is read, so when
+// DecodeInto fails, whatever the sink was given must be discarded.
+func DecodeInto(r io.Reader, header SinkFunc) (*Snapshot, error) {
+	s, _, err := decodeFrom(r, MaxRegisters, header)
 	return s, err
 }
 
-func decodeFrom(r io.Reader, maxRegisters int) (*Snapshot, int, error) {
+func decodeFrom(r io.Reader, maxRegisters int, header SinkFunc) (*Snapshot, int, error) {
 	if maxRegisters > MaxRegisters {
 		maxRegisters = MaxRegisters
 	}
@@ -543,14 +589,14 @@ func decodeFrom(r io.Reader, maxRegisters int) (*Snapshot, int, error) {
 		maxRegisters = 0
 	}
 	cr := &crcReader{r: bufio.NewReader(r), h: crc32.New(castagnoli)}
-	s, err := runDecode(cr, maxRegisters)
+	s, err := runDecode(cr, maxRegisters, header)
 	if err != nil {
 		return nil, 0, err
 	}
 	return s, cr.n + 4, nil // cr.n CRC-covered bytes plus the 4-byte trailer
 }
 
-func runDecode(cr *crcReader, maxRegisters int) (*Snapshot, error) {
+func runDecode(cr *crcReader, maxRegisters int, header SinkFunc) (*Snapshot, error) {
 	d := &decoder{r: cr}
 
 	var hdr [4]byte
@@ -589,6 +635,7 @@ func runDecode(cr *crcReader, maxRegisters int) (*Snapshot, error) {
 	if _, err := s.Alg(); err != nil {
 		return nil, fmt.Errorf("snapcodec: %w", err)
 	}
+	d.width = s.Width
 	if n > uint64(maxRegisters) {
 		return nil, fmt.Errorf("snapcodec: register count %d exceeds %d", n, maxRegisters)
 	}
@@ -733,6 +780,11 @@ func runDecode(cr *crcReader, maxRegisters int) (*Snapshot, error) {
 		}
 	}
 
+	// One loop reads the register section a block at a time into the sink:
+	// a full section's blocks in order, or a delta's listed blocks, each at
+	// its place in the full section.
+	bl := int(blockLen)
+	total, nb := regCount, (regCount+bl-1)/bl
 	if s.Delta {
 		// The full-section count claimed by the delta section must agree
 		// with the shape the header derives (engine sections have no
@@ -740,42 +792,38 @@ func runDecode(cr *crcReader, maxRegisters int) (*Snapshot, error) {
 		if !s.IsEngine() && s.DeltaRegs != regCount {
 			return nil, fmt.Errorf("snapcodec: delta claims %d registers, section spans %d", s.DeltaRegs, regCount)
 		}
-		regCount = 0
-		for _, bi := range s.DeltaBlocks {
-			regCount += blockSpan(s.DeltaRegs, int(blockLen), int(bi))
+		total, nb = s.DeltaRegs, len(s.DeltaBlocks)
+	}
+	var sink RegisterSink
+	if header != nil {
+		var err error
+		if sink, err = header(s); err != nil {
+			return nil, err
 		}
 	}
-
-	s.Registers = make([]uint64, 0, min(regCount, 1<<20))
-	var blockVals [256]uint64
-	if s.Delta {
-		for _, bi := range s.DeltaBlocks {
-			cnt := blockSpan(s.DeltaRegs, int(blockLen), int(bi))
-			if err := d.block(blockVals[:cnt]); err != nil {
-				return nil, err
-			}
-			s.Registers = append(s.Registers, blockVals[:cnt]...)
-		}
+	var buf []uint64 // one block on its way to the sink
+	if sink != nil {
+		buf = make([]uint64, bl)
 	} else {
-		for got := 0; got < regCount; {
-			cnt := int(blockLen)
-			if rest := regCount - got; rest < cnt {
-				cnt = rest
-			}
-			if err := d.block(blockVals[:cnt]); err != nil {
+		s.Registers = make([]uint64, 0, min(nb*bl, 1<<20))
+	}
+	for i := range nb {
+		at := i * bl
+		if s.Delta {
+			at = int(s.DeltaBlocks[i]) * bl
+		}
+		cnt := min(bl, total-at)
+		if sink == nil { // decode in place at the end of Registers
+			s.Registers = append(s.Registers, make([]uint64, cnt)...)
+			if err := d.block(s.Registers[len(s.Registers)-cnt:], at); err != nil {
 				return nil, err
 			}
-			s.Registers = append(s.Registers, blockVals[:cnt]...)
-			got += cnt
+			continue
 		}
-	}
-	if s.Width < 64 {
-		lim := uint64(1)<<uint(s.Width) - 1
-		for i, v := range s.Registers {
-			if v > lim {
-				return nil, fmt.Errorf("snapcodec: register %d = %d exceeds %d-bit width", i, v, s.Width)
-			}
+		if err := d.block(buf[:cnt], at); err != nil {
+			return nil, err
 		}
+		sink.WriteRegisters(buf[:cnt], at)
 	}
 
 	if flags&flagRNG != 0 {
@@ -836,8 +884,9 @@ func (c *crcReader) ReadByte() (byte, error) {
 }
 
 type decoder struct {
-	r   *crcReader
-	err error
+	r     *crcReader
+	err   error
+	width int // header register width every block is checked against
 }
 
 func (d *decoder) fail(what string) error {
@@ -884,11 +933,12 @@ func (d *decoder) uvarint() uint64 {
 }
 
 // block decodes one packed block into out (len = register count of the
-// block): bitpack.ReadPatched parses it in the read buffer, then its bytes
-// are consumed through the CRC. The buffer (4 KiB) holds the largest block
-// a 256-register header can describe, so a Peek comes back short only at
-// the end of the stream.
-func (d *decoder) block(out []uint64) error {
+// block) and checks it against the header width; at is the block's place in
+// the register section, for error positions. bitpack.ReadPatched parses the
+// block in the read buffer, then its bytes are consumed through the CRC. The
+// buffer (4 KiB) holds the largest block a 256-register header can
+// describe, so a Peek comes back short only at the end of the stream.
+func (d *decoder) block(out []uint64, at int) error {
 	if d.err != nil {
 		return d.fail("block")
 	}
@@ -902,5 +952,5 @@ func (d *decoder) block(out []uint64) error {
 		return fmt.Errorf("snapcodec: %w", err)
 	}
 	d.r.skip(src[:len(src)-len(rest)])
-	return nil
+	return checkWidth(out, d.width, at)
 }
