@@ -82,25 +82,18 @@ cluster-smoke:
 	$(GO) test -race -v -run 'TestCluster|TestClient' ./internal/cluster ./internal/client
 	$(GO) test -race -count=20 -run '$(BOOT_TESTS)' ./internal/cluster
 
-# Live scale-out against real counterd processes: boot a 3-node ring, grow
-# it to 5 under load, decommission one back to 4 — byte-identical owner
-# snapshots and sketch-accurate estimates at every step (tools/growsmoke).
+# The process-level smokes against real counterd processes, one scenario
+# per target (tools/smoke describes each): grow a loaded ring 3->5 and
+# decommission to 4; kill -9 and restart a node of a distinct ring; lint a
+# live /metrics exposition and the ops dashboard.
 grow-smoke: counterd
-	$(GO) run ./tools/growsmoke -counterd bin/counterd
+	$(GO) run ./tools/smoke -counterd bin/counterd grow
 
-# Live unique counting against real counterd processes: boot a 3-node RF=3
-# distinct ring, drive Zipf load with an exact truth set, kill -9 a node and
-# restart it — byte-identical whole-engine snapshots and a /distinct answer
-# inside the HLL error bound at every step (tools/distinctsmoke).
 distinct-smoke: counterd
-	$(GO) run ./tools/distinctsmoke -counterd bin/counterd
+	$(GO) run ./tools/smoke -counterd bin/counterd distinct
 
-# Observability smoke: boot a real counterd, wait for the /readyz gate,
-# drive traffic, lint the full /metrics exposition with the shared parser,
-# assert the key series from every instrumented layer, and check the
-# embedded ops dashboard is self-contained HTML (tools/metricssmoke).
 metrics-smoke: counterd
-	$(GO) run ./tools/metricssmoke -counterd bin/counterd
+	$(GO) run ./tools/smoke -counterd bin/counterd metrics
 
 # Validate the Kubernetes manifests under deploy/ without kubectl: probe
 # paths, headless-Service gossip wiring, PVC-backed WAL dir, scrape

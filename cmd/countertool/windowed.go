@@ -192,14 +192,14 @@ func report(top []engine.Entry, truth []uint64, k int) float64 {
 
 // fetchStats reads one node's /healthz.
 func fetchStats(node string) server.Stats {
-	resp, err := http.Get(node + "/healthz")
+	resp, err := http.Get(node + "/v1/healthz")
 	if err != nil {
 		fatalf("windowed: %v", err)
 	}
 	defer resp.Body.Close()
 	var s server.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		fatalf("windowed: decode /healthz: %v", err)
+		fatalf("windowed: decode /v1/healthz: %v", err)
 	}
 	return s
 }

@@ -44,6 +44,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/snapcodec"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/wire"
 	"repro/internal/xrand"
 )
@@ -85,7 +86,7 @@ func startNode(name, dir, addr string, join []string) *demoNode {
 	}
 	d.st, err = server.Open(server.Config{
 		Dir: dir, N: nKeys, Shards: shards, Alg: alg, Seed: 42,
-		Partitions: partitions, NoSync: true,
+		Partitions: partitions, Sync: wal.SyncOff,
 	})
 	check(err)
 	d.node, err = cluster.New(d.st, cluster.Config{
@@ -212,7 +213,7 @@ func main() {
 	pending := int64(0)
 	for _, d := range []*demoNode{n0, n1} {
 		var info cluster.Info
-		check(getJSON(d.self+"/cluster/info", &info))
+		check(getJSON(d.self+"/v1/cluster/info", &info))
 		for _, p := range info.OutboxPending {
 			pending += p
 		}
@@ -264,7 +265,7 @@ func main() {
 	fmt.Printf("\nphase 4: merging an off-ring site's disjoint stream (Remark 2.4)\n")
 	site, err := server.Open(server.Config{
 		Dir: filepath.Join(base, "site"), N: nKeys, Shards: shards, Alg: alg,
-		Seed: 99, Partitions: partitions, NoSync: true,
+		Seed: 99, Partitions: partitions, Sync: wal.SyncOff,
 	})
 	check(err)
 	src := stream.NewZipf(nKeys, zipfS, xrand.NewSeeded(7777))
@@ -278,7 +279,7 @@ func main() {
 	var blob bytes.Buffer
 	check(site.SnapshotTo(&blob))
 	site.Close(false)
-	resp, err := http.Post(n0.self+"/merge", "application/octet-stream", &blob)
+	resp, err := http.Post(n0.self+"/v1/merge", "application/octet-stream", &blob)
 	check(err)
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
@@ -331,7 +332,7 @@ func awaitConvergence(nodes []*demoNode) time.Duration {
 				if !ok {
 					continue
 				}
-				blob, err := fetch(d.self + fmt.Sprintf("/snapshot/%d", p))
+				blob, err := fetch(d.self + fmt.Sprintf("/v1/snapshot/%d", p))
 				if err != nil || (want != nil && !bytes.Equal(want, blob)) {
 					same = false
 					break scan
@@ -356,7 +357,7 @@ func fetchOwned(nodes []*demoNode, p int) []byte {
 	}
 	for _, rep := range nodes[0].node.Ring().Replicas(p) {
 		if d, ok := byID[rep]; ok {
-			blob, err := fetch(d.self + fmt.Sprintf("/snapshot/%d", p))
+			blob, err := fetch(d.self + fmt.Sprintf("/v1/snapshot/%d", p))
 			check(err)
 			return blob
 		}

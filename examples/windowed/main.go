@@ -26,6 +26,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -48,7 +49,7 @@ func main() {
 		Buckets:    4,
 		BucketDur:  time.Minute,
 		Clock:      clk.Load,
-		NoSync:     true,
+		Sync:       wal.SyncOff,
 	}
 	st, err := server.Open(cfg)
 	if err != nil {

@@ -193,20 +193,20 @@ func (c *Client) Refresh() error {
 
 func (c *Client) fetchRing(seed string) (cluster.RingInfo, error) {
 	var info cluster.RingInfo
-	resp, err := c.hc.Get(seed + "/cluster/ring")
+	resp, err := c.hc.Get(seed + "/v1/cluster/ring")
 	if err != nil {
 		return info, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return info, fmt.Errorf("%s/cluster/ring: status %d", seed, resp.StatusCode)
+		return info, fmt.Errorf("%s/v1/cluster/ring: status %d", seed, resp.StatusCode)
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&info); err != nil {
 		return info, err
 	}
 	if info.N <= 0 || info.Partitions <= 0 {
-		return info, fmt.Errorf("%s/cluster/ring: degenerate shape %d keys / %d partitions", seed, info.N, info.Partitions)
+		return info, fmt.Errorf("%s/v1/cluster/ring: degenerate shape %d keys / %d partitions", seed, info.N, info.Partitions)
 	}
 	return info, nil
 }
@@ -343,14 +343,14 @@ func (c *Client) post(dest string, keys []int) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Post(dest+"/inc", "application/json", bytes.NewReader(body))
+	resp, err := c.hc.Post(dest+"/v1/inc", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s/inc: status %d: %s", dest, resp.StatusCode, bytes.TrimSpace(msg))
+		return fmt.Errorf("%s/v1/inc: status %d: %s", dest, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	io.Copy(io.Discard, resp.Body)
 	return nil

@@ -13,6 +13,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/snapcodec"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -39,7 +40,7 @@ func startNode(t *testing.T, rf int, join []string) *node {
 	st, err := server.Open(server.Config{
 		Dir: dir, N: testN, Shards: 8,
 		Alg:  bank.NewMorrisAlg(0.001, 14),
-		Seed: 42, Partitions: testParts, NoSync: true,
+		Seed: 42, Partitions: testParts, Sync: wal.SyncOff,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func (c *Client) estimate(ctx context.Context, k int, window string) (float64, e
 			var out struct {
 				Estimate float64 `json:"estimate"`
 			}
-			if err := c.getJSON(ctx, fmt.Sprintf("%s/estimate/%d%s", rep, k, q), 4096, &out); err != nil {
+			if err := c.getJSON(ctx, fmt.Sprintf("%s/v1/estimate/%d%s", rep, k, q), 4096, &out); err != nil {
 				lastErr = err
 				continue
 			}
@@ -185,7 +185,7 @@ func (c *Client) estimateAll(ctx context.Context, window string) ([]float64, err
 		var out struct {
 			Estimates []float64 `json:"estimates"`
 		}
-		if err := c.getJSON(ctx, rep+"/estimates"+q, 1<<28, &out); err != nil {
+		if err := c.getJSON(ctx, rep+"/v1/estimates"+q, 1<<28, &out); err != nil {
 			return nil, err
 		}
 		if len(out.Estimates) != n0 {
@@ -313,7 +313,7 @@ func (c *Client) partitionScalar(ctx context.Context, path string, p int, window
 		var out struct {
 			Estimate float64 `json:"estimate"`
 		}
-		if err := c.getJSON(ctx, fmt.Sprintf("%s/%s?partition=%d%s", rep, path, p, q), 4096, &out); err != nil {
+		if err := c.getJSON(ctx, fmt.Sprintf("%s/v1/%s?partition=%d%s", rep, path, p, q), 4096, &out); err != nil {
 			lastErr = err
 			continue
 		}
@@ -337,7 +337,7 @@ func (c *Client) partitionTopK(ctx context.Context, k, p int, window string, rep
 		var out struct {
 			TopK []engine.Entry `json:"topk"`
 		}
-		if err := c.getJSON(ctx, fmt.Sprintf("%s/topk?k=%d&partition=%d%s", rep, k, p, q), 1<<22, &out); err != nil {
+		if err := c.getJSON(ctx, fmt.Sprintf("%s/v1/topk?k=%d&partition=%d%s", rep, k, p, q), 1<<22, &out); err != nil {
 			lastErr = err
 			continue
 		}

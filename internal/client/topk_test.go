@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -29,7 +30,7 @@ func startTopKNode(t *testing.T, rf int, join []string) *node {
 	st, err := server.Open(server.Config{
 		Dir: dir, N: testN, Shards: 8,
 		Alg:  bank.NewMorrisAlg(0.001, 14),
-		Seed: 42, Partitions: testParts, NoSync: true,
+		Seed: 42, Partitions: testParts, Sync: wal.SyncOff,
 		Engine: engine.KindTopK, TopKCap: 48,
 	})
 	if err != nil {

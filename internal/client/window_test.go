@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -29,7 +30,7 @@ func startWindowNode(t *testing.T, rf int, clk *atomic.Uint64, join []string) *n
 	st, err := server.Open(server.Config{
 		Dir: dir, N: testN, Shards: 8,
 		Alg:  bank.NewExactAlg(20),
-		Seed: 42, Partitions: testParts, NoSync: true,
+		Seed: 42, Partitions: testParts, Sync: wal.SyncOff,
 		Engine: engine.KindWindow, Buckets: 4, BucketDur: time.Second,
 		Clock: clk.Load,
 	})

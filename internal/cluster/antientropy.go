@@ -195,7 +195,7 @@ func (n *Node) pairQuiesced(peer string) bool {
 	if o != nil && o.pending() > 0 {
 		return false
 	}
-	resp, err := n.client.Get(peer + "/cluster/info")
+	resp, err := n.client.Get(peer + "/v1/cluster/info")
 	if err != nil {
 		return false
 	}
@@ -217,7 +217,7 @@ func (n *Node) hashMatches(p int, peer string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	resp, err := n.client.Get(fmt.Sprintf("%s/cluster/phash/%d", peer, p))
+	resp, err := n.client.Get(fmt.Sprintf("%s/v1/cluster/phash/%d", peer, p))
 	if err != nil {
 		return false, err
 	}
@@ -336,7 +336,7 @@ func (n *Node) syncPartitionDelta(p int, peer string) (done bool, err error) {
 		return false, err
 	}
 	pushLen := int64(buf.Len())
-	status, err := n.postBlob(fmt.Sprintf("%s/cluster/bdelta/%d?ver=%016x", peer, p, peerVer), &buf)
+	status, err := n.postBlob(fmt.Sprintf("%s/v1/cluster/bdelta/%d?ver=%016x", peer, p, peerVer), &buf)
 	switch {
 	case err != nil:
 		return false, err
@@ -372,7 +372,7 @@ func (n *Node) peerBlockHashes(p int, peer string) (uint64, []uint64, error) {
 			return 0, nil, err
 		}
 	}
-	resp, err := n.client.Get(fmt.Sprintf("%s/cluster/phash/%d?blocks=1", peer, p))
+	resp, err := n.client.Get(fmt.Sprintf("%s/v1/cluster/phash/%d?blocks=1", peer, p))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -421,7 +421,7 @@ func (n *Node) fetchBlockDelta(p int, peer string, blocks []uint32) ([]byte, err
 	for i, b := range blocks {
 		list[i] = strconv.FormatUint(uint64(b), 10)
 	}
-	resp, err := n.client.Get(fmt.Sprintf("%s/cluster/bdelta/%d?blocks=%s", peer, p, strings.Join(list, ",")))
+	resp, err := n.client.Get(fmt.Sprintf("%s/v1/cluster/bdelta/%d?blocks=%s", peer, p, strings.Join(list, ",")))
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +451,7 @@ func (n *Node) pushFull(p int, peer string) error {
 	if err := n.st.PartitionSnapshotTo(&buf, p); err != nil {
 		return err
 	}
-	pushResp, err := n.client.Post(peer+"/mergemax", "application/octet-stream", &buf)
+	pushResp, err := n.client.Post(peer+"/v1/mergemax", "application/octet-stream", &buf)
 	if err != nil {
 		return err
 	}
@@ -476,7 +476,7 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 // with peer, full snapshots in both directions.
 func (n *Node) syncPartitionFull(p int, peer string) error {
 	// Pull the peer's view and fold it in.
-	resp, err := n.client.Get(fmt.Sprintf("%s/snapshot/%d", peer, p))
+	resp, err := n.client.Get(fmt.Sprintf("%s/v1/snapshot/%d", peer, p))
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bank"
 	"repro/internal/server"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/wire"
 	"repro/internal/xrand"
 )
@@ -102,7 +103,7 @@ func startNode(t testing.TB, dir, addr string, cc testClusterConfig, join []stri
 		Buckets:           cc.buckets,
 		BucketDur:         cc.bucketDur,
 		Clock:             cc.clock,
-		NoSync:            true, // process-crash durability (page cache), fast tests
+		Sync:              wal.SyncOff, // process-crash durability (page cache), fast tests
 	})
 	if err != nil {
 		t.Fatalf("open store: %v", err)

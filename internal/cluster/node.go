@@ -608,7 +608,7 @@ func (n *Node) forward(job *forwardJob) error {
 		}
 		// Chunk by MaxForward (clamped to the store batch cap) so the
 		// peer's Apply can never reject the batch as oversized.
-		if err := n.postKeysChunked(peer, "/inc?fwd=1", job.keys); err != nil {
+		if err := n.postKeysChunked(peer, "/v1/inc?fwd=1", job.keys); err != nil {
 			lastErr = err
 			continue
 		}
@@ -725,9 +725,9 @@ func (n *Node) sendRepl(peer string, chunk []int, epoch uint64, tagged bool) err
 		n.cfg.Logf("cluster: wire repl to %s (%s) failed, falling back to http: %v", peer, wa, err)
 	}
 	if tagged {
-		return n.postKeysAt(peer, "/cluster/repl", chunk, epoch)
+		return n.postKeysAt(peer, "/v1/cluster/repl", chunk, epoch)
 	}
-	return n.postKeys(peer, "/cluster/repl", chunk)
+	return n.postKeys(peer, "/v1/cluster/repl", chunk)
 }
 
 // postKeysChunked posts keys in MaxForward-sized slices. Chunks deliver
@@ -931,7 +931,7 @@ func (n *Node) gossipWith(peer string) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := n.client.Post(peer+"/cluster/gossip", "application/json", bytes.NewReader(body))
+	resp, err := n.client.Post(peer+"/v1/cluster/gossip", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return false // Tick ages the peer toward suspect/dead
 	}

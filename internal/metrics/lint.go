@@ -22,7 +22,8 @@ import (
 //     order), end with le="+Inf", and _count equals the +Inf bucket.
 //
 // It is used by the package tests, the server scrape-roundtrip test, and
-// tools/metricssmoke, so the checks run against real HTTP responses.
+// tools/smoke (scenario metrics), so the checks run against real HTTP
+// responses.
 func LintExposition(r io.Reader) error {
 	decls := make(map[string]familyDecl)
 	type histSeries struct {

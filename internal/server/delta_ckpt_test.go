@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/snapcodec"
+	"repro/internal/wal"
 )
 
 // narrowBatches returns batches confined to [lo, hi) — churn that dirties
@@ -220,7 +221,7 @@ func TestKillMidDeltaCheckpointRecovery(t *testing.T) {
 	assertBanksEqual(t, st2.Bank(), ref)
 	// Byte-identical /snapshot: the recovered store and a fresh store that
 	// applied the surviving prefix directly must emit the same stream.
-	refStore, err := Open(Config{Dir: t.TempDir(), N: cfg.N, Shards: cfg.Shards, Alg: cfg.Alg, Seed: cfg.Seed, NoSync: true})
+	refStore, err := Open(Config{Dir: t.TempDir(), N: cfg.N, Shards: cfg.Shards, Alg: cfg.Alg, Seed: cfg.Seed, Sync: wal.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -73,7 +74,7 @@ func BenchmarkDurabilityCheckpoint(b *testing.B) {
 				Shards:        256,
 				Alg:           bank.NewMorrisAlg(0.005, 14),
 				Seed:          42,
-				NoSync:        true,
+				Sync:          wal.SyncOff,
 				DeltaFraction: mode.deltaFraction,
 			})
 			if err != nil {
@@ -156,7 +157,7 @@ func BenchmarkDurabilityRecovery(b *testing.B) {
 				Shards:        256,
 				Alg:           bank.NewMorrisAlg(0.005, 14),
 				Seed:          42,
-				NoSync:        true,
+				Sync:          wal.SyncOff,
 				DeltaFraction: mode.deltaFraction,
 			}
 			st, err := Open(cfg)

@@ -34,7 +34,7 @@ func scrape(t *testing.T, base, path string) (int, string) {
 // surface, scrapes GET /metrics, and validates the full exposition with the
 // shared parser — HELP/TYPE declarations, label syntax, histogram bucket
 // monotonicity, count == +Inf. The same linter runs inside
-// tools/metricssmoke against a real counterd process.
+// tools/smoke (scenario metrics) against a real counterd process.
 func TestMetricsRoundtrip(t *testing.T) {
 	st, err := Open(testConfig(t, 500))
 	if err != nil {

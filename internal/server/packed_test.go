@@ -9,6 +9,7 @@ import (
 	"repro/internal/bank"
 	"repro/internal/engine"
 	"repro/internal/snapcodec"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -414,7 +415,7 @@ func (c *countingDiscard) Write(p []byte) (int, error) {
 func BenchmarkPartitionHashMemo(b *testing.B) {
 	cfg := Config{
 		Dir: b.TempDir(), N: 4_000_000, Shards: 256, Partitions: 64,
-		Alg: bank.NewMorrisAlg(0.005, 14), Seed: 42, NoSync: true,
+		Alg: bank.NewMorrisAlg(0.005, 14), Seed: 42, Sync: wal.SyncOff,
 	}
 	st, err := Open(cfg)
 	if err != nil {

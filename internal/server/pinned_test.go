@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/server"
+	"repro/internal/wal"
 )
 
 // TestMetricNamesPinned pins the exported metric names: renaming a series
@@ -20,7 +21,7 @@ import (
 // its names are pinned here too.
 func TestMetricNamesPinned(t *testing.T) {
 	st, err := server.Open(server.Config{
-		Dir: t.TempDir(), N: 100, Shards: 8, Alg: bank.NewMorrisAlg(0.02, 12), Seed: 42, NoSync: true,
+		Dir: t.TempDir(), N: 100, Shards: 8, Alg: bank.NewMorrisAlg(0.02, 12), Seed: 42, Sync: wal.SyncOff,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)

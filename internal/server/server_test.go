@@ -18,6 +18,7 @@ import (
 	"repro/internal/shardbank"
 	"repro/internal/snapcodec"
 	"repro/internal/stream"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -29,7 +30,7 @@ func testConfig(t *testing.T, n int) Config {
 		Shards: 8,
 		Alg:    bank.NewMorrisAlg(0.02, 12),
 		Seed:   42,
-		NoSync: true,
+		Sync:   wal.SyncOff,
 	}
 }
 
@@ -484,7 +485,7 @@ func BenchmarkStoreApply(b *testing.B) {
 		Shards: 64,
 		Alg:    bank.NewMorrisAlg(0.005, 14),
 		Seed:   42,
-		NoSync: true,
+		Sync:   wal.SyncOff,
 	}
 	st, err := Open(cfg)
 	if err != nil {

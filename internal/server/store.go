@@ -121,8 +121,6 @@ type Config struct {
 	Clock func() uint64
 	// SegmentBytes is the WAL rotation threshold (0 = wal default).
 	SegmentBytes int64
-	// NoSync disables WAL fsync (tests/benchmarks only); it overrides Sync.
-	NoSync bool
 	// Sync is the WAL fsync durability policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
 	// SyncInterval is the background fsync cadence under wal.SyncInterval.
@@ -384,7 +382,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	st.log, err = wal.Open(cfg.Dir, wal.Options{
 		SegmentBytes: cfg.SegmentBytes,
-		NoSync:       cfg.NoSync,
 		Policy:       cfg.Sync,
 		Interval:     cfg.SyncInterval,
 		Metrics:      st.metrics,
@@ -1594,7 +1591,7 @@ func (st *Store) Stats() Stats {
 		Seed:            st.eng.Seed(),
 		BankBytes:       st.eng.SizeBytes(),
 		Partitions:      st.cfg.Partitions,
-		FsyncPolicy:     st.syncPolicy().String(),
+		FsyncPolicy:     st.cfg.Sync.String(),
 		Batches:         st.batches.Value(),
 		Keys:            st.keys.Value(),
 		Merges:          st.merges.Value(),
@@ -1636,14 +1633,6 @@ func (st *Store) Stats() Stats {
 		s.LastCheckpoint = time.Unix(0, ns).UTC().Format(time.RFC3339)
 	}
 	return s
-}
-
-// syncPolicy returns the effective WAL fsync policy.
-func (st *Store) syncPolicy() wal.SyncPolicy {
-	if st.cfg.NoSync {
-		return wal.SyncOff
-	}
-	return st.cfg.Sync
 }
 
 func snapPath(dir string, seq uint64) string {

@@ -185,9 +185,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// Zero means the 64 MiB default.
 	SegmentBytes int64
-	// NoSync is the deprecated spelling of Policy: SyncOff; it overrides
-	// Policy when set.
-	NoSync bool
 	// Policy selects the fsync durability policy (default SyncAlways).
 	Policy SyncPolicy
 	// Interval is the background fsync cadence under SyncInterval (default
@@ -243,9 +240,6 @@ type Log struct {
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
-	}
-	if opts.NoSync {
-		opts.Policy = SyncOff
 	}
 	if opts.Policy == SyncInterval && opts.Interval <= 0 {
 		opts.Interval = defaultSyncInterval

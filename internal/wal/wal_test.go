@@ -86,7 +86,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 512, NoSync: true})
+	l, err := Open(dir, Options{SegmentBytes: 512, Policy: SyncOff})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestRotationAndTruncate(t *testing.T) {
 // a corrupted record, never a record that was not appended.
 func TestTornTailEveryTruncation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
+	l, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestTornTailEveryTruncation(t *testing.T) {
 // Corruption in a non-final segment must be an error, not a silent stop.
 func TestMidLogCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
+	l, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -295,7 +295,7 @@ func TestCrashRecoveryMatchesReferenceBank(t *testing.T) {
 	const n = 500
 	alg := bank.NewMorrisAlg(0.02, 12)
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
+	l, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestCrashRecoveryMatchesReferenceBank(t *testing.T) {
 
 func TestReopenStartsFreshSegment(t *testing.T) {
 	dir := t.TempDir()
-	l1, err := Open(dir, Options{NoSync: true})
+	l1, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestReopenStartsFreshSegment(t *testing.T) {
 	if err := l1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{NoSync: true})
+	l2, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func BenchmarkGroupCommitParallel(b *testing.B) {
 // once it is no longer the final segment.
 func TestRepairTorn(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
+	l, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestRepairTorn(t *testing.T) {
 		}
 		// After repair, simulate the segment becoming non-final: open a new
 		// log (fresh segment above it), then replay everything.
-		l2, err := Open(dir, Options{NoSync: true})
+		l2, err := Open(dir, Options{Policy: SyncOff})
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
@@ -635,24 +635,9 @@ func TestSyncIntervalFlushesInBackground(t *testing.T) {
 	}
 }
 
-// NoSync must keep behaving as the SyncOff alias.
-func TestNoSyncAliasesSyncOff(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.opts.Policy != SyncOff {
-		t.Fatalf("NoSync mapped to policy %v", l.opts.Policy)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMergeMaxRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
+	l, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +662,7 @@ func TestMergeMaxRecordRoundTrip(t *testing.T) {
 // including the empty-list cases.
 func TestOwnershipRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true})
+	l, err := Open(dir, Options{Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
