@@ -180,10 +180,8 @@ func (r *Reader) Remaining() int { return r.nbit - r.pos }
 
 // Array is a fixed-width packed array of n unsigned fields of width bits
 // each, stored contiguously with no per-element padding. Total footprint is
-// ⌈n·width/64⌉ machine words. It is the physical home of every register of
-// internal/shardbank and of the engines' bucket rings; its words are a Go
-// slice from NewArray, or memory the caller owns through NewArrayOn (a
-// large shardbank maps its registers outside the Go heap).
+// ⌈n·width/64⌉ machine words. It is the physical home of the engines'
+// bucket-ring registers.
 type Array struct {
 	words []uint64
 	n     int
@@ -195,30 +193,13 @@ type Array struct {
 // Set can touch words[idx+1] unconditionally (see below); it never holds
 // field bits and is excluded from SizeBytes.
 func NewArray(n, width int) *Array {
-	return NewArrayOn(make([]uint64, ArrayWords(n, width)), n, width)
-}
-
-// ArrayWords returns the words an Array of n fields of the given width
-// occupies: the ⌈n·width/64⌉ payload and the pad word.
-func ArrayWords(n, width int) int {
 	if n < 0 {
 		panic("bitpack: negative array length")
 	}
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("bitpack: invalid field width %d", width))
 	}
-	return (n*width+63)/64 + 1
-}
-
-// NewArrayOn returns an Array of n fields of the given width over words,
-// which the caller owns and must pass zeroed: every field reads 0. words
-// must hold exactly ArrayWords(n, width) words, pad word included, and must
-// stay valid for as long as the Array is used.
-func NewArrayOn(words []uint64, n, width int) *Array {
-	if want := ArrayWords(n, width); len(words) != want {
-		panic(fmt.Sprintf("bitpack: %d words for a %d×%d-bit array, want %d", len(words), n, width, want))
-	}
-	return &Array{words: words, n: n, width: width}
+	return &Array{words: make([]uint64, (n*width+63)/64+1), n: n, width: width}
 }
 
 // Len returns the number of fields.

@@ -256,8 +256,6 @@ func TestArrayPanics(t *testing.T) {
 		func() { NewArray(-1, 3) },
 		func() { NewArray(4, 0) },
 		func() { NewArray(4, 65) },
-		func() { NewArrayOn(make([]uint64, 1), 4, 16) }, // no pad word
-		func() { NewArrayOn(make([]uint64, 3), 4, 16) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -268,23 +266,6 @@ func TestArrayPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-// An Array over caller-owned words reads and writes those words in place.
-func TestArrayOnCallerWords(t *testing.T) {
-	words := make([]uint64, ArrayWords(4, 16))
-	if len(words) != 2 {
-		t.Fatalf("ArrayWords(4, 16) = %d, want the payload word and the pad word", len(words))
-	}
-	a := NewArrayOn(words, 4, 16)
-	a.Set(1, 7)
-	a.Set(3, 0xffff)
-	if words[0] != 7<<16|0xffff<<48 || words[1] != 0 {
-		t.Fatalf("words = %#x", words)
-	}
-	if a.Get(1) != 7 || a.SizeBytes() != 8 {
-		t.Fatalf("Get(1) = %d, SizeBytes = %d", a.Get(1), a.SizeBytes())
 	}
 }
 

@@ -59,11 +59,13 @@ func BankFromSnapshot(snap *snapcodec.Snapshot) (*BankEngine, error) {
 	if got := snap.Regs().Len(); got != snap.N {
 		return nil, fmt.Errorf("engine: bank snapshot of %d keys holds %d registers", snap.N, got)
 	}
-	at := 0
-	snapcodec.EachBlock(snap.Regs(), func(block []uint64) {
-		r.WriteRegisters(block, at)
-		at += len(block)
-	})
+	for _, sink := range []snapcodec.RegisterSink{r.Plan(), r} {
+		at := 0
+		snapcodec.EachBlock(snap.Regs(), func(block []uint64) {
+			sink.WriteRegisters(block, at)
+			at += len(block)
+		})
+	}
 	b, err := r.Finish(snap.RNG)
 	if err != nil {
 		return nil, err

@@ -1683,7 +1683,10 @@ func loadSnap(path string, header snapcodec.SinkFunc) (*snapcodec.Snapshot, erro
 // order, each delta's base id naming the previous chain element. Every file
 // decodes straight into one register sink — a new bank's restorer for the
 // bank engine, the full snapshot's own register section for the others —
-// and the payload and rng come from the newest chain element. Deltas at or
+// and the payload and rng come from the newest chain element. A bank's
+// chain is decoded twice: first into the restorer's plan, which sizes
+// every chunk of the bank for the registers to come, then into the
+// restorer, which writes them into slabs allocated once. Deltas at or
 // below the full snapshot are leftovers of a crashed GC: obsolete, ignored,
 // and left for the next full checkpoint's GC. Returns a nil engine when dir
 // holds no full snapshot, else the engine, the newest chain element's
@@ -1715,20 +1718,21 @@ func restoreCheckpoint(dir string) (engine.Engine, uint64, int, error) {
 		if restorer, err = engine.BankRestorer(h); err != nil {
 			return nil, err
 		}
-		return restorer, nil
+		return restorer.Plan(), nil
 	})
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("server: checkpoint %d: %w", fullSeq, err)
 	}
 	var sink snapcodec.RegisterSink = snapcodec.RegisterSlice(base.Registers)
 	if restorer != nil {
-		sink = restorer
+		sink = restorer.Plan()
 	}
 	deltas, err := listSeqs(dir, deltaSuffix)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	last, prev, chain := base, fullSeq, 0
+	paths := []string{snapPath(dir, fullSeq)}
 	for _, seq := range deltas {
 		if seq <= fullSeq {
 			continue
@@ -1740,9 +1744,17 @@ func restoreCheckpoint(dir string) (engine.Engine, uint64, int, error) {
 			return nil, 0, 0, fmt.Errorf("server: delta checkpoint %d: %w", seq, err)
 		}
 		prev, chain = seq, chain+1
+		paths = append(paths, deltaPath(dir, seq))
 	}
 	var eng engine.Engine
 	if restorer != nil {
+		for _, path := range paths {
+			if _, err := loadSnap(path, func(*snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
+				return restorer, nil
+			}); err != nil {
+				return nil, 0, 0, fmt.Errorf("server: %s: %w", filepath.Base(path), err)
+			}
+		}
 		var b *shardbank.Bank
 		if b, err = restorer.Finish(last.RNG); err == nil {
 			eng = engine.NewBank(b)

@@ -8,7 +8,11 @@ import "syscall"
 const mapsRegisters = true
 
 func mapAnon(size int) ([]byte, error) {
-	return syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err == nil {
+		pageByPage(mem)
+	}
+	return mem, err
 }
 
 // unmapAnon runs as the Bank's cleanup, with nobody to report to: a failed

@@ -40,7 +40,7 @@ func (b *Bank) rebuildBlockMax(lo, hi int) {
 	for bi := lo >> dirtyBlockShift; bi<<dirtyBlockShift < hi; bi++ {
 		top := uint64(0)
 		for k, end := bi<<dirtyBlockShift, min((bi+1)<<dirtyBlockShift, b.n); k < end; k++ {
-			top = max(top, b.shards[uint64(k)&b.mask].arr.Get(k>>b.shift))
+			top = max(top, b.shards[uint64(k)&b.mask].get(k>>b.shift))
 		}
 		b.blockMax[bi].Store(top)
 	}

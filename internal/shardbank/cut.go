@@ -5,8 +5,10 @@
 //
 // The unit is the chunk: local slots [c·128, (c+1)·128) of every shard, so
 // keys [c·128·P, (c+1)·128·P) of the global order. A shard's part of a
-// chunk is 2·width whole words, so chunks never share a word and saving
-// every chunk costs exactly the packed size. A cut marks each
+// chunk is the chunk of its slab (slab.go): whole words at the chunk's own
+// width, so chunks never share a word and saving every chunk costs exactly
+// the bank's size. A cut saves a chunk's words with the width they are
+// packed at, before the write that could widen it. A cut marks each
 // (shard, chunk) of its range pending while it holds every shard lock.
 // Until the cut is released, the first writer about to change a register
 // of a pending (shard, chunk) saves the shard's words of it into the cut
@@ -23,23 +25,25 @@ package shardbank
 
 import "slices"
 
-// chunkShift is log2 of the local slots of one shard in one chunk.
-const chunkShift = 7
-
 // cut is the writer-facing half of a View: which (shard, chunk) pairs still
 // hold their words of the instant of the cut, and the words writers saved
 // from the others. pending and saved[si] are guarded by shard si's lock,
 // done by all of them.
 type cut struct {
 	b      *Bank
-	width  int
 	c0, c1 int // chunks [c0, c1] overlap the cut's key range
 	wps    int // pending words per shard
 	// pending holds shard si's bits at words [si·wps, (si+1)·wps): bit
 	// c−c0 is set until a writer saves (si, c).
 	pending []uint64
-	saved   []map[int][]uint64 // saved[si][c]: shard si's words of chunk c at the cut
+	saved   []map[int]savedChunk // saved[si][c]: shard si's chunk c at the cut
 	done    bool
+}
+
+// savedChunk is a chunk's words as they stood at the cut, and their width.
+type savedChunk struct {
+	words []uint64
+	width uint
 }
 
 // newCut prepares a cut of keys [lo, hi), lo < hi, with every chunk
@@ -48,10 +52,9 @@ func (b *Bank) newCut(lo, hi int) *cut {
 	cs := b.shift + chunkShift
 	ct := &cut{
 		b:     b,
-		width: b.alg.Width(),
 		c0:    lo >> cs,
 		c1:    (hi - 1) >> cs,
-		saved: make([]map[int][]uint64, len(b.shards)),
+		saved: make([]map[int]savedChunk, len(b.shards)),
 	}
 	nc := ct.c1 - ct.c0 + 1
 	ct.wps = (nc + 63) / 64
@@ -77,12 +80,11 @@ func (b *Bank) CutBytes(lo, hi int) int {
 }
 
 // chunkBufWords sizes a view's chunk buffer: every shard's words of one
-// chunk back to back, each followed by a pad word so a packed read may
-// touch idx+1 (bitpack.Array's layout).
+// chunk at the algorithm's width, back to back.
 func (b *Bank) chunkBufWords() int {
 	words := 0
 	for _, s := range b.shards {
-		words += min(2*b.alg.Width(), len(s.words)-1) + 1
+		words += packedWords(min(chunkLen, s.n), uint(b.width))
 	}
 	return words
 }
@@ -90,14 +92,6 @@ func (b *Bank) chunkBufWords() int {
 // CutCopyBytes returns the bytes currently held by copy-on-write saves
 // across every open view of the bank.
 func (b *Bank) CutCopyBytes() int64 { return b.cutBytes.Load() }
-
-// chunkWords returns a shard's payload words of chunk c: 2·width of them,
-// fewer in the shard's last chunk; words ends in bitpack's pad word.
-func chunkWords(words []uint64, c, width int) []uint64 {
-	end := len(words) - 1
-	from := min(c*2*width, end)
-	return words[from:min(from+2*width, end)]
-}
 
 // cow runs before a writer changes local slot l of shard si, under that
 // shard's lock: every active cut still owed the chunk's words keeps them.
@@ -124,21 +118,27 @@ func (ct *cut) save(si, c int) {
 		return
 	}
 	*w &^= m
-	words := slices.Clone(chunkWords(ct.b.shards[si].words, c, ct.width))
+	words, width := ct.b.shards[si].chunk(c)
 	if ct.saved[si] == nil {
-		ct.saved[si] = make(map[int][]uint64)
+		ct.saved[si] = make(map[int]savedChunk)
 	}
-	ct.saved[si][c] = words
+	ct.saved[si][c] = savedChunk{slices.Clone(words), width}
 	ct.b.cutBytes.Add(int64(8 * len(words)))
 }
 
 // read copies shard si's words of chunk c as they stood at the cut into
-// dst and returns the word count. Caller holds shard si's lock.
-func (ct *cut) read(dst []uint64, si, c int) int {
-	if w, m := ct.bit(si, c); *w&m != 0 {
-		return copy(dst, chunkWords(ct.b.shards[si].words, c, ct.width))
+// dst and returns the word count and their width: none past the shard's
+// last chunk. Caller holds shard si's lock.
+func (ct *cut) read(dst []uint64, si, c int) (int, uint) {
+	if c >= len(ct.b.shards[si].tab) {
+		return 0, 0
 	}
-	return copy(dst, ct.saved[si][c])
+	if w, m := ct.bit(si, c); *w&m != 0 {
+		words, width := ct.b.shards[si].chunk(c)
+		return copy(dst, words), width
+	}
+	sc := ct.saved[si][c]
+	return copy(dst, sc.words), sc.width
 }
 
 // release deactivates the cut and drops its saved words. Idempotent.
@@ -153,8 +153,8 @@ func (ct *cut) release() {
 	b.cuts = slices.DeleteFunc(b.cuts, func(c *cut) bool { return c == ct })
 	held := 0
 	for _, m := range ct.saved {
-		for _, words := range m {
-			held += len(words)
+		for _, sc := range m {
+			held += len(sc.words)
 		}
 	}
 	b.cutBytes.Add(-int64(8 * held))

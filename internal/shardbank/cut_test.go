@@ -343,11 +343,75 @@ func FuzzBankCut(f *testing.F) {
 	f.Fuzz(runCutScript)
 }
 
+// refBank is a bank's meaning without its layout: the registers as a
+// plain []uint64, stepped, merged and reset by the same shard generators in
+// the same draw order as a Bank of the same shape, so that every register
+// of the bank reads what the reference holds after every operation,
+// whatever widths its chunks went through on the way.
+type refBank struct {
+	regs   []uint64
+	p      int
+	step   *Bank // the step tables and algorithm; its own registers unused
+	shards []*shard
+}
+
+func newRefBank(n int, alg bank.Algorithm, shards int, seed uint64) *refBank {
+	r := &refBank{regs: make([]uint64, n), p: shards, step: &Bank{alg: alg, table: buildStepTable(alg)}}
+	sm := xrand.NewSplitMix64(seed)
+	for range shards {
+		xo := xrand.New(sm.Uint64())
+		r.shards = append(r.shards, &shard{xo: xo, rng: xrand.NewRand(xo)})
+	}
+	return r
+}
+
+func (r *refBank) incrementBy(k int, times uint64) {
+	for range times {
+		r.regs[k] = r.step.step(r.regs[k], r.shards[k%r.p])
+	}
+}
+
+func (r *refBank) mergeMax(lo int, regs []uint64) {
+	for i, v := range regs {
+		r.regs[lo+i] = max(r.regs[lo+i], v)
+	}
+}
+
+// merge folds regs into keys [lo, lo+len(regs)) with Remark 2.4's merge,
+// in shard order and then key order, as MergeRange and Merge draw.
+func (r *refBank) merge(lo int, regs []uint64) {
+	ma := r.step.alg.(bank.MergeAlgorithm)
+	for si := range r.p {
+		for k := lo + (si-lo%r.p+r.p)%r.p; k < lo+len(regs); k += r.p {
+			r.regs[k] = ma.MergeRegs(r.regs[k], regs[k-lo], r.shards[si].rng)
+		}
+	}
+}
+
+// diff describes the first difference between the bank and the reference,
+// registers or generator states, "" when there is none.
+func (r *refBank) diff(b *Bank) string {
+	st := b.ExportState()
+	for i, reg := range st.Registers {
+		if reg != r.regs[i] {
+			return fmt.Sprintf("register %d reads %d, the reference holds %d", i, reg, r.regs[i])
+		}
+	}
+	for si, s := range r.shards {
+		if st.RNG[si] != s.xo.State() {
+			return fmt.Sprintf("shard %d generator state differs from the reference's", si)
+		}
+	}
+	return ""
+}
+
 // runCutScript replays one scripted interleaving of cuts, every writer,
-// reads of any span of an open view and releases against a bank whose
-// shape the first byte picks. Every read is held to a deep copy taken at
-// its view's cut, and the saved-word count to the open cuts' contents after
-// every step.
+// reads of any span of an open view, releases and restores against a bank
+// whose shape the first byte picks. Some writers push registers to the top
+// of their width, so chunks widen through every width class with views
+// open. Every read is held to a deep copy taken at its view's cut, the
+// bank to a reference over plain registers and the saved-word count to the
+// open cuts' contents after every step.
 func runCutScript(t *testing.T, data []byte) {
 	const n = 3000 // 24, 6 or 2 chunks
 	s := &script{data: data}
@@ -358,6 +422,8 @@ func runCutScript(t *testing.T, data []byte) {
 	}[shape/3%3]
 	maxReg := uint64(1)<<uint(alg.Width()) - 1
 	b := New(n, alg, shards, uint64(shape))
+	ref := newRefBank(n, alg, shards, uint64(shape))
+	_, mergeable := alg.(bank.MergeAlgorithm)
 	peer := New(n, alg, shards, 99)
 	type open struct {
 		v   *View
@@ -377,8 +443,23 @@ func runCutScript(t *testing.T, data []byte) {
 		at = s.u16() % o.v.Len()
 		return at, min(s.u16()%700, o.v.Len()-at)
 	}
+	// regs returns registers for a merge into keys [lo, …): small ones
+	// near fill, or high ones just under the width's top.
+	regs := func(lo int, high bool) []uint64 {
+		regs := make([]uint64, min(s.u16()%1000, n-lo))
+		fill := uint64(s.byte())
+		for i := range regs {
+			if high {
+				regs[i] = maxReg - (fill+uint64(i%5))%(maxReg+1)
+			} else {
+				regs[i] = (fill + uint64(i%5)) % (maxReg + 1)
+			}
+		}
+		return regs
+	}
 	for step := 0; s.more() && step < 80; step++ {
-		switch op := s.byte() % 11; op {
+		op := s.byte() % 15
+		switch op {
 		case 0:
 			if len(views) < 3 {
 				lo := s.u16() % n
@@ -398,57 +479,79 @@ func runCutScript(t *testing.T, data []byte) {
 				views = append(views[:i], views[i+1:]...)
 			}
 		case 3:
-			b.Increment(s.u16() % n)
-		case 4:
-			b.IncrementBy(s.u16()%n, uint64(s.byte()))
+			k := s.u16() % n
+			b.Increment(k)
+			ref.incrementBy(k, 1)
+		case 4, 11: // 11: up to 65535 events, through every width class
+			k, times := s.u16()%n, uint64(s.byte())
+			if op == 11 {
+				times = uint64(s.u16())
+			}
+			b.IncrementBy(k, times)
+			ref.incrementBy(k, times)
 		case 5:
 			keys := make([]int, s.byte())
 			base, stride := s.u16()%n, s.byte()%50+1
 			for i := range keys {
 				keys[i] = (base + i*stride) % n
+				ref.incrementBy(keys[i], 1)
 			}
 			b.IncrementBatch(keys)
-		case 6, 7:
+		case 6, 7, 12, 13: // 12 and 13: registers at the top of the width
 			lo := s.u16() % n
-			regs := make([]uint64, min(s.u16()%1000, n-lo))
-			fill := uint64(s.byte())
-			for i := range regs {
-				regs[i] = (fill + uint64(i%5)) % (maxReg + 1)
-			}
+			regs := regs(lo, op >= 12)
 			var err error
-			if op == 6 {
+			if op == 6 || op == 12 {
 				err = b.MergeMaxRange(lo, regs)
-			} else if err = b.MergeRange(lo, regs); err != nil {
-				if _, ok := alg.(bank.MergeAlgorithm); !ok {
-					err = nil
-				}
+				ref.mergeMax(lo, regs)
+			} else if err = b.MergeRange(lo, regs); mergeable {
+				ref.merge(lo, regs)
+			} else {
+				err = nil
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 		case 8:
 			lo := s.u16() % n
-			if err := b.ResetRange(lo, lo+s.u16()%(n-lo+1)); err != nil {
+			hi := lo + s.u16()%(n-lo+1)
+			if err := b.ResetRange(lo, hi); err != nil {
 				t.Fatal(err)
 			}
+			clear(ref.regs[lo:hi])
 		case 9:
 			peer.IncrementBatch(zipfKeys(n, s.byte()*10, uint64(step)))
-			if err := b.Merge(peer); err != nil {
-				if _, ok := alg.(bank.MergeAlgorithm); ok {
+			if err := b.Merge(peer); mergeable {
+				if err != nil {
 					t.Fatal(err)
 				}
+				ref.merge(0, peer.ExportState().Registers)
 			}
 		case 10:
 			if o := pick(); o != nil {
 				o.ref.check(t, o.v, 0, o.v.Len(), "whole read")
 			}
+		case 14: // a restore of the bank's state reads as the bank does
+			st := b.ExportState()
+			restored, err := restoreState(n, alg, shards, uint64(shape), st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSlabs(t, restored, "restored")
+			if d := ref.diff(restored); d != "" {
+				t.Fatalf("step %d, restored bank: %s", step, d)
+			}
 		}
+		if d := ref.diff(b); d != "" {
+			t.Fatalf("step %d (op %d): %s", step, op, d)
+		}
+		checkSlabs(t, b, fmt.Sprintf("step %d (op %d)", step, op))
 		b.lockAll()
 		held := 0
 		for _, ct := range b.cuts {
 			for _, m := range ct.saved {
-				for _, words := range m {
-					held += 8 * len(words)
+				for _, sc := range m {
+					held += 8 * len(sc.words)
 				}
 			}
 		}

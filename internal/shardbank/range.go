@@ -61,10 +61,8 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 		s.mu.Lock()
 		for k := first; k < hi; k += p {
 			local := k >> b.shift
-			if v := regs[k-lo]; v > s.arr.Get(local) {
-				b.cow(si, local)
-				s.arr.Set(local, v)
-				b.touch(k, v)
+			if v := regs[k-lo]; v > s.get(local) {
+				b.set(si, local, v)
 			}
 		}
 		s.mu.Unlock()
@@ -91,9 +89,9 @@ func (b *Bank) ResetRange(lo, hi int) error {
 	defer b.unlockAll()
 	for k := lo; k < hi; k++ {
 		si, local := int(uint64(k)&b.mask), k>>b.shift
-		if s := b.shards[si]; s.arr.Get(local) != 0 {
+		if s := b.shards[si]; s.get(local) != 0 {
 			b.cow(si, local)
-			s.arr.Set(local, 0)
+			b.put(s, local, 0)
 			b.dirty.Mark(k)
 		}
 	}
@@ -132,11 +130,9 @@ func (b *Bank) MergeRange(lo int, regs []uint64) error {
 		s.mu.Lock()
 		for k := first; k < hi; k += p {
 			local := k >> b.shift
-			old := s.arr.Get(local)
+			old := s.get(local)
 			if merged := ma.MergeRegs(old, regs[k-lo], s.rng); merged != old {
-				b.cow(si, local)
-				s.arr.Set(local, merged)
-				b.touch(k, merged)
+				b.set(si, local, merged)
 			}
 		}
 		s.mu.Unlock()

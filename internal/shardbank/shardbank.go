@@ -11,11 +11,16 @@
 // batched runs, see below) are exactly replayable; no rng is ever shared
 // across shards.
 //
-// The shards' arrays are cache-line-aligned slices of one allocation
-// (arena.go). A bank of 4 MiB of registers or more — a 4 M-key node's
-// 7 MB of 14-bit Morris registers — maps it outside the Go heap, so the
-// garbage collector's heap goal, twice the live heap, no longer doubles
-// them; a smaller bank keeps it on the heap, under the goal's 4 MiB floor.
+// A register costs the bits its count needs, not its algorithm's width: a
+// shard packs each chunk of 128 of its registers at the narrowest of 2, 4,
+// 8 and the algorithm's width that holds them (slab.go), so a 4 M-key
+// node's 14-bit Morris registers after a couple of events per key take
+// about 2 MB instead of 7. The shards' slabs are cut from one allocation
+// sized for every register at full width (arena.go). From 4 MiB up it is mapped
+// outside the Go heap, so the garbage collector's heap goal, twice the
+// live heap, does not double it, and a page of it becomes resident only
+// when a slab reaches it; a smaller bank keeps its slabs on the heap, at
+// full width, under the goal's 4 MiB floor.
 //
 // Three things make the hot path fast:
 //
@@ -31,7 +36,8 @@
 //     precomputed as a 64-bit fixed-point table indexed by register value,
 //     so a step is a table load, one rng word, and a compare — no math.Exp,
 //     no float division, no interface call. Wider registers fall back to
-//     the generic Algorithm.Step path.
+//     the generic Algorithm.Step path. The width a chunk is stored at
+//     changes none of this.
 //
 // What the hot path pays for the readers is touch (blockmax.go), called for
 // each register that actually changed — two atomic loads and compares in
@@ -68,7 +74,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bank"
-	"repro/internal/bitpack"
 	"repro/internal/xrand"
 )
 
@@ -122,20 +127,27 @@ func fixedProb(p float64) uint64 {
 	return uint64(v)
 }
 
-// shard is one lock stripe: a packed register array and a private rng. The
+// shard is one lock stripe: its registers' slab and a private rng. The
 // trailing pad keeps adjacent shards off each other's cache line so that
 // lock traffic on one stripe does not false-share with its neighbors.
 type shard struct {
-	mu  sync.Mutex
-	arr *bitpack.Array
-	// words caches arr.Words() for the fused batch loop in applyKeys.
+	mu sync.Mutex
+	// The slab (slab.go): chunk c's registers are packed at width
+	// tab[c]&widthMask in words from word tab[c]>>offShift.
 	words []uint64
+	tab   []uint32
+	n     int // registers
+	max   int // words of every chunk at the algorithm's width
+	at    int // word offset of a mapped slab in the bank's mapping
+	end   int // words in use: chunks and the holes between them
+	live  int // words of chunks
+	high  int // the most words ever in use
 	// xo is the shard's raw generator; rng wraps it for the generic
 	// Algorithm.Step path and merges. The table path draws from xo
 	// directly so the call devirtualizes and inlines.
 	xo  *xrand.Xoshiro256
 	rng *xrand.Rand
-	_   [24]byte
+	_   [8]byte
 }
 
 // Bank is a lock-striped, batched counter bank. The zero value is not
@@ -143,6 +155,7 @@ type shard struct {
 type Bank struct {
 	shards  []*shard
 	alg     bank.Algorithm
+	width   int // alg.Width()
 	table   stepTable
 	n       int
 	seed    uint64    // construction seed, kept for snapshot provenance
@@ -160,7 +173,7 @@ type Bank struct {
 	cuts     []*cut
 	cutBytes atomic.Int64
 
-	mapped int // bytes of the registers' mapping outside the Go heap, 0 on the heap (arena.go)
+	mapped int // bytes of the slabs' mapping outside the Go heap, 0 on the heap (arena.go)
 }
 
 // New allocates a Bank of n registers striped across the given shard count
@@ -168,6 +181,17 @@ type Bank struct {
 // derived deterministically from seed, so a bank built from (n, alg, shards,
 // seed) always replays identically under a fixed operation order.
 func New(n int, alg bank.Algorithm, shards int, seed uint64) *Bank {
+	b := newBank(n, alg, shards, seed, true)
+	for _, s := range b.shards {
+		b.settle(s)
+	}
+	return b
+}
+
+// newBank is New with every chunk still without words. Without heap, a
+// bank that is not mapped gets no slabs yet: a Restorer's bank, which lays
+// them out from its plan, or grows them, and settles them in Finish.
+func newBank(n int, alg bank.Algorithm, shards int, seed uint64, heap bool) *Bank {
 	if n <= 0 {
 		panic("shardbank: non-positive size")
 	}
@@ -188,6 +212,7 @@ func New(n int, alg bank.Algorithm, shards int, seed uint64) *Bank {
 	b := &Bank{
 		shards: make([]*shard, p),
 		alg:    alg,
+		width:  alg.Width(),
 		table:  buildStepTable(alg),
 		n:      n,
 		seed:   seed,
@@ -198,36 +223,43 @@ func New(n int, alg bank.Algorithm, shards int, seed uint64) *Bank {
 		blockMax: make([]atomic.Uint64, (n+DirtyBlockLen-1)/DirtyBlockLen),
 	}
 	b.scratch.New = func() any { return new(batchScratch) }
-	width := alg.Width()
 	local := func(s int) int { return (n - s + p - 1) / p } // registers i with i mod p == s
 	total := 0
 	for s := range p {
-		total += lineUp(bitpack.ArrayWords(local(s), width))
+		total += lineUp(packedWords(local(s), uint(b.width)))
 	}
-	words := b.allocRegisters(total)
+	words := b.mapRegisters(total)
+	if words == nil && heap {
+		words = heapWords(total)
+	}
+	tabs := make([]uint32, (n+chunkLen-1)>>chunkShift+p)
 	sm := xrand.NewSplitMix64(seed)
-	for s := range b.shards {
+	at := 0
+	for si := range b.shards {
 		xo := xrand.New(sm.Uint64())
-		nw := bitpack.ArrayWords(local(s), width)
-		arr := bitpack.NewArrayOn(words[:nw:nw], local(s), width)
-		words = words[lineUp(nw):]
-		b.shards[s] = &shard{
-			arr:   arr,
-			words: arr.Words(),
-			xo:    xo,
-			rng:   xrand.NewRand(xo),
+		s := &shard{
+			n:   local(si),
+			max: packedWords(local(si), uint(b.width)),
+			xo:  xo,
+			rng: xrand.NewRand(xo),
 		}
+		if s.max >= maxSlab {
+			panic(fmt.Sprintf("shardbank: %d registers of %d bits in one shard; use more shards", s.n, b.width))
+		}
+		nc := (s.n + chunkLen - 1) >> chunkShift
+		s.tab, tabs = tabs[:nc:nc], tabs[nc:]
+		if words != nil {
+			size := lineUp(s.max)
+			s.words, s.at = words[at:at+size:at+size], at
+			at += size
+		}
+		b.shards[si] = s
 	}
 	return b
 }
 
 // Len returns the number of registers.
 func (b *Bank) Len() int { return b.n }
-
-// MappedBytes returns the size of the mapping outside the Go heap that holds
-// the registers: 0 for a bank under 4 MiB, and for every bank of a build
-// that keeps registers on the heap (arena.go).
-func (b *Bank) MappedBytes() int { return b.mapped }
 
 // Shards returns the number of lock stripes.
 func (b *Bank) Shards() int { return len(b.shards) }
@@ -241,18 +273,9 @@ func (b *Bank) Seed() uint64 { return b.seed }
 // Algorithm returns the bank's register algorithm.
 func (b *Bank) Algorithm() bank.Algorithm { return b.alg }
 
-// BitsPerCounter returns the per-register width.
-func (b *Bank) BitsPerCounter() int { return b.alg.Width() }
-
-// SizeBytes returns the physical footprint of the packed registers, summed
-// over shards.
-func (b *Bank) SizeBytes() int {
-	total := 0
-	for _, s := range b.shards {
-		total += s.arr.SizeBytes()
-	}
-	return total
-}
+// BitsPerCounter returns the algorithm's register width: the most bits a
+// register can need. SizeBytes is what the registers take.
+func (b *Bank) BitsPerCounter() int { return b.width }
 
 func (b *Bank) locate(i int) (*shard, int) {
 	if i < 0 || i >= b.n {
@@ -285,30 +308,38 @@ func (b *Bank) step(reg uint64, s *shard) uint64 {
 func (b *Bank) Increment(i int) {
 	s, local := b.locate(i)
 	s.mu.Lock()
-	reg := s.arr.Get(local)
+	reg := s.get(local)
 	if next := b.step(reg, s); next != reg {
-		b.cow(int(uint64(i)&b.mask), local)
-		s.arr.Set(local, next)
-		b.touch(i, next)
+		b.set(int(uint64(i)&b.mask), local, next)
 	}
 	s.mu.Unlock()
+	runtime.KeepAlive(b)
+}
+
+// set stores v, above the register's old value, at local register l of
+// shard si, for every write path but ResetRange and a Restorer: open cuts
+// save the chunk first (cow), the chunk widens if v needs it, and readers
+// learn of the change (touch). Caller holds shard si's lock.
+func (b *Bank) set(si, l int, v uint64) {
+	b.cow(si, l)
+	b.put(b.shards[si], l, v)
+	b.touch(l<<b.shift|si, v)
 }
 
 // IncrementBy advances register i by k events under one lock acquisition.
 func (b *Bank) IncrementBy(i int, k uint64) {
 	s, local := b.locate(i)
 	s.mu.Lock()
-	reg0 := s.arr.Get(local)
+	reg0 := s.get(local)
 	reg := reg0
 	for j := uint64(0); j < k; j++ {
 		reg = b.step(reg, s)
 	}
 	if reg != reg0 {
-		b.cow(int(uint64(i)&b.mask), local)
-		s.arr.Set(local, reg)
-		b.touch(i, reg)
+		b.set(int(uint64(i)&b.mask), local, reg)
 	}
 	s.mu.Unlock()
+	runtime.KeepAlive(b)
 }
 
 // IncrementBatch advances one register per key, grouping the batch by shard
@@ -372,15 +403,14 @@ func (b *Bank) IncrementBatch(keys []int) {
 
 // applyKeys advances one register per key, all keys belonging to shard si,
 // under si's already-held lock. This loop is the hot core of the batched
-// increment path, so the table branch works on the shard's raw packed words
-// (bitpack.Array.Words) with the field addressing computed once per key and
-// shared between the read and the write-back; the trailing pad word makes
-// the second-word access unconditional. Keys are validated by the caller
-// and the table caps registers below 2^width, so the checked Get/Set
-// invariants hold by construction — and TestBatchedMatchesUnbatched pins
-// this loop bit-for-bit to the checked single-increment path. It is generic
-// so the sharded path can feed it the compact int32 scatter buffer while
-// the single-shard path passes the caller's []int straight through.
+// increment path, so the table branch inlines slab.go's get and put: one
+// chunk-table load per key gives the field's bit position and width, which
+// the read and the write-back share, and only a register that outgrows its
+// chunk leaves the loop, to widen it. Keys are validated by the caller and
+// the table caps registers below 2^width — and TestBatchedMatchesUnbatched
+// pins this loop bit-for-bit to the checked single-increment path. It is
+// generic so the sharded path can feed it the compact int32 scatter buffer
+// while the single-shard path passes the caller's []int straight through.
 //
 // Algorithms without a table, and every run while a view is open (cut.go),
 // take the checked path instead: step draws exactly what the fused loop
@@ -392,34 +422,32 @@ func applyKeys[K int | int32](b *Bank, si int, keys []K) {
 	if t == nil || len(b.cuts) != 0 {
 		for _, k := range keys {
 			local := int(k) >> b.shift
-			reg := s.arr.Get(local)
+			reg := s.get(local)
 			if next := b.step(reg, s); next != reg {
-				b.cow(si, local)
-				s.arr.Set(local, next)
-				b.touch(int(k), next)
+				b.set(si, local, next)
 			}
 		}
+		runtime.KeepAlive(b)
 		return
 	}
-	words := s.words
+	words, tab := s.words, s.tab
 	xo := s.xo
 	shift := b.shift
-	width := uint(b.alg.Width())
-	mask := ^uint64(0) >> (64 - width)
 	for _, k := range keys {
-		pos := uint(int(k)>>shift) * width
-		off := pos & 63
-		idx := pos >> 6
-		// Load the high word first so the compiler proves idx in range
-		// once and drops the remaining three bounds checks.
-		w1 := words[idx+1]
-		w0 := words[idx]
-		reg := (w0>>off | w1<<(64-off)) & mask
+		l := uint(int(k) >> shift)
+		loc := tab[l>>chunkShift]
+		w := uint(loc) & widthMask
+		pos := uint(loc>>offShift)<<6 + (l&chunkMask)*w
+		reg := field(words, pos, w)
 		p := t[reg]
 		if p == stepAlways || (p != stepNever && xo.Uint64() < p) {
 			reg++
-			words[idx] = w0&^(mask<<off) | reg<<off
-			words[idx+1] = w1&^(mask>>(64-off)) | reg>>(64-off)
+			if reg>>w == 0 {
+				setField(words, pos, w, reg)
+			} else {
+				b.put(s, int(l), reg)
+				words = s.words // a heap slab may have grown
+			}
 			b.touch(int(k), reg)
 		}
 	}
@@ -485,8 +513,9 @@ func (b *Bank) IncrementChunked(keys []int, batch int) {
 func (b *Bank) Estimate(i int) float64 {
 	s, local := b.locate(i)
 	s.mu.Lock()
-	reg := s.arr.Get(local)
+	reg := s.get(local)
 	s.mu.Unlock()
+	runtime.KeepAlive(b)
 	return b.alg.Estimate(reg)
 }
 
@@ -494,7 +523,7 @@ func (b *Bank) Estimate(i int) float64 {
 func (b *Bank) Register(i int) uint64 {
 	s, local := b.locate(i)
 	s.mu.Lock()
-	reg := s.arr.Get(local)
+	reg := s.get(local)
 	s.mu.Unlock()
 	runtime.KeepAlive(b)
 	return reg
@@ -509,7 +538,7 @@ func (b *Bank) EstimateAll() []float64 {
 	for si, s := range b.shards {
 		s.mu.Lock()
 		for local, i := 0, si; i < b.n; local, i = local+1, i+len(b.shards) {
-			vals[i] = b.alg.Estimate(s.arr.Get(local))
+			vals[i] = b.alg.Estimate(s.get(local))
 		}
 		s.mu.Unlock()
 	}
@@ -553,12 +582,10 @@ func (b *Bank) Merge(other *Bank) error {
 		o := other.shards[si]
 		s.mu.Lock()
 		o.mu.Lock()
-		for local := 0; local < s.arr.Len(); local++ {
-			old := s.arr.Get(local)
-			if merged := ma.MergeRegs(old, o.arr.Get(local), s.rng); merged != old {
-				b.cow(si, local)
-				s.arr.Set(local, merged)
-				b.touch(local<<b.shift|si, merged)
+		for local := 0; local < s.n; local++ {
+			old := s.get(local)
+			if merged := ma.MergeRegs(old, o.get(local), s.rng); merged != old {
+				b.set(si, local, merged)
 			}
 		}
 		o.mu.Unlock()

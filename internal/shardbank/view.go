@@ -1,7 +1,7 @@
 // The packed read path: every consumer that reads registers in bulk —
 // snapshots, checkpoints, range hashes, top-k — reads them where they lie,
-// as width-bit fields of the shards' packed words, instead of inflating them
-// to one uint64 each. Two entry points:
+// as fields of the shards' packed chunks (slab.go), instead of inflating
+// them to one uint64 each. Two entry points:
 //
 //   - FreezeRange/Freeze take a copy-on-write cut of a key range (cut.go):
 //     under every shard lock they capture the generator states and list the
@@ -33,20 +33,19 @@ import (
 // writers copying for good. A view is read by one goroutine at a time.
 type View struct {
 	lo, n int
-	width uint
 	shift uint
 	mask  uint64
 	rng   [][4]uint64
 
 	cut     *cut // nil once released, and for an empty range
 	cleanup runtime.Cleanup
-	// buf holds the loaded chunk: each shard's words of it and a pad word,
-	// back to back. base[si] is the bit position in buf at which shard si's
-	// local slot 0 would start, so slot l of shard si sits at
-	// base[si] + l·width.
-	buf  []uint64
-	base []int
-	cur  int // chunk held in buf, −1 for none
+	// buf holds the loaded chunk: each shard's words of it, back to back.
+	// Shard si's part starts at bit base[si] and is packed at widths[si],
+	// so slot l of shard si sits at base[si] + (l mod 128)·widths[si].
+	buf    []uint64
+	base   []uint
+	widths []uint
+	cur    int // chunk held in buf, −1 for none
 }
 
 // Freeze captures the whole bank: FreezeRange(0, Len).
@@ -67,7 +66,7 @@ func (b *Bank) FreezeRange(lo, hi int) (*View, error) {
 	p := len(b.shards)
 	v := &View{
 		lo: lo, n: hi - lo,
-		width: uint(b.alg.Width()), shift: b.shift, mask: b.mask,
+		shift: b.shift, mask: b.mask,
 		rng: make([][4]uint64, p),
 		cur: -1,
 	}
@@ -75,7 +74,8 @@ func (b *Bank) FreezeRange(lo, hi int) (*View, error) {
 	if hi > lo {
 		ct = b.newCut(lo, hi)
 		v.buf = make([]uint64, b.chunkBufWords())
-		v.base = make([]int, p)
+		v.base = make([]uint, p)
+		v.widths = make([]uint, p)
 	}
 	b.lockAll()
 	for si, s := range b.shards {
@@ -116,17 +116,15 @@ func (v *View) ReadRegisters(dst []uint64, at int) {
 	if at < 0 || at+len(dst) > v.n {
 		panic("shardbank: view read out of range")
 	}
-	rmask := ^uint64(0) >> (64 - v.width)
-	width := int(v.width)
 	cs := v.shift + chunkShift
 	for k, end := v.lo+at, v.lo+at+len(dst); k < end; {
 		if c := k >> cs; c != v.cur {
 			v.load(c)
 		}
 		for stop := min(end, (v.cur+1)<<cs); k < stop; k++ {
-			pos := uint(v.base[uint64(k)&v.mask] + (k>>v.shift)*width)
-			idx, off := pos>>6, pos&63
-			dst[k-v.lo-at] = (v.buf[idx]>>off | v.buf[idx+1]<<(64-off)) & rmask
+			si := uint64(k) & v.mask
+			w := v.widths[si]
+			dst[k-v.lo-at] = field(v.buf, v.base[si]+uint((k>>v.shift)&chunkMask)*w, w)
 		}
 	}
 }
@@ -140,11 +138,12 @@ func (v *View) load(c int) {
 	off := 0
 	for si, s := range ct.b.shards {
 		s.mu.Lock()
-		n := ct.read(v.buf[off:], si, c)
+		n, w := ct.read(v.buf[off:], si, c)
 		s.mu.Unlock()
-		v.base[si] = (off - c*2*ct.width) * 64
-		off += n + 1 // the pad word: its bits never reach a register
+		v.base[si], v.widths[si] = uint(off)*64, w
+		off += n
 	}
+	runtime.KeepAlive(ct.b)
 	v.cur = c
 }
 
@@ -258,16 +257,14 @@ func kthLargest(bounds []atomic.Uint64, k int) uint64 {
 // rankRuns folds the registers of the given key runs into out, a ≤ k-entry
 // buffer sorted by descending register then ascending key. Each shard with
 // a key in some run is locked once, for as long as it takes to read its
-// slots of the runs with a running bit offset; a register is looked at
-// twice only when it reaches the current k-th.
+// slots of the runs; a register is looked at twice only when it reaches
+// the current k-th.
 func (b *Bank) rankRuns(out []RegEntry, k int, runs []keyRun) []RegEntry {
 	floor := uint64(1) // registers below it cannot rank
 	if len(out) == k {
 		floor = out[k-1].Reg
 	}
 	p := len(b.shards)
-	width := uint(b.alg.Width())
-	rmask := ^uint64(0) >> (64 - width)
 	for si, s := range b.shards {
 		locked := false
 		for _, r := range runs {
@@ -279,12 +276,8 @@ func (b *Bank) rankRuns(out []RegEntry, k int, runs []keyRun) []RegEntry {
 				s.mu.Lock()
 				locked = true
 			}
-			words := s.words
-			pos := uint(first>>b.shift) * width
 			for key := first; key < r.hi; key += p {
-				idx, off := pos>>6, pos&63
-				pos += width
-				reg := (words[idx]>>off | words[idx+1]<<(64-off)) & rmask
+				reg := s.get(key >> b.shift)
 				if reg < floor {
 					continue
 				}
