@@ -12,15 +12,15 @@
 // that width back to back, so a field at width 2, 4 or 8 never straddles a
 // word. A write that would overflow its chunk re-packs the chunk wider, at
 // the slab's end if it is not the last chunk already, and leaves a hole
-// where it was. When the holes reach 1/16 of the chunks' words, or the slab
-// has no room, the shard compacts in place, under its own lock: the chunks
-// slide down over the holes. A slab never needs more words than every
-// chunk at the algorithm's width, today's packed size, so a mapped slab
-// (arena.go) holds that much and is only ever touched up to its high
-// water. A heap bank sits under the garbage collector's 4 MiB floor, so
-// New gives each heap slab that much at once and it never moves; a
-// restored heap slab starts at its chunks' planned words and takes that
-// much when a chunk first outgrows it.
+// where it was. When the slab has no room, and for a mapped slab also when
+// the holes reach 1/16 of the chunks' words, the shard compacts in place,
+// under its own lock: the chunks slide down over the holes. A slab never
+// needs more words than every chunk at the algorithm's width, the packed
+// size of fixed-width registers, so a mapped slab (arena.go) holds that
+// much and is only ever touched up to its high water. A heap bank sits
+// under the garbage collector's 4 MiB floor, so New gives each heap slab
+// that much at once; a restored heap slab starts at its chunks' planned
+// words and takes that much when a chunk first outgrows it.
 //
 // Widths only grow while a bank serves, and width is storage only: no step,
 // draw or emitted byte depends on it. Every read and write of a shard's
