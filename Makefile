@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=5s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzBankTopRegisters -fuzztime=5s ./internal/shardbank
 	$(GO) test -run='^$$' -fuzz=FuzzBankCut -fuzztime=5s ./internal/shardbank
+	$(GO) test -run='^$$' -fuzz=FuzzMergeMaxRaised -fuzztime=5s ./internal/shardbank
 	$(GO) test -run='^$$' -fuzz=FuzzDistinctSnapshot -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzF2Snapshot -fuzztime=5s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzRingSnapshot -fuzztime=5s ./internal/engine

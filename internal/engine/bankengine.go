@@ -244,6 +244,14 @@ func (e *BankEngine) MergeMax(snap *snapcodec.Snapshot) error {
 	return e.b.MergeMaxRange(peerRange(snap), snap.Registers)
 }
 
+// KeepRaised zeroes, in place, every register of a checked peer snapshot
+// that a MergeMax of it would not raise (shardbank.RaisedRange) and
+// returns how many non-zero registers it zeroed: a MergeMax of the result
+// lands the same registers, and its snapshot logs only the raised ones.
+func (e *BankEngine) KeepRaised(snap *snapcodec.Snapshot) (zeroed int, err error) {
+	return e.b.RaisedRange(peerRange(snap), snap.Registers)
+}
+
 // ResetRange implements Engine: zeroes the registers of [lo, hi)
 // (shardbank.ResetRange) — the partition evict after a rebalance handoff.
 func (e *BankEngine) ResetRange(lo, hi int) error {
@@ -254,6 +262,9 @@ func (e *BankEngine) ResetRange(lo, hi int) error {
 // bank's whole-snapshot register layout is its key order, so shardbank's
 // dirty blocks are snapcodec blocks verbatim.
 func (e *BankEngine) TakeDirty() ([]uint32, bool) { return e.b.TakeDirty(), true }
+
+// ClearDirty implements Engine.
+func (e *BankEngine) ClearDirty() { e.b.ClearDirty() }
 
 // MarkDirty implements Engine.
 func (e *BankEngine) MarkDirty(blocks []uint32) { e.b.MarkDirtyBlocks(blocks) }

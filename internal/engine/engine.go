@@ -166,6 +166,9 @@ type Engine interface {
 	// the state the snapshot captured. Marking may overshoot (a listed block
 	// whose registers are unchanged) but never undershoots.
 	TakeDirty() (blocks []uint32, ok bool)
+	// ClearDirty drains the changed-block set like TakeDirty but lists
+	// nothing — the store's recovery drains a restored image this way.
+	ClearDirty()
 	// MarkDirty re-arms blocks drained by TakeDirty — the undo for a
 	// checkpoint that failed after draining, so the next attempt still
 	// covers them. Out-of-range indices are ignored.

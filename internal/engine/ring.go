@@ -615,6 +615,13 @@ func (r *ring) TakeDirty() ([]uint32, bool) {
 	return r.dirty.Take(), true
 }
 
+// ClearDirty implements Engine.
+func (r *ring) ClearDirty() {
+	if r.dirty != nil {
+		r.dirty.Clear()
+	}
+}
+
 // MarkDirty implements Engine.
 func (r *ring) MarkDirty(blocks []uint32) {
 	if r.dirty != nil {

@@ -328,6 +328,9 @@ func (e *TopKEngine) ResetRange(lo, hi int) error {
 // delta unit — ok is false and every checkpoint is a full snapshot.
 func (e *TopKEngine) TakeDirty() ([]uint32, bool) { return nil, false }
 
+// ClearDirty implements Engine (no-op; see TakeDirty).
+func (e *TopKEngine) ClearDirty() {}
+
 // MarkDirty implements Engine (no-op; see TakeDirty).
 func (e *TopKEngine) MarkDirty([]uint32) {}
 

@@ -480,3 +480,27 @@ func TestCheckpointDirectorySyncError(t *testing.T) {
 		t.Fatal("recovered /snapshot differs from pre-restart bytes")
 	}
 }
+
+// A store reopened from a checkpoint counts as dirty only the blocks its
+// WAL tail touched: the restore rewrote every register, but that image is
+// already durable, so the next delta must not cover it again.
+func TestReopenedStoreDirtiesOnlyItsTail(t *testing.T) {
+	cfg := testConfig(t, 20_000) // 157 blocks
+	st, err := Open(cfg)
+	must(t, err)
+	for _, b := range zipfBatches(cfg.N, 10, 256, 43) {
+		must(t, st.Apply(b))
+	}
+	must(t, st.Checkpoint())
+	for _, b := range narrowBatches(300, 400, 2, 32, 44) { // blocks 2 and 3
+		must(t, st.Apply(b))
+	}
+	must(t, st.Close(false))
+
+	re, err := Open(cfg)
+	must(t, err)
+	defer re.Close(false)
+	if got := re.Stats().DirtyBlocks; got < 1 || got > 2 {
+		t.Fatalf("reopened store has %d dirty blocks; its WAL tail touched at most 2", got)
+	}
+}

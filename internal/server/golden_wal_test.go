@@ -15,9 +15,16 @@ import (
 // sorted and unsorted batches, ApplyAt with the origin epoch behind, equal,
 // ahead and expired, AdvanceWindow, Merge, MergeMax, MergeMaxDelta,
 // InstallPartition with both joins, SetOwnership, EvictPartition — with an
-// optional Checkpoint in the middle. testdata/golden-wal holds the WAL
-// segments it wrote before the store had one mutation path; they are never
-// regenerated: a change to any write path must reproduce them byte for byte.
+// optional Checkpoint in the middle. The committed segments are never
+// regenerated; a change that moves a script's bytes adds a new set:
+//
+//   - testdata/golden-wal holds the segments both scripts wrote before the
+//     store had one mutation path. The window script still writes them.
+//   - testdata/golden-wal-2/bank holds the bank script's segments since a
+//     live max-join logs only the registers it raises.
+//
+// A change to any write path must reproduce the newest set byte for byte,
+// and every older set must still replay to the live state.
 
 // scripted is one store the script wrote, still open, plus every WAL
 // segment the script saw it write.
@@ -187,13 +194,21 @@ func runScript(t *testing.T, checkpoint bool) []*scripted {
 	return []*scripted{bankScript(t, checkpoint), windowScript(t, checkpoint)}
 }
 
+// goldenSets lists each script's committed segment sets, oldest first; the
+// last is the one the store writes today.
+var goldenSets = map[string][]string{
+	"bank":   {"golden-wal", "golden-wal-2"},
+	"window": {"golden-wal"},
+}
+
 // Every write path stages the same records, in the same order, with the
-// same bytes as the store that wrote testdata/golden-wal.
+// same bytes as the newest golden set of its script.
 func TestGoldenWAL(t *testing.T) {
 	types := map[byte]int{}
 	for _, s := range runScript(t, true) {
 		must(t, s.st.Close(false))
-		dir := filepath.Join("testdata", "golden-wal", s.name)
+		sets := goldenSets[s.name]
+		dir := filepath.Join("testdata", sets[len(sets)-1], s.name)
 		for typ, n := range walRecordTypes(t, dir) {
 			types[typ] += n
 		}
@@ -223,6 +238,46 @@ func TestGoldenWAL(t *testing.T) {
 	for typ := byte(1); typ <= 9; typ++ {
 		if types[typ] == 0 {
 			t.Errorf("golden segments hold no record of type %d (types %v)", typ, types)
+		}
+	}
+}
+
+// Every committed golden set, older ones included, replays to the state of
+// the store running its script today: records written by older binaries —
+// max-joins that logged the whole peer snapshot — recover what the live
+// store holds.
+func TestGoldenWALReplays(t *testing.T) {
+	for _, s := range runScript(t, true) {
+		live := viewOf(t, s.st)
+		must(t, s.st.Close(false))
+		for _, set := range goldenSets[s.name] {
+			segs := map[string][]byte{}
+			captureSegments(t, filepath.Join("testdata", set, s.name), segs)
+			cfg := s.cfg
+			cfg.Dir = t.TempDir()
+			cfg.Clock = func() uint64 { return 0 }
+			for name, data := range segs {
+				must(t, os.WriteFile(filepath.Join(cfg.Dir, name), data, 0o644))
+			}
+			re, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: open: %v", set, s.name, err)
+			}
+			got := viewOf(t, re)
+			must(t, re.Close(false))
+			label := set + "/" + s.name
+			if !bytes.Equal(got.snap, live.snap) || !bytes.Equal(got.state, live.state) {
+				t.Errorf("%s: replayed engine differs from the live one", label)
+			}
+			if got.ring != live.ring || got.owns != live.owns ||
+				!slices.Equal(got.pending, live.pending) || !slices.Equal(got.frozen, live.frozen) ||
+				!slices.Equal(got.owned, live.owned) ||
+				!slices.Equal(got.pendingAt, live.pendingAt) || !slices.Equal(got.frozenAt, live.frozenAt) {
+				t.Errorf("%s: replayed ownership differs from the live one", label)
+			}
+			if got.counts != live.counts {
+				t.Errorf("%s: replayed counters %+v, live %+v", label, got.counts, live.counts)
+			}
 		}
 	}
 }

@@ -57,6 +57,7 @@ func TestMetricNamesPinned(t *testing.T) {
 		{"counterd_store_apply_seconds", "histogram"},
 		{"counterd_store_batch_keys", "histogram"},
 		{"counterd_store_merges_total", "counter"},
+		{"counterd_store_merge_blob_bytes_total", "counter"},
 		{"counterd_store_evicts_total", "counter"},
 		{"counterd_store_ticks_total", "counter"},
 		{"counterd_store_keyspace_keys", "gauge"},
@@ -95,6 +96,8 @@ func TestMetricNamesPinned(t *testing.T) {
 	for _, series := range []string{
 		`counterd_store_partition_hash_total{source="scan"} 1`,
 		`counterd_store_partition_hash_total{source="memo"} 1`,
+		`counterd_store_merge_blob_bytes_total{form="received"} 0`,
+		`counterd_store_merge_blob_bytes_total{form="logged"} 0`,
 		`counterd_cluster_gossip_rounds_total{cause="tick"} 0`,
 		`counterd_cluster_gossip_rounds_total{cause="change"} 0`,
 		`counterd_cluster_gossip_rounds_total{cause="join"} 0`,

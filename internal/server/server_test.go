@@ -829,6 +829,65 @@ func TestMergeMaxAndReplayExactness(t *testing.T) {
 	}
 }
 
+// A max-join between two replicas of one uniform stream logs only the
+// registers it raises. The shape is one partition of the replicated
+// benchmark ring: 62,500 keys of Morris(0.005, 14) at about 1.7 events per
+// key, each replica stepping its own generators. The staged record must be
+// at most 15 % of the blob received, and the store replayed from it must
+// equal the live one.
+func TestMergeMaxLogsRaisedRegisters(t *testing.T) {
+	cfg := testConfig(t, 4*62500)
+	cfg.Partitions, cfg.Shards = 4, 256
+	cfg.Alg = bank.NewMorrisAlg(0.005, 14)
+	st, err := Open(cfg)
+	must(t, err)
+	peerCfg := cfg
+	peerCfg.Seed = 7
+	peer := openPeer(t, peerCfg)
+	rng := xrand.NewSeeded(17)
+	for range cfg.N * 17 / 10 / 1024 {
+		b := make([]int, 1024)
+		for i := range b {
+			b[i] = rng.Intn(cfg.N)
+		}
+		must(t, st.Apply(b))
+		must(t, peer.Apply(b))
+	}
+
+	blob := partitionBytes(t, peer, 1)
+	must(t, st.MergeMax(blob))
+	received, logged := st.mergeReceived.Value(), st.mergeLogged.Value()
+	if received != uint64(len(blob)) {
+		t.Fatalf("received %d merge-blob bytes, sent %d", received, len(blob))
+	}
+	live := viewOf(t, st)
+	must(t, st.Close(false))
+
+	var staged []byte
+	_, err = wal.Replay(cfg.Dir, 0, func(rec wal.Record) error {
+		if rec.Type == wal.RecMergeMax {
+			staged = rec.Blob
+		}
+		return nil
+	})
+	must(t, err)
+	t.Logf("received %d bytes, logged %d (%.1f %%)", len(blob), len(staged), 100*float64(len(staged))/float64(len(blob)))
+	if uint64(len(staged)) != logged {
+		t.Fatalf("WAL holds a %d-byte max-join blob, the store counted %d", len(staged), logged)
+	}
+	if len(staged)*100 > len(blob)*15 {
+		t.Errorf("max-join logged %d bytes of a %d-byte blob, want at most 15 %%", len(staged), len(blob))
+	}
+
+	re, err := Open(cfg)
+	must(t, err)
+	defer re.Close(false)
+	got := viewOf(t, re)
+	if !bytes.Equal(got.snap, live.snap) || !bytes.Equal(got.state, live.state) || got.counts != live.counts {
+		t.Error("the store replayed from the logged registers differs from the live one")
+	}
+}
+
 // A partition-scoped Remark 2.4 merge must land on exactly the partition's
 // key range and replay exactly.
 func TestPartitionMergeScoped(t *testing.T) {

@@ -211,6 +211,10 @@ type Store struct {
 	ticks     *metrics.Counter
 	deltaMaxs *metrics.Counter
 	stales    *metrics.Counter
+
+	mergeReceived *metrics.Counter // bytes of live max-join blobs as received
+	mergeLogged   *metrics.Counter // bytes of their WAL records' blobs
+
 	hashMemos *metrics.Counter   // partition hash probes answered from the memo
 	hashScans *metrics.Counter   // partition hash probes that read the registers
 	mApply    *metrics.Histogram // durable apply latency (stage+apply+commit)
@@ -368,7 +372,7 @@ func Open(cfg Config) (*Store, error) {
 	// blocks touched since the newest checkpoint: the replay below re-marks
 	// the tail's writes through the ordinary apply paths, and the next
 	// checkpoint's delta covers precisely checkpoint-to-now churn.
-	st.eng.TakeDirty()
+	st.eng.ClearDirty()
 
 	st.recovered, err = wal.Replay(cfg.Dir, st.ckptSeq.Load(), st.replay)
 	if err != nil {
@@ -410,6 +414,10 @@ func (st *Store) initMetrics(reg *metrics.Registry) {
 	st.merges = mv.With("disjoint")
 	st.mergeMaxs = mv.With("max")
 	st.deltaMaxs = mv.With("delta")
+	bv := reg.CounterVec("counterd_store_merge_blob_bytes_total",
+		"Bytes of live replica max-join blobs (full and block-delta), by form: received from the peer, or logged to the WAL after a full bank snapshot kept only the registers it raises.", "form")
+	st.mergeReceived = bv.With("received")
+	st.mergeLogged = bv.With("logged")
 	st.stales = reg.Counter("counterd_store_stale_hint_keys_total",
 		"Epoch-tagged hint keys dropped because their origin bucket rotated out in transit.")
 	hv := reg.CounterVec("counterd_store_partition_hash_total",
@@ -640,13 +648,15 @@ func (st *Store) apply(o *op) error {
 
 // write is the one live mutation path, behind every write entry point.
 // Under writeMu it checks o, observes the bucket clock when clock is set,
-// stages o's record and applies it; then, outside the lock, it bumps the
-// partition versions the write moved and joins group commit. A nil o only
-// observes the clock. Every tick is staged before the record it precedes,
-// so log order is apply order, and apply is what replay runs.
+// shrinks a max-join record to the registers it raises, stages o's record
+// and applies it; then, outside the lock, it bumps the partition versions
+// the write moved and joins group commit. A nil o only observes the clock.
+// Every tick is staged before the record it precedes, so log order is
+// apply order, and apply is what replay runs.
 func (st *Store) write(o *op, clock bool) error {
 	var err error
 	var ticket, t uint64
+	var received int // bytes of a max-join's blob as it came in
 	st.writeMu.Lock()
 	if o != nil {
 		err = st.check(o)
@@ -661,6 +671,10 @@ func (st *Store) write(o *op, clock bool) error {
 		t, err = st.tickLocked(o.rec.Epoch)
 	}
 	ticked := ticket > 0 || t > 0
+	if err == nil && o != nil && o.rec.Type == wal.RecMergeMax {
+		received = len(o.rec.Blob)
+		err = st.keepRaisedLocked(o)
+	}
 	// Committing the record's ticket also makes the ticks staged before it
 	// durable: group commit flushes in stage order.
 	if err == nil && o != nil {
@@ -683,13 +697,44 @@ func (st *Store) write(o *op, clock bool) error {
 			if o.applied > 0 {
 				st.bumpPartitions(o.rec.Keys)
 			}
-		case wal.RecMerge, wal.RecMergeMax:
+		case wal.RecMergeMax:
+			st.mergeReceived.Add(uint64(received))
+			st.mergeLogged.Add(uint64(len(o.rec.Blob)))
+			st.bumpRange(st.peerSpan(o.snap))
+		case wal.RecMerge:
 			st.bumpRange(st.peerSpan(o.snap))
 		case wal.RecEvict:
 			st.bumpRange(snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, int(o.rec.Epoch)))
 		}
 	}
 	return st.log.Commit(ticket)
+}
+
+// keepRaisedLocked shrinks a checked max-join record of a full bank
+// snapshot, whole or one partition, to the registers it raises: every peer
+// register that does not exceed the local one becomes 0, and the record
+// logs the snapshot re-encoded. max(a, b if b > a else 0) is max(a, b), so
+// apply, replay, the dirty bitmap and an install's side effect are the same
+// as for the blob received; only the logged bytes shrink, since a replica
+// raises the few registers where its peer's walk ran ahead. A snapshot
+// with nothing to zero (a fresh ring's installs are all zeros), a delta and
+// other engines' snapshots log as received. Caller holds writeMu, so the
+// registers compared are the ones apply joins.
+func (st *Store) keepRaisedLocked(o *op) error {
+	be, ok := st.eng.(*engine.BankEngine)
+	if !ok || o.delta {
+		return nil
+	}
+	zeroed, err := be.KeepRaised(o.snap)
+	if err != nil || zeroed == 0 {
+		return err
+	}
+	blob, err := snapcodec.Encode(o.snap)
+	if err != nil {
+		return err
+	}
+	o.rec.Blob = blob
+	return nil
 }
 
 // tickLocked advances a windowed engine to epoch when it is ahead of the
@@ -952,8 +997,9 @@ func (st *Store) Merge(blob []byte) error {
 // MergeMax ingests a peer snapshot via the engine's idempotent replica join
 // (register-wise maximum for banks, slot-wise max takeover for top-k) — the
 // join the cluster's anti-entropy uses between replicas that applied the
-// same logical stream. WAL-logged like Merge; max draws no randomness, so
-// replay is trivially exact.
+// same logical stream. WAL-logged like Merge, except that a bank record
+// keeps only the registers the join raises (keepRaisedLocked); max draws no
+// randomness, so replay is trivially exact.
 func (st *Store) MergeMax(blob []byte) error {
 	return st.mergeBlob(blob, wal.RecMergeMax, false)
 }

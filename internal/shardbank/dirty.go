@@ -97,6 +97,14 @@ func (d *DirtySet) Take() []uint32 {
 	return out
 }
 
+// Clear drains the set without listing what it held: Take for a caller
+// that would drop the list.
+func (d *DirtySet) Clear() {
+	for wi := range d.words {
+		d.words[wi].Store(0)
+	}
+}
+
 // Rearm re-marks the given blocks — the undo of Take for a checkpoint that
 // failed after draining, so the next attempt still covers them.
 // Out-of-range indices are ignored.
@@ -124,6 +132,10 @@ func (d *DirtySet) Count() int {
 // TakeDirty drains the bank's changed-block set (see DirtySet.Take); block
 // bi covers keys [bi·DirtyBlockLen, (bi+1)·DirtyBlockLen) ∩ [0, Len).
 func (b *Bank) TakeDirty() []uint32 { return b.dirty.Take() }
+
+// ClearDirty drains the bank's changed-block set without listing it (see
+// DirtySet.Clear).
+func (b *Bank) ClearDirty() { b.dirty.Clear() }
 
 // MarkDirtyBlocks re-arms blocks drained by TakeDirty (see DirtySet.Rearm).
 func (b *Bank) MarkDirtyBlocks(blocks []uint32) { b.dirty.Rearm(blocks) }

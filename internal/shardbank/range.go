@@ -61,7 +61,9 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 		s.mu.Lock()
 		for k := first; k < hi; k += p {
 			local := k >> b.shift
-			if v := regs[k-lo]; v > s.get(local) {
+			// A zero raises nothing: skip its register read, which is most
+			// of a fresh ring's install (all zeros) and of a reduced join.
+			if v := regs[k-lo]; v != 0 && v > s.get(local) {
 				b.set(si, local, v)
 			}
 		}
@@ -69,6 +71,40 @@ func (b *Bank) MergeMaxRange(lo int, regs []uint64) error {
 	}
 	runtime.KeepAlive(b)
 	return nil
+}
+
+// RaisedRange zeroes, in place, every value of regs (the registers of keys
+// [lo, lo+len(regs)) from a replica of identical shape) that does not
+// exceed the bank's register, so regs keeps only what MergeMaxRange would
+// raise, and returns how many non-zero values it zeroed. A MergeMaxRange of
+// the result leaves the same registers and marks the same dirty blocks as
+// one of the original regs: max(a, b) equals max(a, b if b > a else 0). It
+// reads the bank under each shard's lock and changes nothing in it; a
+// caller that must apply the reduced regs to the state they were reduced
+// against serializes the two itself. On a validation error regs is
+// unmodified.
+func (b *Bank) RaisedRange(lo int, regs []uint64) (zeroed int, err error) {
+	hi := lo + len(regs)
+	if err := b.checkRange(lo, hi); err != nil {
+		return 0, err
+	}
+	p := len(b.shards)
+	for si, s := range b.shards {
+		first := b.firstInShard(lo, si)
+		if first >= hi {
+			continue
+		}
+		s.mu.Lock()
+		for k := first; k < hi; k += p {
+			if v := &regs[k-lo]; *v != 0 && *v <= s.get(k>>b.shift) {
+				*v = 0
+				zeroed++
+			}
+		}
+		s.mu.Unlock()
+	}
+	runtime.KeepAlive(b)
+	return zeroed, nil
 }
 
 // ResetRange zeroes the registers of keys [lo, hi) — the storage half of a

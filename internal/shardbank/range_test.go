@@ -1,6 +1,7 @@
 package shardbank
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bank"
@@ -131,4 +132,86 @@ func TestMergeRangeRequiresMergeAlgorithm(t *testing.T) {
 	if err := b.MergeMaxRange(0, make([]uint64, 10)); err != nil {
 		t.Fatalf("max join rejected: %v", err)
 	}
+}
+
+// FuzzMergeMaxRaised checks RaisedRange against MergeMaxRange on a random
+// bank and random peer registers over a random range: the reduced
+// registers join to the same registers and dirty blocks as the originals,
+// every kept value is 0 or the peer's own, and the bank RaisedRange reads
+// is left as it was.
+func FuzzMergeMaxRaised(f *testing.F) {
+	f.Add(uint64(1), uint16(700), uint8(2), uint16(3000), uint16(5), uint16(600), uint8(0))
+	f.Add(uint64(2), uint16(129), uint8(0), uint16(0), uint16(0), uint16(129), uint8(1))
+	f.Add(uint64(3), uint16(2000), uint8(5), uint16(9000), uint16(1000), uint16(1000), uint8(2))
+	f.Add(uint64(4), uint16(1), uint8(3), uint16(10), uint16(0), uint16(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, shardsRaw uint8, events, loRaw, spanRaw uint16, algRaw uint8) {
+		algs := []bank.Algorithm{bank.NewMorrisAlg(0.05, 8), bank.NewMorrisAlg(0.005, 14),
+			bank.NewCsurosAlg(14, 6), bank.NewExactAlg(4)}
+		alg := algs[int(algRaw)%len(algs)]
+		n := 1 + int(nRaw)%2048
+		shards := 1 << (shardsRaw % 7)
+		lo := int(loRaw) % n
+		regs := make([]uint64, int(spanRaw)%(n-lo+1))
+
+		// Two banks of one history: one joins the peer's registers, the
+		// other what RaisedRange keeps of them.
+		a, b := New(n, alg, shards, seed), New(n, alg, shards, seed)
+		rng := xrand.NewSeeded(seed)
+		keys := make([]int, int(events)%4096)
+		for i := range keys {
+			keys[i] = rng.Intn(n)
+		}
+		a.IncrementBatch(keys)
+		b.IncrementBatch(keys)
+		a.TakeDirty()
+		b.TakeDirty()
+		maxReg := uint64(1)<<alg.Width() - 1
+		for i := range regs {
+			switch local := a.Register(lo + i); rng.Intn(4) {
+			case 0:
+				regs[i] = rng.Uint64n(maxReg + 1)
+			case 1:
+				regs[i] = local
+			default: // a replica's walk: a step either side of the local one
+				regs[i] = (local + rng.Uint64n(3) + maxReg) % (maxReg + 1)
+			}
+		}
+
+		before := a.ExportState().Registers
+		kept := append([]uint64(nil), regs...)
+		zeroed, err := a.RaisedRange(lo, kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.ExportState().Registers; !slices.Equal(got, before) {
+			t.Fatal("RaisedRange changed the bank's registers")
+		}
+		if d := a.DirtyBlocks(); d != 0 {
+			t.Fatalf("RaisedRange marked %d dirty blocks", d)
+		}
+		dropped := 0
+		for i, v := range kept {
+			if v != 0 && v != regs[i] {
+				t.Fatalf("key %d: kept %d, peer sent %d", lo+i, v, regs[i])
+			}
+			if v != regs[i] {
+				dropped++
+			}
+		}
+		if zeroed != dropped {
+			t.Fatalf("RaisedRange reports %d zeroed registers, %d changed", zeroed, dropped)
+		}
+		if err := a.MergeMaxRange(lo, kept); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.MergeMaxRange(lo, regs); err != nil {
+			t.Fatal(err)
+		}
+		if ra, rb := a.ExportState().Registers, b.ExportState().Registers; !slices.Equal(ra, rb) {
+			t.Fatal("joining the kept registers lands other registers than joining the peer's")
+		}
+		if da, db := a.TakeDirty(), b.TakeDirty(); !slices.Equal(da, db) {
+			t.Fatalf("joining the kept registers dirtied %v, the peer's %v", da, db)
+		}
+	})
 }
