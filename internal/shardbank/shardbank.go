@@ -78,8 +78,8 @@ import (
 )
 
 // maxTableWidth bounds the register width for which the fixed-point step
-// table is built: 2^16 entries × 8 bytes = 512 KiB, shared by every bank of
-// the algorithm. Wider registers use the generic Algorithm.Step path.
+// table is built: 2^16 entries × 8 bytes = 512 KiB, shared by all shards.
+// Wider registers use the generic Algorithm.Step path.
 const maxTableWidth = 16
 
 // Step-table sentinel values. Probabilities strictly inside (0, 1) are
@@ -95,23 +95,6 @@ const (
 // which rounds the true probability to within 2^-64 — finer than the 2^-53
 // float path the generic algorithms use.
 type stepTable []uint64
-
-// stepTables holds one immutable table per algorithm value a bank was built
-// for, so a Restorer, a peer bank or a scratch bank of an algorithm already
-// tabulated shares its table instead of building 2^width entries again.
-// bank.Algorithm values are comparable (CheckPeer compares them); a process
-// serves one or a few.
-var stepTables sync.Map // bank.Algorithm → stepTable
-
-// stepTableFor returns alg's shared fixed-point table, built on first use,
-// or nil when alg is too wide to tabulate.
-func stepTableFor(alg bank.Algorithm) stepTable {
-	if t, ok := stepTables.Load(alg); ok {
-		return t.(stepTable)
-	}
-	t, _ := stepTables.LoadOrStore(alg, buildStepTable(alg))
-	return t.(stepTable)
-}
 
 // buildStepTable returns the fixed-point table for alg, or nil when alg is
 // too wide to tabulate.
@@ -230,7 +213,7 @@ func newBank(n int, alg bank.Algorithm, shards int, seed uint64, heap bool) *Ban
 		shards: make([]*shard, p),
 		alg:    alg,
 		width:  alg.Width(),
-		table:  stepTableFor(alg),
+		table:  buildStepTable(alg),
 		n:      n,
 		seed:   seed,
 		mask:   uint64(p - 1),

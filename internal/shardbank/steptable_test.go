@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"runtime"
 	"testing"
 
 	"repro/internal/bank"
@@ -44,32 +43,6 @@ func TestStepTablesPinned(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 			t.Errorf("%s/%d: step table sha256 %s, want %s", c.alg.Name(), c.alg.Width(), got, c.want)
-		}
-	}
-}
-
-// Banks of one algorithm share its step table: a second bank, or a
-// Restorer's, reads the table the first one built and allocates none of
-// its own.
-func TestStepTableShared(t *testing.T) {
-	alg := bank.NewMorrisAlg(0.005, 14)
-	first := New(1000, alg, 4, 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	second := New(1000, alg, 4, 2)
-	runtime.ReadMemStats(&after)
-	table := uint64(8 << alg.Width())
-	if got := after.TotalAlloc - before.TotalAlloc; got >= table {
-		t.Errorf("a second bank of %s/%d allocated %d bytes, as much as its %d-byte step table",
-			alg.Name(), alg.Width(), got, table)
-	}
-	restored, err := NewRestorer(1000, alg, 4, 3).Finish(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []*Bank{second, restored} {
-		if &b.table[0] != &first.table[0] {
-			t.Error("a bank built its own step table")
 		}
 	}
 }
