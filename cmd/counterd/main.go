@@ -16,30 +16,30 @@
 // rebuilding bit-identical state. A background loop checkpoints every
 // -checkpoint interval, truncating the log so recovery stays fast.
 //
-// Endpoints (see internal/server):
+// Endpoints (see internal/server), each under /v1 only:
 //
-//	POST /inc            {"key": 5} or {"keys": [1, 2, 2, 7]}
-//	GET  /estimate/{key} (&window=5m on the window engine)
-//	GET  /estimates      (&window=5m on the window engine)
-//	GET  /topk?k=10      ranked heavy hitters (&partition=p for one partition,
-//	                     &window=5m on the window engine)
-//	GET  /distinct       unique-key cardinality (distinct engine; &partition=p,
-//	                     &window=5m on the windowed flavor)
-//	GET  /f2             second frequency moment (f2 engine; same parameters)
-//	GET  /snapshot       compressed snapshot stream (feed to a peer's /merge)
-//	GET  /snapshot/{p}   one partition's compressed snapshot
-//	POST /merge          ingest a peer snapshot (disjoint-stream join)
-//	POST /mergemax       ingest a replica snapshot (max join)
-//	GET  /healthz
+//	POST /v1/inc            {"key": 5} or {"keys": [1, 2, 2, 7]}
+//	GET  /v1/estimate/{key} (&window=5m on the window engine)
+//	GET  /v1/estimates      (&window=5m on the window engine)
+//	GET  /v1/topk?k=10      ranked heavy hitters (&partition=p for one
+//	                        partition, &window=5m on the window engine)
+//	GET  /v1/distinct       unique-key cardinality (distinct engine;
+//	                        &partition=p, &window=5m on the windowed flavor)
+//	GET  /v1/f2             second frequency moment (f2 engine; same parameters)
+//	GET  /v1/snapshot       compressed snapshot stream (feed to a peer's /v1/merge)
+//	GET  /v1/snapshot/{p}   one partition's compressed snapshot
+//	POST /v1/merge          ingest a peer snapshot (disjoint-stream join)
+//	POST /v1/mergemax       ingest a replica snapshot (max join)
+//	GET  /v1/healthz
 //
 // With -cluster the daemon becomes one member of a replicated ring
 // (internal/cluster): nodes discover each other via -join gossip, every
 // increment is routed to its partition's replicas with durable hinted
 // handoff, and a background anti-entropy loop keeps replicas byte-identical
-// through crashes. The cluster admin API (/cluster/gossip, /cluster/ring,
-// /cluster/repl, /cluster/phash/{p}, /cluster/info, /cluster/rebalance,
-// /cluster/handoff/{p}) mounts next to the store API, and POST /inc becomes
-// the ring-coordinated write path. Ring changes hand partitions off through
+// through crashes. The cluster admin API (/v1/cluster/gossip, .../ring,
+// .../repl, .../phash/{p}, .../info, .../rebalance, .../handoff/{p}) mounts
+// next to the store API, and POST /v1/inc becomes the ring-coordinated
+// write path. Ring changes hand partitions off through
 // the rebalance subsystem — a joining node pulls its partitions' history
 // before serving them, a leaving one surrenders its copies only after every
 // new owner confirms. SIGTERM drains the replication outboxes before exit;
@@ -50,32 +50,32 @@
 // Example (single node):
 //
 //	counterd -addr :8347 -dir ./counterd-data -n 1000000 -shards 256
-//	curl -X POST localhost:8347/inc -d '{"keys":[1,2,3,2]}'
-//	curl localhost:8347/estimate/2
+//	curl -X POST localhost:8347/v1/inc -d '{"keys":[1,2,3,2]}'
+//	curl localhost:8347/v1/estimate/2
 //
 // Example (heavy-hitters engine):
 //
 //	counterd -addr :8347 -dir ./topk-data -n 1000000 -engine topk -topk-cap 256
-//	curl 'localhost:8347/topk?k=10'
+//	curl 'localhost:8347/v1/topk?k=10'
 //
 // Example (sliding-window engine, 10 minutes of 1-minute buckets):
 //
 //	counterd -addr :8347 -dir ./win-data -n 1000000 -engine window -bucket 1m -window 10m
-//	curl 'localhost:8347/topk?k=10&window=5m'
-//	curl 'localhost:8347/estimate/2?window=1m'
+//	curl 'localhost:8347/v1/topk?k=10&window=5m'
+//	curl 'localhost:8347/v1/estimate/2?window=1m'
 //
 // Example (unique counting, 10-minute sliding window):
 //
 //	counterd -addr :8347 -dir ./uniq-data -n 1000000 -engine distinct -window 10m
-//	curl localhost:8347/distinct
-//	curl 'localhost:8347/distinct?window=5m'
+//	curl localhost:8347/v1/distinct
+//	curl 'localhost:8347/v1/distinct?window=5m'
 //
 // Example (local 3-node ring, replication factor 2):
 //
 //	counterd -addr :8347 -dir ./d0 -cluster
 //	counterd -addr :8348 -dir ./d1 -cluster -join http://localhost:8347
 //	counterd -addr :8349 -dir ./d2 -cluster -join http://localhost:8347
-//	curl -X POST localhost:8348/inc -d '{"keys":[1,2,3,2]}'
+//	curl -X POST localhost:8348/v1/inc -d '{"keys":[1,2,3,2]}'
 package main
 
 import (
@@ -316,8 +316,8 @@ func main() {
 
 	// Binary wire listener: the same ingest verbs as HTTP, framed and
 	// delta-packed (internal/wire). In cluster mode BATCH frames coordinate
-	// across the ring exactly like POST /inc; single-node they apply to the
-	// store directly. /healthz reports the advertised address and protocol
+	// across the ring exactly like POST /v1/inc; single-node they apply to the
+	// store directly. /v1/healthz reports the advertised address and protocol
 	// version so clients can confirm what the node speaks.
 	var wireSrv *wire.Server
 	if o.wireListen != "" {

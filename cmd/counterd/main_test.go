@@ -42,7 +42,7 @@ func openDaemon(t *testing.T, args []string) (*server.Store, *httptest.Server) {
 
 func fetchSnapshot(t *testing.T, srv *httptest.Server) []byte {
 	t.Helper()
-	resp, err := http.Get(srv.URL + "/snapshot")
+	resp, err := http.Get(srv.URL + "/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func fetchSnapshot(t *testing.T, srv *httptest.Server) []byte {
 
 func healthz(t *testing.T, srv *httptest.Server) server.Stats {
 	t.Helper()
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestWireDaemonIngest(t *testing.T) {
 	defer srvHTTP.Close()
 	defer stHTTP.Close(false)
 	body, _ := json.Marshal(map[string][]int{"keys": keys})
-	resp, err := http.Post(srvHTTP.URL+"/inc", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srvHTTP.URL+"/v1/inc", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCsurosDaemonCheckpointRestart(t *testing.T) {
 				keys[j] = int(src.Next())
 			}
 			body, _ := json.Marshal(map[string][]int{"keys": keys})
-			resp, err := http.Post(srv.URL+"/inc", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(srv.URL+"/v1/inc", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,12 +252,12 @@ func TestTopKDaemonFlags(t *testing.T) {
 	}
 	keys := []int{1, 1, 1, 2, 2, 9}
 	body, _ := json.Marshal(map[string][]int{"keys": keys})
-	resp, err := http.Post(srv.URL+"/inc", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/inc", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(srv.URL + "/topk?k=2")
+	resp, err = http.Get(srv.URL + "/v1/topk?k=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +304,12 @@ func TestWindowDaemonFlags(t *testing.T) {
 	}
 	keys := []int{1, 1, 1, 2, 2, 9}
 	body, _ := json.Marshal(map[string][]int{"keys": keys})
-	resp, err := http.Post(srv.URL+"/inc", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/inc", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(srv.URL + "/topk?k=2&window=160ms")
+	resp, err = http.Get(srv.URL + "/v1/topk?k=2&window=160ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestWindowDaemonFlags(t *testing.T) {
 	if err := st.AdvanceWindow(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(srv.URL + "/estimate/1?window=160ms")
+	resp, err = http.Get(srv.URL + "/v1/estimate/1?window=160ms")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // counterd cluster (or single daemon) serving the distinct engine. It
 // pushes a skewed stream through the ring-aware smart client while tracking
 // the exact set of keys touched, then asks the cluster for its cardinality
-// (every partition's GET /distinct, summed client-side — partitions tile
+// (every partition's GET /v1/distinct, summed client-side — partitions tile
 // disjoint key ranges, so the scalars are additive) and reports the
 // estimate's relative error against the HLL 1.04/sqrt(m) standard error.
 //
@@ -33,7 +33,7 @@ func distinctMain(args []string) {
 	var (
 		nodes     = fs.String("nodes", "http://localhost:8347", "comma-separated seed node base URLs")
 		events    = fs.Int("events", 1_000_000, "events to send before querying (0 = query only)")
-		batch     = fs.Int("batch", 1024, "keys per POST /inc request")
+		batch     = fs.Int("batch", 1024, "keys per POST /v1/inc request")
 		zipfS     = fs.Float64("zipf", 1.2, "Zipf exponent of the key popularity law")
 		window    = fs.String("window", "", "window-scope the query, e.g. 5m or 3 (windowed distinct engine)")
 		precision = fs.Int("precision", 12, "server-side HLL precision p, for the error bound report")

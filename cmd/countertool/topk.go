@@ -2,7 +2,7 @@
 // cluster (or single daemon) serving the topk engine. It pushes a skewed
 // stream through the ring-aware smart client, tallies the exact frequency
 // table locally, then asks the cluster for its top-k (every partition
-// primary's GET /topk, merged client-side) and reports how faithfully the
+// primary's GET /v1/topk, merged client-side) and reports how faithfully the
 // SpaceSaving-over-Morris summaries recovered the true heavy hitters —
 // recall, rank agreement, and per-key estimate error.
 //
@@ -32,7 +32,7 @@ func topkMain(args []string) {
 	var (
 		nodes  = fs.String("nodes", "http://localhost:8347", "comma-separated seed node base URLs")
 		events = fs.Int("events", 1_000_000, "events to send before querying (0 = query only)")
-		batch  = fs.Int("batch", 1024, "keys per POST /inc request")
+		batch  = fs.Int("batch", 1024, "keys per POST /v1/inc request")
 		zipfS  = fs.Float64("zipf", 1.1, "Zipf exponent of the key popularity law")
 		k      = fs.Int("k", 10, "heavy hitters to query")
 		seed   = fs.Uint64("seed", 42, "key stream seed")

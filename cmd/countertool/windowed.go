@@ -41,7 +41,7 @@ func windowedMain(args []string) {
 		nodes     = fs.String("nodes", "http://localhost:8347", "comma-separated seed node base URLs")
 		events    = fs.Int("events", 300_000, "total events across all phases (0 = query only)")
 		phases    = fs.Int("phases", 3, "drift phases; the hot set rotates each phase")
-		batch     = fs.Int("batch", 1024, "keys per POST /inc request")
+		batch     = fs.Int("batch", 1024, "keys per POST /v1/inc request")
 		zipfS     = fs.Float64("zipf", 1.2, "Zipf exponent of the key popularity law")
 		k         = fs.Int("k", 10, "heavy hitters to query")
 		seed      = fs.Uint64("seed", 42, "key stream seed")
@@ -190,7 +190,7 @@ func report(top []engine.Entry, truth []uint64, k int) float64 {
 	return float64(hits) / float64(len(trueTop))
 }
 
-// fetchStats reads one node's /healthz.
+// fetchStats reads one node's /v1/healthz.
 func fetchStats(node string) server.Stats {
 	resp, err := http.Get(node + "/v1/healthz")
 	if err != nil {

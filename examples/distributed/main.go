@@ -19,7 +19,7 @@
 // until every replica pair serves byte-identical bytes — verified here per
 // partition, with the snapcodec wire sizes printed against the raw payload.
 // Finally a fourth, off-ring site counting a disjoint stream is folded in
-// through POST /merge: the Remark 2.4 join, which adds streams instead of
+// through POST /v1/merge: the Remark 2.4 join, which adds streams instead of
 // reconciling replicas.
 //
 // Run with: go run ./examples/distributed  (takes a few seconds)

@@ -1,11 +1,11 @@
 // Package client is the smart cluster client: it learns the ring from any
-// node (GET /cluster/ring), rebuilds the identical consistent-hash ring
+// node (GET /v1/cluster/ring), rebuilds the identical consistent-hash ring
 // locally, and routes every increment and estimate straight to a replica
 // that owns the key's partition — no proxy hop, no load balancer. Writes
 // are shard-batched: keys buffer per destination node and flush as one
 // batch per node — over the binary wire protocol when the node advertises
 // a wire listener (one delta-packed frame on a persistent connection), over
-// POST /inc otherwise — so a Zipf stream against a 3-node ring costs three
+// POST /v1/inc otherwise — so a Zipf stream against a 3-node ring costs three
 // persistent streams, not one request per key.
 //
 // A Client is not safe for concurrent use (each goroutine of a load driver
@@ -43,7 +43,7 @@ const (
 // Config tunes a Client.
 type Config struct {
 	// Seeds are node base URLs; the first one that answers
-	// GET /cluster/ring bootstraps the ring.
+	// GET /v1/cluster/ring bootstraps the ring.
 	Seeds []string
 	// BatchSize is the per-destination buffer flushed as one batch
 	// (default 1024).
@@ -103,7 +103,7 @@ type Stats struct {
 	// that were re-offered to the partition's other replicas.
 	Failovers uint64 `json:"failovers"`
 	// HTTPFallbacks counts batches downgraded from the wire transport to
-	// POST /inc after a wire transport-level failure (TransportAuto only).
+	// POST /v1/inc after a wire transport-level failure (TransportAuto only).
 	HTTPFallbacks uint64 `json:"httpFallbacks"`
 	// WireDials / WireRedials mirror the wire pool: total connections
 	// dialed, and how many replaced a pooled connection that failed.

@@ -26,7 +26,7 @@ import (
 // is idempotent, so repeated rounds settle at identical registers. Remark
 // 2.4's distributional merge is NOT used here — between same-stream
 // replicas it would double-count; it remains the right join for disjoint
-// streams (POST /merge).
+// streams (POST /v1/merge).
 //
 // When to merge matters as much as how. The replicas absorb the shared
 // stream with independent randomness, so at any instant their registers are
@@ -185,7 +185,7 @@ func (n *Node) noteRecoveries() {
 
 // pairQuiesced reports whether no replication ops are queued between this
 // node and peer in either direction: our outbox for them is empty, and
-// their /cluster/info shows an empty outbox for us. Merging state while
+// their /v1/cluster/info shows an empty outbox for us. Merging state while
 // either queue is non-empty would count the queued events twice (once as
 // transferred registers, once when the drain applies them).
 func (n *Node) pairQuiesced(peer string) bool {
@@ -445,7 +445,7 @@ func (n *Node) postBlob(url string, body io.Reader) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// pushFull ships our full view of partition p to peer's /mergemax.
+// pushFull ships our full view of partition p to peer's /v1/mergemax.
 func (n *Node) pushFull(p int, peer string) error {
 	var buf bytes.Buffer
 	if err := n.st.PartitionSnapshotTo(&buf, p); err != nil {

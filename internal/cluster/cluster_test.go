@@ -198,7 +198,7 @@ func (tn *testNode) shutdown() {
 
 func (tn *testNode) postInc(keys []int) error {
 	body, _ := json.Marshal(map[string][]int{"keys": keys})
-	resp, err := http.Post(tn.self+"/inc", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(tn.self+"/v1/inc", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -270,7 +270,7 @@ func awaitPartitionConvergence(t *testing.T, nodes []*testNode, partitions int) 
 				if !ok {
 					continue
 				}
-				blob, err := tn.fetch(fmt.Sprintf("/snapshot/%d", p))
+				blob, err := tn.fetch(fmt.Sprintf("/v1/snapshot/%d", p))
 				if err != nil {
 					diverged = fmt.Sprintf("partition %d: %v", p, err)
 					break
@@ -352,7 +352,7 @@ func checkEstimates(t *testing.T, nodes []*testNode, cc testClusterConfig, truth
 		if owner == nil {
 			t.Fatalf("%s: no live replica for partition %d", label, p)
 		}
-		blob, err := owner.fetch(fmt.Sprintf("/estimate/%d", k))
+		blob, err := owner.fetch(fmt.Sprintf("/v1/estimate/%d", k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func TestClusterForwarding(t *testing.T) {
 		sumTruth += float64(tr)
 		p := partitionOfKey(k, cc.n, cc.partitions)
 		owner := byID[ring.Primary(p)]
-		blob, err := owner.fetch(fmt.Sprintf("/estimate/%d", k))
+		blob, err := owner.fetch(fmt.Sprintf("/v1/estimate/%d", k))
 		if err != nil {
 			t.Fatalf("key %d owner estimate: %v", k, err)
 		}
@@ -467,6 +467,34 @@ func TestClusterForwarding(t *testing.T) {
 	t.Logf("owner-summed estimate error: %+.2f%%", 100*rel)
 	if rel < -0.05 || rel > 0.05 {
 		t.Fatalf("owner estimates sum to %+.2f%% off the acked total", 100*rel)
+	}
+}
+
+// A cluster node serves its routes under /v1 only. An unprefixed POST /inc
+// falls through to the store handler, which has no alias left to count it
+// locally without ring coordination: it answers 404 and counts nothing,
+// while POST /v1/inc counts through the cluster write path.
+func TestClusterUnprefixedIncCountsNothing(t *testing.T) {
+	tn := startNode(t, t.TempDir(), "", defaultClusterConfig(), nil)
+	defer tn.shutdown()
+	awaitMembers(t, []*testNode{tn})
+
+	resp, err := http.Post(tn.self+"/inc", "application/json", bytes.NewReader([]byte(`{"keys":[1,2,3]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /inc: status %d, want 404", resp.StatusCode)
+	}
+	if k := tn.st.Stats().Keys; k != 0 {
+		t.Fatalf("POST /inc counted %d keys", k)
+	}
+	if err := tn.postInc([]int{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if k := tn.st.Stats().Keys; k != 3 {
+		t.Fatalf("POST /v1/inc counted %d keys, want 3", k)
 	}
 }
 
@@ -544,7 +572,7 @@ func awaitWholeBankConvergence(t *testing.T, nodes []*testNode) {
 		blobs := make([][]byte, len(nodes))
 		ok := true
 		for i, tn := range nodes {
-			b, err := tn.fetch("/snapshot")
+			b, err := tn.fetch("/v1/snapshot")
 			if err != nil {
 				ok = false
 				break
@@ -566,7 +594,7 @@ func awaitWholeBankConvergence(t *testing.T, nodes []*testNode) {
 		if time.Now().After(deadline) {
 			for i, tn := range nodes {
 				t.Logf("node %d (%s): snapshot %d bytes", i, tn.self, len(blobs[i]))
-				info, _ := tn.fetch("/cluster/info")
+				info, _ := tn.fetch("/v1/cluster/info")
 				t.Logf("node %d info: %s", i, info)
 			}
 			t.Fatal("whole-bank snapshots never converged byte-identically")

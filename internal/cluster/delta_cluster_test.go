@@ -140,8 +140,8 @@ func TestClusterDeltaRebalanceWarmPull(t *testing.T) {
 	// Replication (not anti-entropy: it is parked) makes the exact-counter
 	// replicas identical once every outbox drains and applies.
 	waitUntil(t, 15*time.Second, "replicas identical", func() bool {
-		b0, err0 := n0.fetch("/snapshot/0")
-		b1, err1 := n1.fetch("/snapshot/0")
+		b0, err0 := n0.fetch("/v1/snapshot/0")
+		b1, err1 := n1.fetch("/v1/snapshot/0")
 		return err0 == nil && err1 == nil && bytes.Equal(b0, b1)
 	})
 
@@ -177,11 +177,11 @@ func TestClusterDeltaRebalanceWarmPull(t *testing.T) {
 
 	// The delta max-join converged the divergent blocks: with exact
 	// registers the partition snapshots are byte-identical again.
-	b0, err := n0.fetch("/snapshot/0")
+	b0, err := n0.fetch("/v1/snapshot/0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := n1.fetch("/snapshot/0")
+	b1, err := n1.fetch("/v1/snapshot/0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // GET /distinct cardinality.
 func fetchDistinct(t *testing.T, tn *testNode, window string) float64 {
 	t.Helper()
-	path := "/distinct"
+	path := "/v1/distinct"
 	if window != "" {
 		path += "?window=" + window
 	}
@@ -130,7 +130,7 @@ func TestClusterDistinctCrashRecovery(t *testing.T) {
 
 	// The restarted node recovered from its own durable state, not a blank
 	// slate healed purely by peers.
-	blob, err := n2.fetch("/healthz")
+	blob, err := n2.fetch("/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func (s MemberState) String() string {
 }
 
 // MarshalJSON/UnmarshalJSON use the string names so gossip payloads and
-// /cluster/info stay readable.
+// /v1/cluster/info stay readable.
 func (s MemberState) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
 func (s *MemberState) UnmarshalJSON(b []byte) error {

@@ -161,7 +161,7 @@ type Node struct {
 	prevStates   map[string]MemberState
 	lastPartVer  []uint64
 
-	// Counters live in the store's metrics registry so /cluster/info and
+	// Counters live in the store's metrics registry so /v1/cluster/info and
 	// /metrics read the same atomics (metrics.Counter is an atomic.Uint64
 	// underneath) — one source of truth for both surfaces.
 	aeRounds    *metrics.Counter
@@ -290,7 +290,7 @@ func (n *Node) initMetrics() {
 // Store returns the node's underlying store.
 func (n *Node) Store() *server.Store { return n.st }
 
-// Ready is the cluster-level readiness check behind /readyz: the store must
+// Ready is the cluster-level readiness check behind /v1/readyz: the store must
 // be durably writable (WAL open and unpoisoned), the node must not have
 // announced its departure, the durable ownership state must reflect the
 // current ring version, and no partition may still await its rebalance
@@ -644,7 +644,7 @@ func (n *Node) outboxFor(peer string) (*outbox, error) {
 
 // reopenOutboxes revives on-disk hint queues left by a previous process,
 // so leftover hinted batches drain promptly instead of waiting for fresh
-// write traffic toward the same peer to reopen them (and /cluster/info
+// write traffic toward the same peer to reopen them (and /v1/cluster/info
 // reports their true depth from the start).
 func (n *Node) reopenOutboxes() {
 	ents, err := os.ReadDir(n.cfg.HintDir)
@@ -700,7 +700,7 @@ func (n *Node) drainOutboxes() {
 
 // sendRepl ships one replication chunk to peer: over the pooled persistent
 // wire connection when the peer gossips a wire address, falling back to the
-// HTTP POST /cluster/repl path when it has none or the wire attempt fails
+// HTTP POST /v1/cluster/repl path when it has none or the wire attempt fails
 // at the transport level. A wire *RemoteError is the peer's store rejecting
 // the batch — HTTP would answer the same way, so it is returned, not
 // retried on the other transport. The one exception: a 400 to an
@@ -780,7 +780,7 @@ func (n *Node) postBody(peer, path string, body []byte) error {
 // --- wire ingest --------------------------------------------------------
 
 // applyRepl replica-applies keys locally in store-cap slices — the verb
-// behind both POST /cluster/repl and wire REPL frames. Replication traffic
+// behind both POST /v1/cluster/repl and wire REPL frames. Replication traffic
 // may bundle many coordinator batches (and a peer's MaxForward may exceed
 // ours), so it slices by the store's own batch cap to never be rejected as
 // oversized.
@@ -855,9 +855,9 @@ func (n *Node) applyReplAt(keys []int, epoch uint64, tagged bool) (int, error) {
 }
 
 // WireSink adapts the node to the wire server's ingest interface: BATCH
-// frames coordinate across the ring exactly like POST /inc, REPL frames
-// replica-apply exactly like POST /cluster/repl, and FETCH frames serve
-// rebalance partition handoffs exactly like GET /cluster/handoff. All
+// frames coordinate across the ring exactly like POST /v1/inc, REPL frames
+// replica-apply exactly like POST /v1/cluster/repl, and FETCH frames serve
+// rebalance partition handoffs exactly like GET /v1/cluster/handoff. All
 // transports share the WAL-stage+apply path underneath, so recovery replays
 // them identically.
 func (n *Node) WireSink() wire.Sink { return nodeSink{n} }
@@ -871,7 +871,7 @@ func (s nodeSink) Fetch(partition int, ringVer uint64) (byte, []byte, error) {
 }
 
 // ReplAt serves REPLAT frames: an epoch-tagged replica apply, exactly like
-// POST /cluster/repl with an "epoch" field.
+// POST /v1/cluster/repl with an "epoch" field.
 func (s nodeSink) ReplAt(keys []int, epoch uint64) (int, error) {
 	return s.n.applyReplAt(keys, epoch, true)
 }
@@ -951,7 +951,7 @@ func (n *Node) gossipWith(peer string) bool {
 
 // --- HTTP surface -------------------------------------------------------
 
-// RingInfo is the GET /cluster/ring payload: everything a smart client
+// RingInfo is the GET /v1/cluster/ring payload: everything a smart client
 // needs to build the identical ring and route without coordination.
 // Version fingerprints the member set (Ring.Version, hex) so a client can
 // tell at a glance whether its cached ring is stale.
@@ -965,7 +965,7 @@ type RingInfo struct {
 	Members    []Member `json:"members"`
 }
 
-// Info is the GET /cluster/info payload.
+// Info is the GET /v1/cluster/info payload.
 type Info struct {
 	Self          string           `json:"self"`
 	RingVersion   string           `json:"ringVersion"`
@@ -984,56 +984,55 @@ type Info struct {
 }
 
 // Handler returns the node's full HTTP surface: the cluster admin API plus
-// the store API (internal/server), with POST /inc re-routed through the
+// the store API (internal/server), with POST /v1/inc re-routed through the
 // cluster write path.
 //
-//	POST /inc                     coordinate a batch across the ring (ack =
-//	                              durable on ≥1 replica, queued to the rest)
-//	POST /cluster/repl            replica-apply a batch locally (no re-fan-out)
-//	POST /cluster/gossip          member-table exchange
-//	GET  /cluster/ring            RingInfo for smart clients
-//	GET  /cluster/info            membership/replication introspection
-//	GET  /cluster/rebalance       RebalanceStatus: per-partition transfer
-//	                              progress and handoff offers
-//	GET  /cluster/handoff/{p}     one partition's snapshot for a rebalance
-//	                              pull (?ring=<hex> fences the puller's view;
-//	                              X-Handoff-Role: owner|frozen)
-//	GET  /cluster/phash/{p}       partition hash + write version; ?blocks=1
-//	                              adds per-block hashes for delta repair
-//	GET  /cluster/bdelta/{p}      snapcodec delta of ?blocks=i,j,k (ascending)
-//	POST /cluster/bdelta/{p}      max-join a block delta; ?ver=<hex> makes the
-//	                              merge conditional (409 on version race)
-//	GET  /estimate/{key}          store read, but 421 while the key's
-//	                              partition awaits its rebalance install
-//	GET  /topk                    store read, but 421 when ?partition= is
-//	                              pending (unscoped top-k is served as-is)
-//	GET  /readyz                  cluster readiness (shadows the store's:
-//	                              WAL healthy AND ring reconciled AND no
-//	                              pending partitions AND not decommissioning)
-//	GET  /cluster/dash            embedded live ops dashboard (HTML, no
-//	                              external assets)
-//	(everything else)             internal/server.Handler (incl. /metrics,
-//	                              /healthz liveness)
+//	POST /v1/inc                coordinate a batch across the ring (ack =
+//	                            durable on ≥1 replica, queued to the rest)
+//	POST /v1/cluster/repl       replica-apply a batch locally (no re-fan-out)
+//	POST /v1/cluster/gossip     member-table exchange
+//	GET  /v1/cluster/ring       RingInfo for smart clients
+//	GET  /v1/cluster/info       membership/replication introspection
+//	GET  /v1/cluster/rebalance  RebalanceStatus: per-partition transfer
+//	                            progress and handoff offers
+//	GET  /v1/cluster/handoff/{p} one partition's snapshot for a rebalance
+//	                            pull (?ring=<hex> fences the puller's view;
+//	                            X-Handoff-Role: owner|frozen)
+//	GET  /v1/cluster/phash/{p}  partition hash + write version; ?blocks=1
+//	                            adds per-block hashes for delta repair
+//	GET  /v1/cluster/bdelta/{p} snapcodec delta of ?blocks=i,j,k (ascending)
+//	POST /v1/cluster/bdelta/{p} max-join a block delta; ?ver=<hex> makes the
+//	                            merge conditional (409 on version race)
+//	GET  /v1/estimate/{key}     store read, but 421 while the key's
+//	                            partition awaits its rebalance install
+//	GET  /v1/topk               store read, but 421 when ?partition= is
+//	                            pending (unscoped top-k is served as-is)
+//	GET  /v1/readyz             cluster readiness (shadows the store's:
+//	                            WAL healthy AND ring reconciled AND no
+//	                            pending partitions AND not decommissioning)
+//	GET  /v1/cluster/dash       embedded live ops dashboard (HTML, no
+//	                            external assets)
+//	(everything else)           internal/server.Handler (incl. /metrics,
+//	                            /v1/healthz liveness)
 //
-// Like the store surface, every route is also served under /v1/ — and the
-// cluster's own routes MUST shadow the store's on both prefixes, or a
-// /v1/inc would fall through to the store handler and count locally without
-// ring coordination.
+// Like the store surface, the routes are served under /v1/ only. An
+// unprefixed path falls through to the store handler, which answers 404,
+// so an old client's POST /v1/inc can never count locally without ring
+// coordination.
 //
-// GET /snapshot/{p} is deliberately NOT 421-shadowed: anti-entropy repair
-// pulls it peer-to-peer and must keep working mid-rebalance. /estimates is
-// not shadowed either — a cluster-wide register dump is an explicitly
-// approximate merge surface, documented to tolerate in-flight transfers.
+// GET /v1/snapshot/{p} is deliberately NOT 421-shadowed: anti-entropy
+// repair pulls it peer-to-peer and must keep working mid-rebalance.
+// /v1/estimates is not shadowed either — a cluster-wide register dump is an
+// explicitly approximate merge surface, documented to tolerate in-flight
+// transfers.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	storeH := server.Handler(n.st)
 	reg := n.st.Metrics()
 	handle := func(method, path string, h http.HandlerFunc) {
-		h = server.Instrument(reg, path, h)
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(method+" "+path, h) // legacy unprefixed alias
+		mux.HandleFunc(method+" /v1"+path, server.Instrument(reg, path, h))
 	}
-	// Readiness shadows the store's /readyz with the cluster-level check:
+	// Readiness shadows the store's /v1/readyz with the cluster-level check:
 	// WAL health alone is not readiness while a join is still installing
 	// partitions.
 	handle("GET", "/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -1047,7 +1046,7 @@ func (n *Node) Handler() http.Handler {
 		}
 		applied, err := n.Ingest(keys, r.URL.Query().Get("fwd") == "1")
 		if err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		writeJSON(w, map[string]int{"applied": applied})
@@ -1064,7 +1063,7 @@ func (n *Node) Handler() http.Handler {
 			_, err = n.applyRepl(keys)
 		}
 		if err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		writeJSON(w, map[string]int{"applied": len(keys)})
@@ -1091,7 +1090,7 @@ func (n *Node) Handler() http.Handler {
 		ver := n.st.PartitionVersion(p)
 		h, err := n.st.PartitionHash(p)
 		if err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		reply := map[string]any{
@@ -1105,7 +1104,7 @@ func (n *Node) Handler() http.Handler {
 			// build — the syncing peer then falls back to a full exchange.
 			hashes, err := n.st.PartitionBlockHashes(p)
 			if err != nil {
-				httpError(w, statusFor(err), err)
+				httpError(w, StatusFor(err), err)
 				return
 			}
 			hex := make([]string, len(hashes))
@@ -1129,7 +1128,7 @@ func (n *Node) Handler() http.Handler {
 		}
 		var buf bytes.Buffer
 		if err := n.st.PartitionDeltaTo(&buf, p, blocks); err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -1154,7 +1153,7 @@ func (n *Node) Handler() http.Handler {
 			return
 		}
 		if err := n.st.MergeMaxDelta(blob, wantVer); err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		writeJSON(w, map[string]any{"partition": p, "merged": true})
@@ -1189,7 +1188,7 @@ func (n *Node) Handler() http.Handler {
 		}
 		role, blob, err := n.reb.serve(p, ver)
 		if err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		roleName := "owner"
@@ -1311,8 +1310,8 @@ func (n *Node) info() Info {
 	return info
 }
 
-// readKeys parses the {"key": k} / {"keys": [...]} body shared by /inc and
-// /cluster/repl, plus the optional "epoch" tag replication drains attach
+// readKeys parses the {"key": k} / {"keys": [...]} body shared by /v1/inc and
+// /v1/cluster/repl, plus the optional "epoch" tag replication drains attach
 // (nil when absent — a peer that predates epoch tagging).
 func readKeys(w http.ResponseWriter, r *http.Request) ([]int, *uint64, bool) {
 	var req struct {
@@ -1320,7 +1319,7 @@ func readKeys(w http.ResponseWriter, r *http.Request) ([]int, *uint64, bool) {
 		Keys  []int   `json:"keys"`
 		Epoch *uint64 `json:"epoch"`
 	}
-	// Same cap as internal/server's maxIncBody, so /inc accepts the same
+	// Same cap as internal/server's maxIncBody, so /v1/inc accepts the same
 	// bodies in cluster and single-node mode.
 	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
@@ -1338,7 +1337,7 @@ func readKeys(w http.ResponseWriter, r *http.Request) ([]int, *uint64, bool) {
 }
 
 // parseBlockList parses the comma-separated, strictly-ascending block list
-// of a GET /cluster/bdelta request ("3,17,40"). Ascending order is required
+// of a GET /v1/cluster/bdelta request ("3,17,40"). Ascending order is required
 // by the snapcodec delta encoder; rejecting it here keeps a malformed URL a
 // 400 instead of a mid-encode failure.
 func parseBlockList(q string) ([]uint32, error) {
@@ -1360,11 +1359,12 @@ func parseBlockList(q string) ([]uint32, error) {
 	return blocks, nil
 }
 
-// statusFor extends the store surface's classifier with the rebalance
-// handoff errors, so both layers (and the wire transport) share one error
-// taxonomy: not-a-source is 409 (retry after convergence), a malformed
-// handoff request is 400.
-func statusFor(err error) int {
+// StatusFor is the node-level error classifier: the store surface's
+// extended with the rebalance handoff errors, so both layers share one
+// error taxonomy — not-a-source is 409 (retry after convergence), a
+// malformed handoff request is 400. Exported for wire-server configuration
+// (ServerConfig.ErrorCode), so ERROR frames carry the codes HTTP answers.
+func StatusFor(err error) int {
 	switch {
 	case errors.Is(err, errNotSource):
 		return http.StatusConflict
@@ -1373,11 +1373,6 @@ func statusFor(err error) int {
 	}
 	return server.StatusFor(err)
 }
-
-// StatusFor is the node-level error classifier, exported for wire-server
-// configuration (ServerConfig.ErrorCode) so ERROR frames carry the same
-// codes the HTTP surface answers.
-func StatusFor(err error) int { return statusFor(err) }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

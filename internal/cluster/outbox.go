@@ -14,7 +14,7 @@ import (
 // hinted-handoff store for that peer at the same time. The write path
 // appends every locally-acknowledged batch destined for the peer; a drain
 // loop ships the sealed prefix in batched calls — wire REPL frames when the
-// peer has a wire listener, POST /cluster/repl otherwise — and truncates
+// peer has a wire listener, POST /v1/cluster/repl otherwise — and truncates
 // what the peer acknowledged. A peer that is down simply stops being
 // drained: its hints accumulate in segments and ship when it returns.
 // Delivery is at-least-once (a crash of this process between ship and

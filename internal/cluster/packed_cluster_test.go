@@ -43,7 +43,7 @@ func TestHashProbeReadsVersionBeforeHashing(t *testing.T) {
 		probe func() (uint64, error)
 	}{
 		{"GET /cluster/phash?blocks=1", func() (uint64, error) {
-			blob, err := tn.fetch("/cluster/phash/0?blocks=1")
+			blob, err := tn.fetch("/v1/cluster/phash/0?blocks=1")
 			if err != nil {
 				return 0, err
 			}

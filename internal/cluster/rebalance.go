@@ -77,7 +77,7 @@ type rebalancer struct {
 	transfers  map[int]*transfer  // pending-partition metadata
 	frozen     map[int]*surrender // frozen-partition metadata
 
-	// Counters live in the store's metrics registry so /cluster/rebalance
+	// Counters live in the store's metrics registry so /v1/cluster/rebalance
 	// and /metrics read the same atomics.
 	moved     *metrics.Counter    // partitions installed (pulled or vacuous)
 	evicted   *metrics.Counter    // surrendered partitions evicted after confirm
@@ -121,7 +121,7 @@ type TransferStatus struct {
 	AgeMs     float64 `json:"ageMs"`
 }
 
-// RebalanceStatus is the GET /cluster/rebalance payload — both the
+// RebalanceStatus is the GET /v1/cluster/rebalance payload — both the
 // operator's progress view and the protocol's peer-probing surface (pullers
 // select sources and holders confirm installs by reading each other's
 // status).
@@ -722,7 +722,7 @@ func (rb *rebalancer) reconciledTo(ver uint64) bool {
 	return rb.reconciled == ver
 }
 
-// ready is the rebalancer's contribution to /readyz: the durable ownership
+// ready is the rebalancer's contribution to /v1/readyz: the durable ownership
 // state must reflect ring version ver and no partition may still await its
 // install. Frozen copies do not block readiness — the node serves its owned
 // set fine while surrendered history drains to the new owners.

@@ -152,7 +152,7 @@ func TestClusterRebalanceGrowShrink(t *testing.T) {
 				continue
 			}
 			lo, _ := snapcodec.PartitionRange(cc.n, cc.partitions, p)
-			if _, err := joiner.fetch(fmt.Sprintf("/estimate/%d", lo)); err != nil {
+			if _, err := joiner.fetch(fmt.Sprintf("/v1/estimate/%d", lo)); err != nil {
 				t.Fatalf("joiner %s partition %d: %v", joiner.self, p, err)
 			}
 		}

@@ -17,11 +17,11 @@
 //   - Join semantics: anti-entropy repairs replicas exclusively with the
 //     engine's idempotent MergeMax (replicas absorb the SAME logical
 //     stream — Remark 2.4 there would double-count; it remains the
-//     explicit /merge operation for disjoint off-cluster streams), and
+//     explicit /v1/merge operation for disjoint off-cluster streams), and
 //     merges only through quiescence/repair gates, because unconditional
 //     max-joins of in-flight replicas measurably ratchet estimates upward.
 //   - Convergence: once writes quiesce, every replica pair reaches
-//     byte-identical partition snapshots (asserted on /snapshot bytes by
+//     byte-identical partition snapshots (asserted on /v1/snapshot bytes by
 //     the integration tests, for all three engines).
 //
 // See docs/CLUSTER.md for the protocol and its failure modes, and

@@ -61,7 +61,7 @@ func trueTopKeys(truth []uint64, l int) []int {
 // fetchTopK asks one node for its cluster-partition-spanning GET /topk.
 func fetchTopK(t *testing.T, tn *testNode, k int) []engine.Entry {
 	t.Helper()
-	blob, err := tn.fetch(fmt.Sprintf("/topk?k=%d", k))
+	blob, err := tn.fetch(fmt.Sprintf("/v1/topk?k=%d", k))
 	if err != nil {
 		t.Fatalf("%s /topk: %v", tn.self, err)
 	}
@@ -99,7 +99,7 @@ func TestClusterTopKCrashRecovery(t *testing.T) {
 	nodes := []*testNode{n0, n1, n2}
 	awaitMembers(t, nodes)
 
-	if blob, err := n0.fetch("/healthz"); err != nil || !json.Valid(blob) {
+	if blob, err := n0.fetch("/v1/healthz"); err != nil || !json.Valid(blob) {
 		t.Fatalf("healthz: %v", err)
 	}
 

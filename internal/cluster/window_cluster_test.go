@@ -49,7 +49,7 @@ func driveDriftLoad(t *testing.T, nodes []*testNode, cc testClusterConfig, event
 // fetchWindowTopK asks one node for a window-scoped GET /topk.
 func fetchWindowTopK(t *testing.T, tn *testNode, k int, window string) []engine.Entry {
 	t.Helper()
-	blob, err := tn.fetch(fmt.Sprintf("/topk?k=%d&window=%s", k, window))
+	blob, err := tn.fetch(fmt.Sprintf("/v1/topk?k=%d&window=%s", k, window))
 	if err != nil {
 		t.Fatalf("%s /topk window=%s: %v", tn.self, window, err)
 	}
@@ -132,7 +132,7 @@ func TestClusterWindowCrashRecovery(t *testing.T) {
 
 	// Recovery stats: the restarted node must have replayed tick records,
 	// and its logical clock must sit at the test clock.
-	blob, err := n2.fetch("/healthz")
+	blob, err := n2.fetch("/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestClusterWindowCrashRecovery(t *testing.T) {
 
 	// Byte-identical windowed snapshots across a second kill -9 restart of
 	// the healed node: rotation is replayed from the log, not re-derived.
-	pre, err := n2.fetch("/snapshot")
+	pre, err := n2.fetch("/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestClusterWindowCrashRecovery(t *testing.T) {
 	n2 = startNode(t, dir2, n2.addr, cc, []string{n0.self})
 	nodes = []*testNode{n0, n1, n2}
 	defer n2.shutdown()
-	post, err := n2.fetch("/snapshot")
+	post, err := n2.fetch("/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}

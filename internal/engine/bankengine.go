@@ -19,7 +19,7 @@ const KindBank = "bank"
 // snapcodec fields (no engine section — the header is what versions 1 and
 // 2 wrote), and range hashes use the same FNV fold, so a store refactored
 // onto this engine recovers old data directories and emits byte-identical
-// /snapshot streams.
+// /v1/snapshot streams.
 type BankEngine struct {
 	b *shardbank.Bank
 }

@@ -49,7 +49,7 @@ func distinctAlg() bank.Algorithm { return bank.NewExactAlg(distinctRegWidth) }
 // maximum IS the exact HLL union, for disjoint streams and replicas alike.
 //
 // A cardinality sketch tracks no per-key counts: a key's Estimate is its
-// owning partition's unique count — the scalar the /distinct surface sums
+// owning partition's unique count — the scalar the /v1/distinct surface sums
 // across partitions — and TopK ranks partitions (each entry keyed by the
 // partition's lowest key), "which key ranges hold the most uniques".
 type distinctCore struct {

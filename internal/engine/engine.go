@@ -11,7 +11,7 @@
 //   - BankEngine ("bank", the default): the Morris/Csűrös/exact register
 //     bank (internal/shardbank) — one approximate counter per key. Its
 //     wire artifacts are pinned bit-identical to the pre-engine stack:
-//     same WAL replay, same /snapshot bytes.
+//     same WAL replay, same /v1/snapshot bytes.
 //   - TopKEngine ("topk"): ℓ₁ heavy hitters via SpaceSaving over
 //     approximate registers (internal/heavyhitters.Summary, the [BDW19]
 //     construction the paper cites) — the true top-k of the stream in

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bank"
 	"repro/internal/snapcodec"
@@ -65,7 +67,7 @@ func TestDeltaCheckpointChainRecovery(t *testing.T) {
 		t.Fatalf("chain after full checkpoint = %d", got)
 	}
 	fullSize := int64(0)
-	if fi, err := os.Stat(snapPath(cfg.Dir, st.ckptSeq.Load())); err == nil {
+	if fi, err := os.Stat(snapPath(cfg.Dir, st.chain.seq.Load())); err == nil {
 		fullSize = fi.Size()
 	} else {
 		t.Fatal(err)
@@ -87,7 +89,7 @@ func TestDeltaCheckpointChainRecovery(t *testing.T) {
 		if got := st.Stats().CheckpointChain; got != round+1 {
 			t.Fatalf("round %d: chain = %d, want %d", round, got, round+1)
 		}
-		fi, err := os.Stat(deltaPath(cfg.Dir, st.ckptSeq.Load()))
+		fi, err := os.Stat(deltaPath(cfg.Dir, st.chain.seq.Load()))
 		if err != nil {
 			t.Fatalf("round %d: delta checkpoint missing: %v", round, err)
 		}
@@ -157,7 +159,7 @@ func TestKillMidDeltaCheckpointRecovery(t *testing.T) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	deltaSeq := st.ckptSeq.Load()
+	deltaSeq := st.chain.seq.Load()
 	if _, err := os.Stat(deltaPath(cfg.Dir, deltaSeq)); err != nil {
 		t.Fatalf("expected a delta checkpoint: %v", err)
 	}
@@ -425,7 +427,7 @@ func TestCheckpointDirectorySyncError(t *testing.T) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	base := st.ckptSeq.Load()
+	base := st.chain.seq.Load()
 	for _, b := range narrowBatches(0, 256, 4, 64, 72) {
 		if err := st.Apply(b); err != nil {
 			t.Fatal(err)
@@ -464,7 +466,7 @@ func TestCheckpointDirectorySyncError(t *testing.T) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.ckptDelta.Value(); got != 0 {
+	if got := st.chain.delta.Value(); got != 0 {
 		t.Fatalf("%d delta checkpoints after a failed one, want a full", got)
 	}
 	want := snapshotBytes(t, st)
@@ -502,5 +504,127 @@ func TestReopenedStoreDirtiesOnlyItsTail(t *testing.T) {
 	defer re.Close(false)
 	if got := re.Stats().DirtyBlocks; got < 1 || got > 2 {
 		t.Fatalf("reopened store has %d dirty blocks; its WAL tail touched at most 2", got)
+	}
+}
+
+// Two checkpoints that overlap run one after the other: each round's pair
+// lands as two links of one chain, neither truncates the WAL under the
+// other, and a reopen splices the chain into the state of a store that
+// took the same batches.
+func TestOverlappingCheckpointsKeepTheChain(t *testing.T) {
+	cfg := testConfig(t, 20_000)
+	st, err := Open(cfg)
+	must(t, err)
+	all := zipfBatches(cfg.N, 20, 256, 91)
+	for _, b := range all {
+		must(t, st.Apply(b))
+	}
+	must(t, st.Checkpoint())
+	for round := 0; round < 4; round++ {
+		churn := narrowBatches(256*round, 256*(round+1), 4, 64, uint64(92+round))
+		for _, b := range churn {
+			must(t, st.Apply(b))
+		}
+		all = append(all, churn...)
+		errs := make(chan error, 2)
+		for range 2 {
+			go func() { errs <- st.Checkpoint() }()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: overlapping checkpoint: %v", round, err)
+			}
+		}
+	}
+	must(t, st.Close(false))
+
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen after overlapping checkpoints: %v", err)
+	}
+	defer re.Close(false)
+	ref, err := Open(Config{Dir: t.TempDir(), N: cfg.N, Shards: cfg.Shards, Alg: cfg.Alg, Seed: cfg.Seed, Sync: wal.SyncOff})
+	must(t, err)
+	defer ref.Close(false)
+	for _, b := range all {
+		must(t, ref.Apply(b))
+	}
+	if !bytes.Equal(snapshotBytes(t, re), snapshotBytes(t, ref)) {
+		t.Fatal("reopened store differs from the reference store")
+	}
+}
+
+// A crash mid-write leaves a checkpoint's .tmp behind. A delta checkpoint
+// collects nothing, so it stays; the next full checkpoint collects every
+// checkpoint file below its sequence, the .tmp files with them, and leaves
+// files that are not checkpoints alone.
+func TestFullCheckpointCollectsTornTmp(t *testing.T) {
+	cfg := testConfig(t, 20_000)
+	st, err := Open(cfg)
+	must(t, err)
+	defer st.Close(false)
+	for _, b := range zipfBatches(cfg.N, 10, 256, 81) {
+		must(t, st.Apply(b))
+	}
+	must(t, st.Checkpoint())
+	seq := st.chain.seq.Load()
+	torn := []string{snapPath(cfg.Dir, seq) + tmpSuffix, deltaPath(cfg.Dir, seq) + tmpSuffix}
+	other := filepath.Join(cfg.Dir, "notes.tmp")
+	for _, path := range append(torn, other) {
+		must(t, os.WriteFile(path, []byte("torn half-written checkpoint"), 0o644))
+	}
+	for _, b := range narrowBatches(0, 256, 2, 32, 82) {
+		must(t, st.Apply(b))
+	}
+	must(t, st.Checkpoint())
+	if st.Stats().CheckpointChain != 1 {
+		t.Fatal("the churn checkpoint was not a delta")
+	}
+	for _, path := range torn {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("a delta checkpoint collected %s: %v", filepath.Base(path), err)
+		}
+	}
+	st.chain.forceFull = true
+	must(t, st.Checkpoint())
+	for _, path := range torn {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived the full checkpoint's GC: %v", filepath.Base(path), err)
+		}
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("the GC removed a file that is not a checkpoint: %v", err)
+	}
+	if n := countFiles(t, cfg.Dir, snapSuffix); n != 1 {
+		t.Fatalf("%d full snapshots after GC", n)
+	}
+}
+
+// A running checkpoint holds the checkpointer's lock throughout; writes,
+// Stats (/v1/healthz) and a /metrics scrape must not wait for it.
+func TestCheckpointLockBlocksNoReader(t *testing.T) {
+	cfg := testConfig(t, 20_000)
+	st, err := Open(cfg)
+	must(t, err)
+	defer st.Close(false)
+	must(t, st.Checkpoint())
+	st.chain.mu.Lock()
+	defer st.chain.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		err := st.Apply([]int{1, 2, 3})
+		if s := st.Stats(); err == nil && s.CheckpointSeq == 0 {
+			err = errors.New("stats lost the checkpoint sequence")
+		}
+		if err == nil {
+			err = st.Metrics().WritePrometheus(io.Discard)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		must(t, err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("a write, Stats or a scrape waited on the checkpoint lock")
 	}
 }

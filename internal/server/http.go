@@ -13,18 +13,18 @@ import (
 	"repro/internal/metrics"
 )
 
-// maxMergeBody caps a POST /merge request body. A MaxRegisters-key snapshot
+// maxMergeBody caps a POST /v1/merge request body. A MaxRegisters-key snapshot
 // compresses far below this; anything larger is abuse.
 const maxMergeBody = 1 << 30
 
-// maxIncBody caps a POST /inc request body (a MaxBatch batch of 7-digit
+// maxIncBody caps a POST /v1/inc request body (a MaxBatch batch of 7-digit
 // keys in JSON is ~0.5 MB).
 const maxIncBody = 16 << 20
 
 // Handler returns the HTTP API over st. Every endpoint is served under the
-// versioned /v1/ prefix; the unprefixed legacy paths remain as aliases for
-// pre-/v1 clients and answer identically. Errors from any endpoint share
-// one envelope: {"error": "message", "code": <http status>}.
+// versioned /v1/ prefix only, bar /metrics, which is also served where
+// Prometheus scrapes by default. Errors from any endpoint share one
+// envelope: {"error": "message", "code": <http status>}.
 //
 //	POST /v1/inc            {"key": 5} or {"keys": [1, 2, 2, 7]} → {"applied": n}
 //	GET  /v1/estimate/{key} → {"key": 5, "estimate": 1234.5}
@@ -64,9 +64,7 @@ func Handler(st *Store) http.Handler {
 	mux := http.NewServeMux()
 	reg := st.Metrics()
 	handle := func(method, path string, h http.HandlerFunc) {
-		h = Instrument(reg, path, h)
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(method+" "+path, h) // legacy unprefixed alias
+		mux.HandleFunc(method+" /v1"+path, Instrument(reg, path, h))
 	}
 	handle("POST", "/inc", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -87,7 +85,7 @@ func Handler(st *Store) http.Handler {
 			return
 		}
 		if err := st.Apply(keys); err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		writeJSON(w, map[string]int{"applied": len(keys)})
@@ -102,7 +100,7 @@ func Handler(st *Store) http.Handler {
 		if q := r.URL.Query().Get("window"); q != "" {
 			wn, err := st.ParseWindow(q)
 			if err != nil {
-				httpError(w, statusFor(err), err)
+				httpError(w, StatusFor(err), err)
 				return
 			}
 			est, err := st.EstimateWindow(key, wn)
@@ -125,12 +123,12 @@ func Handler(st *Store) http.Handler {
 		if q := r.URL.Query().Get("window"); q != "" {
 			wn, err := st.ParseWindow(q)
 			if err != nil {
-				httpError(w, statusFor(err), err)
+				httpError(w, StatusFor(err), err)
 				return
 			}
 			ests, err := st.EstimateAllWindow(wn)
 			if err != nil {
-				httpError(w, statusFor(err), err)
+				httpError(w, StatusFor(err), err)
 				return
 			}
 			writeJSON(w, map[string]any{"estimates": ests, "window": wn})
@@ -157,7 +155,7 @@ func Handler(st *Store) http.Handler {
 		if q := r.URL.Query().Get("window"); q != "" {
 			wn, werr := st.ParseWindow(q)
 			if werr != nil {
-				httpError(w, statusFor(werr), werr)
+				httpError(w, StatusFor(werr), werr)
 				return
 			}
 			top, err = st.TopKWindow(k, part, wn)
@@ -166,16 +164,16 @@ func Handler(st *Store) http.Handler {
 			top, err = st.TopK(k, part)
 		}
 		if err != nil {
-			httpError(w, statusFor(err), err)
+			httpError(w, StatusFor(err), err)
 			return
 		}
 		resp["topk"] = top
 		writeJSON(w, resp)
 	})
 
-	// Scalar range-estimate endpoints: /distinct answers the cardinality of
-	// a distinct engine, /f2 the second moment of an f2 engine. The path
-	// names the engine kind so a mis-aimed query (asking /distinct of an f2
+	// Scalar range-estimate endpoints: /v1/distinct answers the cardinality of
+	// a distinct engine, /v1/f2 the second moment of an f2 engine. The path
+	// names the engine kind so a mis-aimed query (asking /v1/distinct of an f2
 	// node) is a 400, never a silently wrong number.
 	scalarHandler := func(kind string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
@@ -196,13 +194,13 @@ func Handler(st *Store) http.Handler {
 			if q := r.URL.Query().Get("window"); q != "" {
 				var err error
 				if wn, err = st.ParseWindow(q); err != nil {
-					httpError(w, statusFor(err), err)
+					httpError(w, StatusFor(err), err)
 					return
 				}
 			}
 			est, err := st.RangeEstimate(part, wn)
 			if err != nil {
-				httpError(w, statusFor(err), err)
+				httpError(w, StatusFor(err), err)
 				return
 			}
 			resp := map[string]any{"engine": kind, "estimate": est}
@@ -256,7 +254,7 @@ func Handler(st *Store) http.Handler {
 				return
 			}
 			if err := apply(blob); err != nil {
-				httpError(w, statusFor(err), err)
+				httpError(w, StatusFor(err), err)
 				return
 			}
 			writeJSON(w, map[string]any{"merged": true})
@@ -265,10 +263,10 @@ func Handler(st *Store) http.Handler {
 	handle("POST", "/merge", mergeHandler(st.Merge))
 	handle("POST", "/mergemax", mergeHandler(st.MergeMax))
 
-	// Liveness vs readiness: /healthz answers 200 whenever the process can
-	// serve at all (its Stats payload is diagnostic, not a gate); /readyz
+	// Liveness vs readiness: /v1/healthz answers 200 whenever the process can
+	// serve at all (its Stats payload is diagnostic, not a gate); /v1/readyz
 	// answers 200 only when the store can durably accept writes. The
-	// cluster layer shadows /readyz to add ring-reconciliation — see
+	// cluster layer shadows /v1/readyz to add ring-reconciliation — see
 	// internal/cluster.Handler and docs/OPERATIONS.md.
 	handle("GET", "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, st.Stats())
@@ -276,18 +274,19 @@ func Handler(st *Store) http.Handler {
 	handle("GET", "/readyz", func(w http.ResponseWriter, r *http.Request) {
 		WriteReady(w, st.Ready())
 	})
-	// Prometheus text exposition of the store's registry (both /metrics
-	// and /v1/metrics, like every endpoint).
-	handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
+	// Prometheus text exposition of the store's registry.
+	expose := Instrument(reg, "/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
+	mux.HandleFunc("GET /v1/metrics", expose)
+	mux.HandleFunc("GET /metrics", expose)
 	return mux
 }
 
 // WriteReady renders a readiness verdict: 200 {"ready":true} on nil, 503
 // with the unified error envelope plus "ready":false otherwise. Shared by
-// the store-level and cluster-shadowed /readyz.
+// the store-level and cluster-shadowed /v1/readyz.
 func WriteReady(w http.ResponseWriter, err error) {
 	if err == nil {
 		writeJSON(w, map[string]any{"ready": true})
@@ -365,9 +364,6 @@ func StatusFor(err error) int {
 	}
 	return http.StatusInternalServerError
 }
-
-// statusFor is the internal spelling of StatusFor.
-func statusFor(err error) int { return StatusFor(err) }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

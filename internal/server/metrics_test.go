@@ -62,10 +62,10 @@ func TestMetricsRoundtrip(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	scrape(t, srv.URL, "/v1/estimate/2")
-	scrape(t, srv.URL, "/healthz")
+	scrape(t, srv.URL, "/v1/healthz")
 
-	if code, _ := scrape(t, srv.URL, "/readyz"); code != 200 {
-		t.Fatalf("/readyz: status %d, want 200 on a healthy store", code)
+	if code, _ := scrape(t, srv.URL, "/v1/readyz"); code != 200 {
+		t.Fatalf("/v1/readyz: status %d, want 200 on a healthy store", code)
 	}
 
 	for _, path := range []string{"/metrics", "/v1/metrics"} {

@@ -269,7 +269,7 @@ func TestCheckpointAllocatesPackedBytes(t *testing.T) {
 		if got := allocatedBy(func() { checkpoint(t, st) }); got > first {
 			t.Errorf("n=%d: first full checkpoint allocated %d bytes, limit %d", n, got, first)
 		}
-		if got := leastAllocatedBy(func() { st.forceFull.Store(true); checkpoint(t, st) }); got > limit {
+		if got := leastAllocatedBy(func() { st.chain.forceFull = true; checkpoint(t, st) }); got > limit {
 			t.Errorf("n=%d: full checkpoint allocated %d bytes, limit %d", n, got, limit)
 		}
 		if st.Stats().CheckpointChain != 0 {
@@ -366,7 +366,7 @@ func TestCheckpointUnderWritersRecoversItsCut(t *testing.T) {
 	// Full checkpoints and deltas chained onto them, until some writer
 	// saved words for an open cut.
 	for i := 0; i < 12 || (saved.Load() == 0 && i < 200); i++ {
-		st.forceFull.Store(i%3 == 0)
+		st.chain.forceFull = i%3 == 0
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}

@@ -204,7 +204,7 @@ func TestHTTPDistinctF2(t *testing.T) {
 	}
 	var sum float64
 	for p := 0; p < st.Partitions(); p++ {
-		if code := get(fmt.Sprintf("/distinct?partition=%d", p)); code != http.StatusOK {
+		if code := get(fmt.Sprintf("/v1/distinct?partition=%d", p)); code != http.StatusOK {
 			t.Fatalf("partition %d: %d", p, code)
 		}
 		if out.Partition == nil || *out.Partition != p {

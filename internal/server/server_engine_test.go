@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -237,7 +236,7 @@ func TestHTTPTopK(t *testing.T) {
 			}
 			srv := httptest.NewServer(Handler(st))
 			defer srv.Close()
-			resp, err := http.Get(srv.URL + "/topk?k=3")
+			resp, err := http.Get(srv.URL + "/v1/topk?k=3")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +257,7 @@ func TestHTTPTopK(t *testing.T) {
 			}
 			// Partition-scoped: keys 5..7 share low partitions; a partition
 			// query returns only keys of that partition's range.
-			resp, err = http.Get(srv.URL + "/topk?k=5&partition=" + fmt.Sprint(st.Partitions()-1))
+			resp, err = http.Get(srv.URL + "/v1/topk?k=5&partition=" + fmt.Sprint(st.Partitions()-1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,8 +278,9 @@ func TestHTTPTopK(t *testing.T) {
 // The error-status contract of the HTTP surface, table-driven: malformed
 // bodies and parameters are 400s (never 500 — a client must be able to
 // trust that a 5xx means a server fault), missing resources are 404s.
-// Every case runs against both the /v1 prefix and the legacy unprefixed
-// alias — the two surfaces must answer identically, status and envelope.
+// Every case runs against the /v1 prefix, and once more without it: each
+// route has one spelling, so the unprefixed path answers 404 — it reaches
+// no handler at all.
 func TestHTTPErrorStatuses(t *testing.T) {
 	st, err := Open(testConfig(t, 100))
 	if err != nil {
@@ -337,6 +337,10 @@ func TestHTTPErrorStatuses(t *testing.T) {
 			if prefix != "" {
 				name = tc.name + " (v1)"
 			}
+			want := tc.want
+			if prefix == "" {
+				want = http.StatusNotFound
+			}
 			t.Run(name, func(t *testing.T) {
 				req, err := http.NewRequest(tc.method, srv.URL+prefix+tc.path, strings.NewReader(tc.body))
 				if err != nil {
@@ -347,8 +351,11 @@ func TestHTTPErrorStatuses(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer resp.Body.Close()
-				if resp.StatusCode != tc.want {
-					t.Fatalf("%s %s%s: status %d, want %d", tc.method, prefix, tc.path, resp.StatusCode, tc.want)
+				if resp.StatusCode != want {
+					t.Fatalf("%s %s%s: status %d, want %d", tc.method, prefix, tc.path, resp.StatusCode, want)
+				}
+				if prefix == "" {
+					return // the mux's own 404, not the API's envelope
 				}
 				// Every error body is the unified envelope:
 				// {"error": "...", "code": <status>}.
@@ -367,9 +374,10 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	}
 }
 
-// The /v1 prefix and the legacy alias must serve identical success bodies
-// too, not just identical errors — a byte-for-byte check on the read path.
-func TestV1AliasParity(t *testing.T) {
+// The unprefixed aliases are gone: a read answers 404 where its /v1 route
+// answers 200, and an unprefixed POST /inc counts nothing. /metrics, where
+// Prometheus scrapes, is the one path served both ways.
+func TestUnprefixedRoutesAnswer404(t *testing.T) {
 	st, err := Open(testConfig(t, 100))
 	if err != nil {
 		t.Fatal(err)
@@ -378,36 +386,28 @@ func TestV1AliasParity(t *testing.T) {
 	srv := httptest.NewServer(Handler(st))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/v1/inc", "application/json", strings.NewReader(`{"keys":[1,2,2,7]}`))
+	resp, err := http.Post(srv.URL+"/inc", "application/json", strings.NewReader(`{"keys":[1,2,2,7]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/inc: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound || st.Stats().Keys != 0 {
+		t.Fatalf("POST /inc: status %d, %d keys counted", resp.StatusCode, st.Stats().Keys)
 	}
-
-	for _, path := range []string{"/estimate/2", "/estimates", "/snapshot", "/healthz"} {
-		legacy, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, _ := io.ReadAll(legacy.Body)
-		legacy.Body.Close()
-		v1, err := http.Get(srv.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vb, _ := io.ReadAll(v1.Body)
-		v1.Body.Close()
-		if legacy.StatusCode != http.StatusOK || v1.StatusCode != http.StatusOK {
-			t.Fatalf("%s: statuses %d / %d", path, legacy.StatusCode, v1.StatusCode)
-		}
-		if path == "/healthz" {
-			continue // uptime differs between the two reads; shape is enough
-		}
-		if !bytes.Equal(lb, vb) {
-			t.Fatalf("%s: legacy and /v1 bodies differ:\n%s\n%s", path, lb, vb)
+	for _, path := range []string{"/estimate/2", "/estimates", "/snapshot", "/healthz", "/readyz", "/metrics"} {
+		for _, prefix := range []string{"", "/v1"} {
+			resp, err := http.Get(srv.URL + prefix + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := http.StatusOK
+			if prefix == "" && path != "/metrics" {
+				want = http.StatusNotFound
+			}
+			if resp.StatusCode != want {
+				t.Fatalf("GET %s%s: status %d, want %d", prefix, path, resp.StatusCode, want)
+			}
 		}
 	}
 }

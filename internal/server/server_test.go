@@ -227,7 +227,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	var incResp struct {
 		Applied int `json:"applied"`
 	}
-	resp := post("/inc", map[string]int{"key": 7})
+	resp := post("/v1/inc", map[string]int{"key": 7})
 	if resp.StatusCode != 200 {
 		t.Fatalf("POST /inc: status %d", resp.StatusCode)
 	}
@@ -240,7 +240,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		keys[i] = 7
 	}
 	for i := 0; i < 20; i++ {
-		resp = post("/inc", map[string][]int{"keys": keys})
+		resp = post("/v1/inc", map[string][]int{"keys": keys})
 		if resp.StatusCode != 200 {
 			t.Fatalf("POST /inc batch: status %d", resp.StatusCode)
 		}
@@ -252,7 +252,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		Key      int     `json:"key"`
 		Estimate float64 `json:"estimate"`
 	}
-	r2, err := http.Get(srv.URL + "/estimate/7")
+	r2, err := http.Get(srv.URL + "/v1/estimate/7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Errors: bad key, bad body, out-of-range.
-	for _, path := range []string{"/estimate/-1", "/estimate/200", "/estimate/zzz"} {
+	for _, path := range []string{"/v1/estimate/-1", "/v1/estimate/200", "/v1/estimate/zzz"} {
 		r, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +272,7 @@ func TestHTTPEndpoints(t *testing.T) {
 			t.Fatalf("GET %s succeeded", path)
 		}
 	}
-	resp = post("/inc", map[string][]int{"keys": {9999}})
+	resp = post("/v1/inc", map[string][]int{"keys": {9999}})
 	resp.Body.Close()
 	if resp.StatusCode == 200 {
 		t.Fatal("out-of-range key accepted")
@@ -282,7 +282,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	var all struct {
 		Estimates []float64 `json:"estimates"`
 	}
-	r3, err := http.Get(srv.URL + "/estimates")
+	r3, err := http.Get(srv.URL + "/v1/estimates")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Snapshot decodes and matches the live registers.
-	r4, err := http.Get(srv.URL + "/snapshot")
+	r4, err := http.Get(srv.URL + "/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	// Healthz.
 	var stats Stats
-	r5, err := http.Get(srv.URL + "/healthz")
+	r5, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestHTTPMergeMatchesInProcess(t *testing.T) {
 	}
 	srv := httptest.NewServer(Handler(stA))
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/merge", "application/octet-stream", bytes.NewReader(blob.Bytes()))
+	resp, err := http.Post(srv.URL+"/v1/merge", "application/octet-stream", bytes.NewReader(blob.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,8 +465,8 @@ func TestCheckpointGarbageCollects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range segs {
-		if s < st.ckptSeq.Load() {
-			t.Fatalf("stale segment %d below checkpoint %d", s, st.ckptSeq.Load())
+		if s < st.chain.seq.Load() {
+			t.Fatalf("stale segment %d below checkpoint %d", s, st.chain.seq.Load())
 		}
 	}
 }
@@ -704,7 +704,7 @@ func TestPartitionSnapshotEndpoints(t *testing.T) {
 	full := st.Bank().ExportState().Registers
 	got := make([]uint64, 0, cfg.N)
 	for p := 0; p < cfg.Partitions; p++ {
-		resp, err := http.Get(srv.URL + "/snapshot/" + strconv.Itoa(p))
+		resp, err := http.Get(srv.URL + "/v1/snapshot/" + strconv.Itoa(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -735,7 +735,7 @@ func TestPartitionSnapshotEndpoints(t *testing.T) {
 		}
 	}
 	// Out-of-range partition is a 404.
-	resp, err := http.Get(srv.URL + "/snapshot/99")
+	resp, err := http.Get(srv.URL + "/v1/snapshot/99")
 	if err != nil {
 		t.Fatal(err)
 	}

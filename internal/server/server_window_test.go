@@ -110,7 +110,7 @@ func TestHTTPWindowQueries(t *testing.T) {
 	post := func(keys []int) {
 		t.Helper()
 		body, _ := json.Marshal(map[string][]int{"keys": keys})
-		resp, err := http.Post(srv.URL+"/inc", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/inc", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,14 +142,14 @@ func TestHTTPWindowQueries(t *testing.T) {
 		Estimate float64 `json:"estimate"`
 		Window   int     `json:"window"`
 	}
-	if code := getJSON("/estimate/5?window=1", &est); code != http.StatusOK || est.Estimate != 0 {
+	if code := getJSON("/v1/estimate/5?window=1", &est); code != http.StatusOK || est.Estimate != 0 {
 		t.Fatalf("trailing-bucket estimate of the old key: code %d, %+v", code, est)
 	}
-	if getJSON("/estimate/5?window=4", &est); est.Estimate != 30 {
+	if getJSON("/v1/estimate/5?window=4", &est); est.Estimate != 30 {
 		t.Fatalf("full-window estimate = %v, want 30", est.Estimate)
 	}
 	// Duration windows round up: 1.5s at 1s buckets = 2 buckets.
-	if getJSON("/estimate/9?window=1500ms", &est); est.Estimate != 20 || est.Window != 2 {
+	if getJSON("/v1/estimate/9?window=1500ms", &est); est.Estimate != 20 || est.Window != 2 {
 		t.Fatalf("duration window: %+v", est)
 	}
 
@@ -158,28 +158,28 @@ func TestHTTPWindowQueries(t *testing.T) {
 		Window int            `json:"window"`
 		TopK   []engine.Entry `json:"topk"`
 	}
-	if code := getJSON("/topk?k=2&window=1", &topk); code != http.StatusOK {
+	if code := getJSON("/v1/topk?k=2&window=1", &topk); code != http.StatusOK {
 		t.Fatalf("windowed topk: %d", code)
 	}
 	if topk.Engine != engine.KindWindow || len(topk.TopK) != 1 || topk.TopK[0].Key != 9 {
 		t.Fatalf("trailing-bucket topk: %+v", topk)
 	}
-	if getJSON("/topk?k=2", &topk); len(topk.TopK) != 2 || topk.TopK[0].Key != 5 {
+	if getJSON("/v1/topk?k=2", &topk); len(topk.TopK) != 2 || topk.TopK[0].Key != 5 {
 		t.Fatalf("full-window topk: %+v", topk)
 	}
 
 	var ests struct {
 		Estimates []float64 `json:"estimates"`
 	}
-	if getJSON("/estimates?window=1", &ests); ests.Estimates[5] != 0 || ests.Estimates[9] != 20 {
+	if getJSON("/v1/estimates?window=1", &ests); ests.Estimates[5] != 0 || ests.Estimates[9] != 20 {
 		t.Fatalf("windowed estimates: key5=%v key9=%v", ests.Estimates[5], ests.Estimates[9])
 	}
 
 	// Window abuse is a 400, never a 500 — and so is a k past MaxTopK.
 	for _, path := range []string{
-		"/estimate/5?window=0", "/estimate/5?window=99", "/estimate/5?window=zzz",
-		"/topk?k=2&window=-1", "/estimates?window=1h",
-		fmt.Sprintf("/topk?k=%d&window=1", MaxTopK+1),
+		"/v1/estimate/5?window=0", "/v1/estimate/5?window=99", "/v1/estimate/5?window=zzz",
+		"/v1/topk?k=2&window=-1", "/v1/estimates?window=1h",
+		fmt.Sprintf("/v1/topk?k=%d&window=1", MaxTopK+1),
 	} {
 		if code := getJSON(path, nil); code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", path, code)
@@ -196,7 +196,7 @@ func TestHTTPWindowParamRejectedOnBank(t *testing.T) {
 	defer st.Close(false)
 	srv := httptest.NewServer(Handler(st))
 	defer srv.Close()
-	for _, path := range []string{"/estimate/5?window=1", "/estimates?window=1", "/topk?k=2&window=1"} {
+	for _, path := range []string{"/v1/estimate/5?window=1", "/v1/estimates?window=1", "/v1/topk?k=2&window=1"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

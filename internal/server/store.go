@@ -13,29 +13,20 @@
 //     For windowed engines that includes time itself: the store observes
 //     the bucket clock once per write (and on AdvanceWindow) and stages
 //     the epoch as a tick record, so rotation is part of the logged
-//     operation order. Recovery loads
-//     the newest snapcodec checkpoint (engine state + its generator
-//     streams) and replays the WAL segments at or after it; with no
-//     checkpoint it rebuilds from the seed and the full log. Either way
-//     the recovered state is bit-identical to the pre-crash engine,
-//     because every engine's batched apply is deterministic in batch order
-//     and its rng streams are part of the checkpoint.
+//     operation order. Recovery loads the checkpoint chain (checkpoint.go:
+//     a full snapshot with its generator streams, then block deltas) and
+//     replays the WAL segments after it; with no checkpoint it rebuilds
+//     from the seed and the full log. Either way the recovered state is
+//     bit-identical to the pre-crash engine, because every engine's
+//     batched apply is deterministic in batch order and its rng streams
+//     are part of the checkpoint.
 //
-//   - HTTP handler (http.go): POST /inc, GET /estimate/{key},
-//     GET /estimates, GET /topk (all three accepting ?window= on windowed
-//     engines), GET /snapshot (a streamed snapcodec snapshot), POST /merge
-//     (ingest a peer snapshot via the engine's disjoint-stream join),
-//     POST /mergemax (replica join), GET /healthz.
-//
-// Checkpoints pair a WAL rotation with a state write: rotate (the new
-// segment number S becomes the checkpoint tag), export the engine state,
-// write snap-S.nysc atomically (tmp + rename + dir fsync), then delete
-// snapshots and WAL segments older than S. When the engine tracks dirty
-// blocks and little changed since the previous checkpoint, the write is a
-// block delta (snap-S.nysd) chained onto it instead — cost proportional to
-// churn — and recovery splices full + deltas + WAL tail. A crash at any
-// point leaves either the old checkpoint plus a longer log, or the new
-// checkpoint plus a shorter one — both replay to the same state.
+//   - HTTP handler (http.go): POST /v1/inc, GET /v1/estimate/{key},
+//     GET /v1/estimates, GET /v1/topk (all three accepting ?window= on
+//     windowed engines), GET /v1/snapshot (a streamed snapcodec snapshot),
+//     POST /v1/merge (ingest a peer snapshot via the engine's
+//     disjoint-stream join), POST /v1/mergemax (replica join),
+//     GET /v1/healthz.
 package server
 
 import (
@@ -43,9 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,12 +46,6 @@ import (
 	"repro/internal/shardbank"
 	"repro/internal/snapcodec"
 	"repro/internal/wal"
-)
-
-const (
-	snapPrefix  = "snap-"
-	snapSuffix  = ".nysc"
-	deltaSuffix = ".nysd"
 )
 
 // ErrBadInput marks failures caused by the caller's request (out-of-range
@@ -128,7 +111,7 @@ type Config struct {
 	// MaxBatch caps the keys accepted in one increment batch (0 = 1<<16).
 	MaxBatch int
 	// Partitions splits the key space into contiguous ranges served by
-	// GET /snapshot/{p} — the unit of cluster replication and anti-entropy
+	// GET /v1/snapshot/{p} — the unit of cluster replication and anti-entropy
 	// (0 = 1, the whole bank as a single partition).
 	Partitions int
 	// Metrics is the registry this store (and its WAL) instruments; nil
@@ -178,29 +161,15 @@ type Store struct {
 	hashMemo  []atomic.Pointer[memo[uint64]]
 	blockMemo []atomic.Pointer[memo[[]uint64]]
 
-	// Rebalance ownership state (internal/cluster): the last RecOwn epoch
-	// minus installs observed since (merge records carry the partition they
-	// landed in), plus the partitions still held frozen for surrender.
-	// Mirrors the log both live and on replay, so a crashed node recovers
-	// exactly which transfers it still owes or is owed.
-	ownMu      sync.Mutex
-	ownRing    uint64
-	ownPending map[int]bool
-	ownFrozen  map[int]bool
-	ownOwned   map[int]bool
-	ownLogged  bool
-
-	ckptSeq   atomic.Uint64 // WAL segment tagged by the newest checkpoint
-	chainLen  atomic.Int64  // delta checkpoints since the newest full one
-	forceFull atomic.Bool   // a failed checkpoint left an image the next delta must not chain past
-	lastCkpt  atomic.Int64  // unix nanos of last successful checkpoint
+	ledger    ownership     // rebalance ownership, kept by apply
+	chain     *checkpointer // the checkpoint files; its lock comes before writeMu
 	recovered wal.ReplayStats
 	fromSnap  bool
 	started   time.Time
 
 	// Operation counters live in the metrics registry (one atomic each);
 	// Stats() and /metrics read the same values. Replay increments them
-	// too, matching the pre-metrics /healthz semantics: the counts cover
+	// too, matching the pre-metrics /v1/healthz semantics: the counts cover
 	// every record applied this process lifetime, recovered or live.
 	metrics   *metrics.Registry
 	batches   *metrics.Counter
@@ -219,22 +188,15 @@ type Store struct {
 	hashScans *metrics.Counter   // partition hash probes that read the registers
 	mApply    *metrics.Histogram // durable apply latency (stage+apply+commit)
 	mBatchLen *metrics.Histogram // keys per applied batch
-	mCkpt     *metrics.Histogram // checkpoint duration
-
-	// Checkpoint accounting by kind (full vs block delta).
-	ckptFull       *metrics.Counter
-	ckptDelta      *metrics.Counter
-	ckptBytesFull  *metrics.Counter
-	ckptBytesDelta *metrics.Counter
 
 	// wireAddr/wireProto describe the binary wire listener, when one is up
-	// (set once by SetWireInfo before serving; read by Stats for /healthz).
+	// (set once by SetWireInfo before serving; read by Stats for /v1/healthz).
 	wireAddr  atomic.Pointer[string]
 	wireProto atomic.Int64
 }
 
 // SetWireInfo records the advertised wire-listener address and protocol
-// version so /healthz can report them. Call once, before serving traffic;
+// version so /v1/healthz can report them. Call once, before serving traffic;
 // an empty addr leaves the stats fields absent.
 func (st *Store) SetWireInfo(addr string, proto int) {
 	st.wireAddr.Store(&addr)
@@ -245,88 +207,51 @@ func (st *Store) SetWireInfo(addr string, proto int) {
 // snapshot exists its header overrides cfg's bank shape — the on-disk state
 // is the source of truth for an existing store.
 func Open(cfg Config) (*Store, error) {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1 << 16
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 1
-	}
+	cfg.MaxBatch = positiveOr(cfg.MaxBatch, 1<<16)
+	cfg.Partitions = positiveOr(cfg.Partitions, 1)
 	if cfg.Partitions > snapcodec.MaxPartitions {
 		return nil, fmt.Errorf("server: %d partitions exceeds %d", cfg.Partitions, snapcodec.MaxPartitions)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	st := &Store{cfg: cfg, started: time.Now()}
-
-	eng, ckptSeq, chain, err := restoreCheckpoint(cfg.Dir)
+	st := &Store{cfg: cfg, started: time.Now(), chain: newCheckpointer(cfg)}
+	eng, err := st.chain.restore()
 	if err != nil {
 		return nil, err
 	}
-	if eng != nil {
-		st.eng = eng
-		st.ckptSeq.Store(ckptSeq)
-		st.chainLen.Store(int64(chain))
-		st.fromSnap = true
-	} else {
-		// Delta checkpoints without their full base cannot be restored, and
-		// the WAL they tagged was truncated — rebuilding from the seed would
-		// silently lose data.
-		if seqs, err := listSeqs(cfg.Dir, deltaSuffix); err != nil {
-			return nil, err
-		} else if len(seqs) > 0 {
-			return nil, fmt.Errorf("server: delta checkpoint %d present but no full snapshot to base it on", seqs[len(seqs)-1])
-		}
+	st.eng, st.fromSnap = eng, eng != nil
+	if eng == nil {
 		if cfg.N <= 0 || cfg.Alg == nil {
 			return nil, errors.New("server: empty store and no engine shape configured")
 		}
-		dur := cfg.BucketDur
+		dur := int64(cfg.BucketDur)
 		if dur <= 0 {
-			dur = time.Minute
+			dur = int64(time.Minute)
 		}
+		parts, seed := cfg.Partitions, cfg.Seed
 		switch cfg.Engine {
 		case "", engine.KindBank:
-			shards := cfg.Shards
-			if shards <= 0 {
-				shards = 64
-			}
-			st.eng = engine.NewBank(shardbank.New(cfg.N, cfg.Alg, shards, cfg.Seed))
+			st.eng = engine.NewBank(shardbank.New(cfg.N, cfg.Alg, positiveOr(cfg.Shards, 64), seed))
 		case engine.KindTopK:
-			k := cfg.TopKCap
-			if k <= 0 {
-				k = 64
-			}
-			st.eng, err = engine.NewTopK(cfg.N, cfg.Alg, st.cfg.Partitions, k, cfg.Seed)
+			st.eng, err = engine.NewTopK(cfg.N, cfg.Alg, parts, positiveOr(cfg.TopKCap, 64), seed)
 		case engine.KindWindow:
-			b := cfg.Buckets
-			if b <= 0 {
-				b = 8
-			}
-			st.eng, err = engine.NewWindow(cfg.N, cfg.Alg, st.cfg.Partitions, b, int64(dur), cfg.Seed)
+			st.eng, err = engine.NewWindow(cfg.N, cfg.Alg, parts, positiveOr(cfg.Buckets, 8), dur, seed)
 		case engine.KindDistinct:
-			p := cfg.DistinctPrecision
-			if p <= 0 {
-				p = 12
-			}
 			// Buckets > 0 selects the windowed flavor ("uniques in the last
 			// N minutes"); otherwise the sketch counts uniques forever.
+			p := positiveOr(cfg.DistinctPrecision, 12)
 			if cfg.Buckets > 0 {
-				st.eng, err = engine.NewDistinctWindow(cfg.N, st.cfg.Partitions, p, cfg.Buckets, int64(dur), cfg.Seed)
+				st.eng, err = engine.NewDistinctWindow(cfg.N, parts, p, cfg.Buckets, dur, seed)
 			} else {
-				st.eng, err = engine.NewDistinct(cfg.N, st.cfg.Partitions, p, cfg.Seed)
+				st.eng, err = engine.NewDistinct(cfg.N, parts, p, seed)
 			}
 		case engine.KindF2:
-			rows, cols := cfg.F2Rows, cfg.F2Cols
-			if rows <= 0 {
-				rows = 5
-			}
-			if cols <= 0 {
-				cols = 64
-			}
+			rows, cols := positiveOr(cfg.F2Rows, 5), positiveOr(cfg.F2Cols, 64)
 			if cfg.Buckets > 0 {
-				st.eng, err = engine.NewF2Window(cfg.N, st.cfg.Partitions, rows, cols, cfg.Buckets, int64(dur), cfg.Seed)
+				st.eng, err = engine.NewF2Window(cfg.N, parts, rows, cols, cfg.Buckets, dur, seed)
 			} else {
-				st.eng, err = engine.NewF2(cfg.N, st.cfg.Partitions, rows, cols, cfg.Seed)
+				st.eng, err = engine.NewF2(cfg.N, parts, rows, cols, seed)
 			}
 		default:
 			return nil, fmt.Errorf("server: unknown engine %q (want %s | %s | %s | %s | %s)",
@@ -361,9 +286,6 @@ func Open(cfg Config) (*Store, error) {
 	st.partVer = make([]atomic.Uint64, st.cfg.Partitions)
 	st.hashMemo = make([]atomic.Pointer[memo[uint64]], st.cfg.Partitions)
 	st.blockMemo = make([]atomic.Pointer[memo[[]uint64]], st.cfg.Partitions)
-	st.ownPending = make(map[int]bool)
-	st.ownFrozen = make(map[int]bool)
-	st.ownOwned = make(map[int]bool)
 	st.initMetrics(cfg.Metrics)
 
 	// A snapshot restore marks the whole register layout dirty (the engine
@@ -374,7 +296,7 @@ func Open(cfg Config) (*Store, error) {
 	// checkpoint's delta covers precisely checkpoint-to-now churn.
 	st.eng.ClearDirty()
 
-	st.recovered, err = wal.Replay(cfg.Dir, st.ckptSeq.Load(), st.replay)
+	st.recovered, err = wal.Replay(cfg.Dir, st.chain.seq.Load(), st.replay)
 	if err != nil {
 		return nil, fmt.Errorf("server: recovery: %w", err)
 	}
@@ -384,16 +306,21 @@ func Open(cfg Config) (*Store, error) {
 	if err := wal.RepairTorn(cfg.Dir, st.recovered); err != nil {
 		return nil, fmt.Errorf("server: recovery: %w", err)
 	}
-	st.log, err = wal.Open(cfg.Dir, wal.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		Policy:       cfg.Sync,
-		Interval:     cfg.SyncInterval,
-		Metrics:      st.metrics,
-	})
+	st.log, err = wal.Open(cfg.Dir, wal.Options{SegmentBytes: cfg.SegmentBytes, Policy: cfg.Sync,
+		Interval: cfg.SyncInterval, Metrics: st.metrics})
 	if err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// positiveOr returns v, or def when v is not positive: a zero Config field
+// means the default.
+func positiveOr(v, def int) int {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // initMetrics registers the store's instruments into reg (creating a
@@ -411,19 +338,15 @@ func (st *Store) initMetrics(reg *metrics.Registry) {
 		"Keys counted across applied batches (live and replayed), by engine.", "engine").With(kind)
 	mv := reg.CounterVec("counterd_store_merges_total",
 		"Peer snapshots folded in, by join kind (disjoint Remark-2.4 merge, replica max-join, block-delta max-join).", "kind")
-	st.merges = mv.With("disjoint")
-	st.mergeMaxs = mv.With("max")
-	st.deltaMaxs = mv.With("delta")
+	st.merges, st.mergeMaxs, st.deltaMaxs = mv.With("disjoint"), mv.With("max"), mv.With("delta")
 	bv := reg.CounterVec("counterd_store_merge_blob_bytes_total",
 		"Bytes of live replica max-join blobs (full and block-delta), by form: received from the peer, or logged to the WAL after a full bank snapshot kept only the registers it raises.", "form")
-	st.mergeReceived = bv.With("received")
-	st.mergeLogged = bv.With("logged")
+	st.mergeReceived, st.mergeLogged = bv.With("received"), bv.With("logged")
 	st.stales = reg.Counter("counterd_store_stale_hint_keys_total",
 		"Epoch-tagged hint keys dropped because their origin bucket rotated out in transit.")
 	hv := reg.CounterVec("counterd_store_partition_hash_total",
 		"Partition hash and block-hash probes, by source: memo (partition unwritten since the last probe, no register read) or scan (registers re-read and re-hashed).", "source")
-	st.hashMemos = hv.With("memo")
-	st.hashScans = hv.With("scan")
+	st.hashMemos, st.hashScans = hv.With("memo"), hv.With("scan")
 	st.evicts = reg.Counter("counterd_store_evicts_total",
 		"Partitions truncated after a rebalance surrender.")
 	st.ticks = reg.Counter("counterd_store_ticks_total",
@@ -433,52 +356,15 @@ func (st *Store) initMetrics(reg *metrics.Registry) {
 		metrics.LatencyBuckets, "engine").With(kind)
 	st.mBatchLen = reg.Histogram("counterd_store_batch_keys",
 		"Keys per applied increment batch.", metrics.SizeBuckets)
-	st.mCkpt = reg.Histogram("counterd_checkpoint_seconds",
-		"Checkpoint duration: rotate + snapshot + fsync + GC.", metrics.ExpBuckets(1e-3, 2, 16))
-	cv := reg.CounterVec("counterd_checkpoint_total",
-		"Checkpoints written, by kind (full snapshot vs block delta).", "kind")
-	st.ckptFull = cv.With("full")
-	st.ckptDelta = cv.With("delta")
-	cb := reg.CounterVec("counterd_checkpoint_bytes_total",
-		"Checkpoint bytes written to disk, by kind (full snapshot vs block delta).", "kind")
-	st.ckptBytesFull = cb.With("full")
-	st.ckptBytesDelta = cb.With("delta")
+	st.chain.register(reg)
+	st.ledger.register(reg)
 	reg.GaugeFunc("counterd_store_dirty_blocks",
 		"Register blocks written since the last checkpoint (the next delta's size, in blocks).",
 		func() float64 { return float64(st.eng.DirtyCount()) })
-	reg.GaugeFunc("counterd_checkpoint_chain_len",
-		"Delta checkpoints since the newest full one (recovery loads the full plus this many deltas).",
-		func() float64 { return float64(st.chainLen.Load()) })
 	reg.Gauge("counterd_store_keyspace_keys",
 		"Keys in the serving key space (engine length).").Set(float64(st.eng.Len()))
 	reg.Gauge("counterd_store_partitions",
 		"Key-space partitions (the replication/handoff unit).").Set(float64(st.cfg.Partitions))
-	reg.GaugeFunc("counterd_store_pending_partitions",
-		"Partitions still awaiting their rebalance install (reads 421-shadow while > 0).",
-		func() float64 {
-			st.ownMu.Lock()
-			defer st.ownMu.Unlock()
-			return float64(len(st.ownPending))
-		})
-	reg.GaugeFunc("counterd_store_frozen_partitions",
-		"Surrendered partition copies held frozen for handoff.",
-		func() float64 {
-			st.ownMu.Lock()
-			defer st.ownMu.Unlock()
-			return float64(len(st.ownFrozen))
-		})
-	reg.GaugeFunc("counterd_checkpoint_seq",
-		"WAL segment tagged by the newest checkpoint.",
-		func() float64 { return float64(st.ckptSeq.Load()) })
-	reg.GaugeFunc("counterd_checkpoint_last_unixtime",
-		"Unix time of the last successful checkpoint (0 before the first).",
-		func() float64 {
-			ns := st.lastCkpt.Load()
-			if ns <= 0 {
-				return 0
-			}
-			return float64(ns) / 1e9
-		})
 	reg.Gauge("counterd_store_start_time_seconds",
 		"Unix time this store opened.").Set(float64(st.started.UnixNano()) / 1e9)
 	st.memGauges(reg)
@@ -490,11 +376,9 @@ func (st *Store) initMetrics(reg *metrics.Registry) {
 func (st *Store) Metrics() *metrics.Registry { return st.metrics }
 
 // Ready reports whether the store can durably accept writes: nil while
-// the WAL is open and unpoisoned. The base /readyz check; the cluster
+// the WAL is open and unpoisoned. The base /v1/readyz check; the cluster
 // layer adds ring-reconciliation on top.
-func (st *Store) Ready() error {
-	return st.log.Healthy()
-}
+func (st *Store) Ready() error { return st.log.Healthy() }
 
 // op is one store mutation: the WAL record that defines it, plus what check
 // derived from the record for apply and for the live path's version bumps.
@@ -620,27 +504,17 @@ func (st *Store) apply(o *op) error {
 		// a crashed node never re-pulls (and disjoint-merges twice) a
 		// partition whose install already committed.
 		if o.snap.IsPartition() && o.snap.Parts == st.cfg.Partitions {
-			st.ownMu.Lock()
-			delete(st.ownPending, o.snap.Partition)
-			st.ownMu.Unlock()
+			st.ledger.drop(setPending, o.snap.Partition)
 		}
 		count.Add(1)
 	case wal.RecOwn:
-		st.ownMu.Lock()
-		st.ownRing = rec.Epoch
-		st.ownPending = partSet(rec.Keys)
-		st.ownFrozen = partSet(rec.Parts)
-		st.ownOwned = partSet(rec.Owned)
-		st.ownLogged = true
-		st.ownMu.Unlock()
+		st.ledger.set(rec)
 	case wal.RecEvict:
 		p := int(rec.Epoch)
 		if err := st.eng.ResetRange(snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, p)); err != nil {
 			return err
 		}
-		st.ownMu.Lock()
-		delete(st.ownFrozen, p)
-		st.ownMu.Unlock()
+		st.ledger.drop(setFrozen, p)
 		st.evicts.Add(1)
 	}
 	return nil
@@ -760,15 +634,6 @@ func (st *Store) checkPartition(p int) error {
 		return fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
 	}
 	return nil
-}
-
-// partSet turns a logged partition list into a lookup set.
-func partSet(parts []int) map[int]bool {
-	set := make(map[int]bool, len(parts))
-	for _, p := range parts {
-		set[p] = true
-	}
-	return set
 }
 
 // decodePeer decodes a merge record's blob and validates it against the
@@ -1088,17 +953,6 @@ func (st *Store) PartitionDeltaTo(w io.Writer, p int, blocks []uint32) error {
 	return snapcodec.EncodeTo(w, d)
 }
 
-// sortedKeys flattens a partition set into a sorted list, so re-logged
-// ownership records are byte-stable.
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // SetOwnership durably records the rebalance state at a ring version: the
 // partitions this node still has to install (pending), the partitions it
 // holds frozen for surrender, and the partitions it owns on that ring.
@@ -1106,47 +960,6 @@ func sortedKeys(set map[int]bool) []int {
 // consistent with the merges and evicts around it.
 func (st *Store) SetOwnership(ring uint64, pending, frozen, owned []int) error {
 	return st.write(&op{rec: wal.Record{Type: wal.RecOwn, Epoch: ring, Keys: pending, Parts: frozen, Owned: owned}}, false)
-}
-
-// Ownership returns the durable rebalance state: the ring version of the
-// last recorded epoch, the partitions still pending install, the partitions
-// held frozen for surrender, and the partitions owned on the recorded ring.
-// ok is false when no ownership epoch was ever logged (a store that has
-// never rebalanced).
-func (st *Store) Ownership() (ring uint64, pending, frozen, owned []int, ok bool) {
-	rec, ok := st.ownRecord()
-	if !ok {
-		return 0, nil, nil, nil, false
-	}
-	return rec.Epoch, rec.Keys, rec.Parts, rec.Owned, true
-}
-
-// ownRecord returns the RecOwn record that reproduces the current
-// ownership state — lists sorted, so a re-logged record is byte-stable —
-// and whether an ownership epoch was ever logged.
-func (st *Store) ownRecord() (wal.Record, bool) {
-	st.ownMu.Lock()
-	defer st.ownMu.Unlock()
-	return wal.Record{Type: wal.RecOwn, Epoch: st.ownRing, Keys: sortedKeys(st.ownPending),
-		Parts: sortedKeys(st.ownFrozen), Owned: sortedKeys(st.ownOwned)}, st.ownLogged
-}
-
-// PendingPartition reports whether partition p is still awaiting its
-// rebalance install — the per-read check behind the cluster layer's 421
-// shadowing, so it is a single map lookup.
-func (st *Store) PendingPartition(p int) bool {
-	st.ownMu.Lock()
-	defer st.ownMu.Unlock()
-	return st.ownPending[p]
-}
-
-// FrozenPartition reports whether partition p is a surrendered copy this
-// store still holds for handoff — the per-key check behind the cluster
-// layer's replica-apply routing, so it is a single map lookup.
-func (st *Store) FrozenPartition(p int) bool {
-	st.ownMu.Lock()
-	defer st.ownMu.Unlock()
-	return st.ownFrozen[p]
 }
 
 // EvictPartition truncates partition p's sketch state — the final step of a
@@ -1369,8 +1182,8 @@ func (st *Store) Bank() *shardbank.Bank {
 }
 
 // SnapshotTo streams a snapcodec snapshot of the live engine (no generator
-// state) to w — the GET /snapshot payload, and what a peer feeds to
-// POST /merge.
+// state) to w — the GET /v1/snapshot payload, and what a peer feeds to
+// POST /v1/merge.
 func (st *Store) SnapshotTo(w io.Writer) error {
 	return engine.SnapshotTo(w, st.eng, 0, 0, false)
 }
@@ -1382,190 +1195,13 @@ func (st *Store) Partitions() int { return st.cfg.Partitions }
 func (st *Store) MaxBatch() int { return st.cfg.MaxBatch }
 
 // PartitionSnapshotTo streams a snapshot of one partition — the key range
-// snapcodec.PartitionRange(n, Partitions, p) — to w: the GET /snapshot/{p}
+// snapcodec.PartitionRange(n, Partitions, p) — to w: the GET /v1/snapshot/{p}
 // payload, and the unit the cluster's replication and anti-entropy exchange.
 func (st *Store) PartitionSnapshotTo(w io.Writer, p int) error {
 	if p < 0 || p >= st.cfg.Partitions {
 		return fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
 	}
 	return engine.SnapshotTo(w, st.eng, p, st.cfg.Partitions, false)
-}
-
-// Checkpoint rotates the WAL, writes the engine state tagged with the new
-// segment number, and garbage-collects what the tag obsoletes. The state
-// image is a full snapshot (with generator states) — or, when the engine
-// tracks dirty blocks and few enough changed since the previous checkpoint,
-// a block delta chained onto it: only the changed 128-register blocks hit
-// the disk, making checkpoint cost proportional to churn instead of
-// keyspace. Either kind truncates the WAL below its tag; recovery loads the
-// newest full snapshot, splices the delta chain, and replays the tail.
-// Config.DeltaFraction and Config.MaxDeltaChain bound when deltas are used
-// and how long a chain recovery may have to splice.
-func (st *Store) Checkpoint() error {
-	ckptStart := time.Now()
-	defer func() { st.mCkpt.ObserveSince(ckptStart) }()
-	// Rotation, state capture, and the dirty-block drain happen under
-	// writeMu so no write lands between "records before S", "engine state
-	// at S", and "blocks dirtied before S". The bank engine's capture is a
-	// copy-on-write cut that copies no register: encoding runs after the
-	// lock is released, reading the registers of S while writers go on.
-	st.writeMu.Lock()
-	seq, err := st.log.Rotate()
-	if err != nil {
-		st.writeMu.Unlock()
-		return err
-	}
-	// Re-log the ownership epoch into the fresh segment: the truncation
-	// below drops every older record, and a restart mid-rebalance must still
-	// see which transfers are owed. The engine snapshot taken next already
-	// reflects every record before this one, so replaying it is pure
-	// metadata.
-	var ownTicket uint64
-	if rec, ok := st.ownRecord(); ok {
-		if ownTicket, err = st.log.Stage(rec); err != nil {
-			st.writeMu.Unlock()
-			return err
-		}
-	}
-	snap, err := st.eng.Snapshot(0, 0, true)
-	var dirty []uint32
-	tracked := false
-	if err == nil {
-		// Drain the bitmap in the same critical section as the snapshot:
-		// these are exactly the blocks that changed since the previous
-		// checkpoint, and post-drain writes re-mark for the next one.
-		dirty, tracked = st.eng.TakeDirty()
-	}
-	st.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	defer snap.Release()
-	// From here on the drained blocks are owed to the next checkpoint: any
-	// failure before the new image is durable must re-arm them, or a later
-	// delta would silently miss churn.
-	rearm := func(e error) error {
-		if tracked {
-			st.eng.MarkDirty(dirty)
-		}
-		return e
-	}
-	if ownTicket > 0 {
-		if err := st.log.Commit(ownTicket); err != nil {
-			return rearm(err)
-		}
-	}
-
-	base := st.ckptSeq.Load()
-	nregs := snap.Regs().Len()
-	useDelta := tracked && base > 0 && nregs > 0 && !st.forceFull.Load() &&
-		st.cfg.DeltaFraction >= 0 &&
-		st.chainLen.Load() < int64(st.maxDeltaChain()) &&
-		float64(len(dirty)) <= st.deltaFraction()*float64(snapcodec.NumBlocks(nregs))
-	path := snapPath(st.cfg.Dir, seq)
-	if useDelta {
-		d, derr := snapcodec.MakeDelta(snap, base, dirty)
-		if derr != nil {
-			return rearm(derr)
-		}
-		snap = d
-		path = deltaPath(st.cfg.Dir, seq)
-	}
-
-	bytes, err := writeSnapFile(path, snap)
-	if err != nil {
-		return rearm(err)
-	}
-	if err := syncDir(st.cfg.Dir); err != nil {
-		// The new image's dirent may not survive a power loss, so nothing it
-		// replaces may go: no WAL truncation, no snapshot GC. It may survive
-		// too, so the next checkpoint is full — a delta chained onto the
-		// previous tag would fork the chain.
-		st.forceFull.Store(true)
-		return rearm(fmt.Errorf("server: checkpoint: sync directory: %w", err))
-	}
-
-	st.ckptSeq.Store(seq)
-	st.lastCkpt.Store(time.Now().UnixNano())
-	if useDelta {
-		st.chainLen.Add(1)
-		st.ckptDelta.Add(1)
-		st.ckptBytesDelta.Add(uint64(bytes))
-		// No snapshot GC: the chain below stays load-bearing until the next
-		// full checkpoint collapses it.
-		return st.log.TruncateBefore(seq)
-	}
-	st.chainLen.Store(0)
-	st.forceFull.Store(false)
-	st.ckptFull.Add(1)
-	st.ckptBytesFull.Add(uint64(bytes))
-	// Garbage-collect: older full snapshots and every delta (all strictly
-	// older than seq, and the new full obsoletes any chain), then WAL
-	// segments below the tag.
-	if seqs, err := listSeqs(st.cfg.Dir, snapSuffix); err == nil {
-		for _, s := range seqs {
-			if s < seq {
-				os.Remove(snapPath(st.cfg.Dir, s))
-			}
-		}
-	}
-	if seqs, err := listSeqs(st.cfg.Dir, deltaSuffix); err == nil {
-		for _, s := range seqs {
-			if s < seq {
-				os.Remove(deltaPath(st.cfg.Dir, s))
-			}
-		}
-	}
-	return st.log.TruncateBefore(seq)
-}
-
-// deltaFraction returns the effective delta-checkpoint dirty threshold.
-func (st *Store) deltaFraction() float64 {
-	if st.cfg.DeltaFraction == 0 {
-		return 0.5
-	}
-	return st.cfg.DeltaFraction
-}
-
-// maxDeltaChain returns the effective delta chain bound.
-func (st *Store) maxDeltaChain() int {
-	if st.cfg.MaxDeltaChain <= 0 {
-		return 8
-	}
-	return st.cfg.MaxDeltaChain
-}
-
-// writeSnapFile writes one snapshot atomically (tmp + fsync + rename),
-// returning the encoded size.
-func writeSnapFile(path string, snap *snapcodec.Snapshot) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("server: checkpoint: %w", err)
-	}
-	if err := snapcodec.EncodeTo(f, snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("server: checkpoint: %w", err)
-	}
-	size := int64(0)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("server: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("server: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("server: checkpoint: %w", err)
-	}
-	return size, nil
 }
 
 // Close syncs and closes the WAL. With checkpoint true it writes a final
@@ -1581,7 +1217,7 @@ func (st *Store) Close(checkpoint bool) error {
 	return err
 }
 
-// Stats is the /healthz payload.
+// Stats is the /v1/healthz payload.
 type Stats struct {
 	Status      string `json:"status"`
 	Engine      string `json:"engine"`
@@ -1643,8 +1279,8 @@ func (st *Store) Stats() Stats {
 		Merges:          st.merges.Value(),
 		MergeMaxes:      st.mergeMaxs.Value(),
 		Evicts:          st.evicts.Value(),
-		CheckpointSeq:   st.ckptSeq.Load(),
-		CheckpointChain: int(st.chainLen.Load()),
+		CheckpointSeq:   st.chain.seq.Load(),
+		CheckpointChain: int(st.chain.deltas.Load()),
 		DirtyBlocks:     st.eng.DirtyCount(),
 		WALSegments:     len(segs),
 		RecoveredFrom:   "seed",
@@ -1675,181 +1311,8 @@ func (st *Store) Stats() Stats {
 		s.WireAddr = *p
 		s.WireProto = int(st.wireProto.Load())
 	}
-	if ns := st.lastCkpt.Load(); ns > 0 {
+	if ns := st.chain.last.Load(); ns > 0 {
 		s.LastCheckpoint = time.Unix(0, ns).UTC().Format(time.RFC3339)
 	}
 	return s
-}
-
-func snapPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix))
-}
-
-func deltaPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, deltaSuffix))
-}
-
-// listSeqs returns the checkpoint sequence numbers with the given suffix
-// (.nysc fulls or .nysd deltas) in dir, ascending.
-func listSeqs(dir, suffix string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	var seqs []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if len(name) <= len(snapPrefix)+len(suffix) ||
-			name[:len(snapPrefix)] != snapPrefix || name[len(name)-len(suffix):] != suffix {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name[len(snapPrefix):len(name)-len(suffix)], "%d", &seq); err != nil {
-			continue
-		}
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// loadSnap reads and decodes one checkpoint file, writing its register
-// section where header says (snapcodec.DecodeInto).
-func loadSnap(path string, header snapcodec.SinkFunc) (*snapcodec.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return snapcodec.DecodeInto(f, header)
-}
-
-// restoreCheckpoint rebuilds the engine the newest checkpoint captured: the
-// highest-sequence FULL snapshot, then every delta above it in sequence
-// order, each delta's base id naming the previous chain element. Every file
-// decodes straight into one register sink — a new bank's restorer for the
-// bank engine, the full snapshot's own register section for the others —
-// and the payload and rng come from the newest chain element. A bank's
-// chain is decoded twice: first into the restorer's plan, which sizes
-// every chunk of the bank for the registers to come, then into the
-// restorer, which writes them into slabs allocated once. Deltas at or
-// below the full snapshot are leftovers of a crashed GC: obsolete, ignored,
-// and left for the next full checkpoint's GC. Returns a nil engine when dir
-// holds no full snapshot, else the engine, the newest chain element's
-// sequence and the number of deltas.
-//
-// Checkpoints are written atomically (tmp + rename after fsync), so one
-// that fails its CRC is bit rot, not a torn write, and a delta that does
-// not link is a hole in the chain. Since the WAL below the newest
-// checkpoint was truncated when it landed, neither is recoverable from an
-// older checkpoint: each is a loud error, never a silent fallback, and the
-// half-restored engine is dropped with it. That is what lets a file's
-// blocks reach the sink before its CRC is read — the CRC still decides
-// whether a register is served.
-func restoreCheckpoint(dir string) (engine.Engine, uint64, int, error) {
-	fulls, err := listSeqs(dir, snapSuffix)
-	if err != nil || len(fulls) == 0 {
-		return nil, 0, 0, err
-	}
-	fullSeq := fulls[len(fulls)-1]
-	var restorer *shardbank.Restorer
-	base, err := loadSnap(snapPath(dir, fullSeq), func(h *snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
-		switch {
-		case h.IsDelta():
-			return nil, errors.New("a delta snapshot where a full one belongs")
-		case h.IsEngine():
-			return nil, nil // decoded into base.Registers
-		}
-		var err error
-		if restorer, err = engine.BankRestorer(h); err != nil {
-			return nil, err
-		}
-		return restorer.Plan(), nil
-	})
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("server: checkpoint %d: %w", fullSeq, err)
-	}
-	var sink snapcodec.RegisterSink = snapcodec.RegisterSlice(base.Registers)
-	if restorer != nil {
-		sink = restorer.Plan()
-	}
-	deltas, err := listSeqs(dir, deltaSuffix)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	last, prev, chain := base, fullSeq, 0
-	paths := []string{snapPath(dir, fullSeq)}
-	for _, seq := range deltas {
-		if seq <= fullSeq {
-			continue
-		}
-		last, err = loadSnap(deltaPath(dir, seq), func(h *snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
-			return sink, chainsOnto(base, h, prev)
-		})
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("server: delta checkpoint %d: %w", seq, err)
-		}
-		prev, chain = seq, chain+1
-		paths = append(paths, deltaPath(dir, seq))
-	}
-	var eng engine.Engine
-	if restorer != nil {
-		for _, path := range paths {
-			if _, err := loadSnap(path, func(*snapcodec.Snapshot) (snapcodec.RegisterSink, error) {
-				return restorer, nil
-			}); err != nil {
-				return nil, 0, 0, fmt.Errorf("server: %s: %w", filepath.Base(path), err)
-			}
-		}
-		var b *shardbank.Bank
-		if b, err = restorer.Finish(last.RNG); err == nil {
-			eng = engine.NewBank(b)
-		}
-	} else {
-		base.Payload, base.RNG = last.Payload, last.RNG
-		eng, err = engine.FromSnapshot(base)
-	}
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("server: checkpoint %d: %w", prev, err)
-	}
-	return eng, prev, chain, nil
-}
-
-// chainsOnto checks that the delta header d applies on top of a chain whose
-// full snapshot is base and whose newest element is checkpoint prev: its
-// base id names prev, and it has base's algorithm, shape, seed, partition,
-// engine and register count (a bank's count the decoder already matched
-// to the shape).
-func chainsOnto(base, d *snapcodec.Snapshot, prev uint64) error {
-	switch {
-	case !d.IsDelta():
-		return errors.New("not a delta snapshot")
-	case d.DeltaBase != prev:
-		return fmt.Errorf("chains onto %d, want %d — chain broken", d.DeltaBase, prev)
-	case base.AlgName != d.AlgName || base.Width != d.Width || base.Param != d.Param:
-		return errors.New("algorithm differs from the full snapshot's")
-	case base.N != d.N || base.Shards != d.Shards || base.Seed != d.Seed:
-		return errors.New("shape differs from the full snapshot's")
-	case base.Partition != d.Partition || base.Parts != d.Parts:
-		return errors.New("partition differs from the full snapshot's")
-	case base.Engine != d.Engine:
-		return errors.New("engine differs from the full snapshot's")
-	case base.IsEngine() && d.DeltaRegs != len(base.Registers):
-		return fmt.Errorf("delta addresses %d registers, the full snapshot has %d", d.DeltaRegs, len(base.Registers))
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's dirent is durable. A
-// variable so a test can make it fail.
-var syncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -43,7 +43,7 @@
 // The trailer is a CRC32C (Castagnoli) of every preceding byte, so torn or
 // bit-rotted snapshot files are detected before a single register is
 // trusted. Encode/Decode work on []byte; EncodeTo/DecodeFrom stream over
-// io.Writer/io.Reader (GET /snapshot in internal/server streams straight
+// io.Writer/io.Reader (GET /v1/snapshot in internal/server streams straight
 // from the bank into the response body).
 //
 // Both directions go a 128-register block at a time. The encoder pulls

@@ -898,7 +898,7 @@ func (l *Log) ActiveSegment() uint64 {
 
 // Healthy reports whether the log can still accept and durably commit
 // records: nil while open with no sticky error, ErrClosed after Close,
-// or the poisoning write/sync error. /readyz uses this as its
+// or the poisoning write/sync error. /v1/readyz uses this as its
 // "WAL writable" check.
 func (l *Log) Healthy() error {
 	l.mu.Lock()

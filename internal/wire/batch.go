@@ -78,7 +78,7 @@ func EncodeBatch(keys []int) []byte {
 // applies (one element per event, ascending). It enforces, before and
 // during expansion:
 //
-//   - events ≤ maxEvents (the store's MaxBatch — same cap as HTTP /inc)
+//   - events ≤ maxEvents (the store's MaxBatch — same cap as HTTP /v1/inc)
 //   - every key in [0, maxKey) when maxKey > 0
 //   - keys strictly increasing, counts ≥ 1, declared totals consistent
 //   - no over-allocation: both the pair walk and the key slice are sized

@@ -128,7 +128,7 @@ func BenchmarkServeHTTPJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		resp, err := client.Post(srv.URL+"/inc", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(srv.URL+"/v1/inc", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}

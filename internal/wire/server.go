@@ -18,7 +18,7 @@ import (
 // surface exposes. BATCH frames call Batch (the coordinated write path —
 // ring fan-out in cluster mode, a plain store apply single-node); REPL
 // frames call Repl (replica-apply only, never re-fanned-out — the verb
-// behind /cluster/repl). Both return the number of events applied.
+// behind /v1/cluster/repl). Both return the number of events applied.
 type Sink interface {
 	Batch(keys []int) (applied int, err error)
 	Repl(keys []int) (applied int, err error)

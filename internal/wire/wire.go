@@ -1,6 +1,6 @@
 // Package wire is the binary ingest protocol: a length-framed,
 // CRC-checked record stream over one persistent TCP connection, built for
-// the /inc hot path where HTTP/1.1 request framing and JSON bodies cost
+// the /v1/inc hot path where HTTP/1.1 request framing and JSON bodies cost
 // more than the counting itself. The protocol is deliberately tiny:
 //
 //   - Both sides open with a HELLO frame (magic + protocol version +
@@ -44,7 +44,7 @@ import (
 const Magic = "NYW\x01"
 
 // ProtocolVersion is the wire protocol version spoken by this build. It is
-// carried in the HELLO frame and reported by /healthz, so operators can see
+// carried in the HELLO frame and reported by /v1/healthz, so operators can see
 // at a glance which protocol a node serves.
 const ProtocolVersion = 1
 

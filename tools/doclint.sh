@@ -9,6 +9,10 @@
 #      docs can never drift ahead of — or behind — the binaries).
 #   3. Every backticked repo path (`docs/X.md`, `internal/pkg`, `cmd/...`,
 #      `examples/...`, `tools/...`) points at something that exists.
+#   4. Every route reference in README.md and docs/*.md — `GET /x`,
+#      `POST /x`, or a curl of `localhost:PORT/x` — carries the /v1 prefix,
+#      the one spelling the HTTP surface serves; only /metrics, where
+#      Prometheus scrapes, is also served without it.
 #
 # Run from the repository root: bash tools/doclint.sh  (or: make doclint)
 set -u
@@ -81,6 +85,14 @@ for md in "${docs[@]}"; do
       err "$md: path reference \`$path\` does not exist"
     fi
   done < <(grep -ohE '`[A-Za-z0-9_./-]+`' "$md" | sort -u)
+done
+
+# --- 4. one spelling of each route --------------------------------------
+for md in "${docs[@]}"; do
+  while IFS= read -r hit; do
+    err "$md:${hit%%:*}: route without the /v1 prefix (${hit#*:})"
+  done < <(grep -noE '(GET|POST|PUT|DELETE) +/[A-Za-z{][^ `)"]*|localhost:[0-9]+/[A-Za-z][^ `)"'"'"']*' "$md" |
+    grep -vE '^[0-9]+:((GET|POST|PUT|DELETE) +|localhost:[0-9]+)/(v1/|metrics)')
 done
 
 if [ "$fail" = 0 ]; then

@@ -202,16 +202,16 @@ func (c *checker) checkStatefulSet(d doc, headless map[string]bool) {
 		c.errf(d, "StatefulSet %s: -join must seed from pod 0 via the headless Service", name)
 	}
 
-	// Probe contract: liveness /healthz (restart on hang), readiness
-	// /readyz (depool while rebalancing); see docs/OPERATIONS.md.
+	// Probe contract: liveness /v1/healthz (restart on hang), readiness
+	// /v1/readyz (depool while rebalancing); see docs/OPERATIONS.md.
 	portNames := map[string]string{}
 	for _, p := range stringListOfMaps(ct["ports"]) {
 		n, _ := str(p, "name")
 		cp, _ := str(p, "containerPort")
 		portNames[n] = cp
 	}
-	c.checkProbe(d, name, ct, "readinessProbe", "/readyz", portNames)
-	c.checkProbe(d, name, ct, "livenessProbe", "/healthz", portNames)
+	c.checkProbe(d, name, ct, "readinessProbe", "/v1/readyz", portNames)
+	c.checkProbe(d, name, ct, "livenessProbe", "/v1/healthz", portNames)
 	if scrapePort != "" {
 		found := false
 		for _, cp := range portNames {
