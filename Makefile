@@ -74,9 +74,10 @@ bench-test:
 
 # The cluster integration suite under the race detector: 3-node loopback
 # ring, replication, forwarding, crash/recovery convergence, and the live
-# grow/shrink rebalance test — then the boot tests twenty times over, since
-# ring formation is timed against events, not ticks.
-BOOT_TESTS = TestClusterBootDefaultCadence|TestClusterJoinBeforeSeedListens|TestClusterFormsWithoutTicks
+# grow/shrink rebalance test — then the boot tests and the joiner's
+# readiness gate twenty times over, since ring formation is timed against
+# events, not ticks.
+BOOT_TESTS = TestClusterBootDefaultCadence|TestClusterJoinBeforeSeedListens|TestClusterFormsWithoutTicks|TestReadinessGateOnJoin
 
 cluster-smoke:
 	$(GO) test -race -v -run 'TestCluster|TestClient' ./internal/cluster ./internal/client

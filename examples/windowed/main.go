@@ -79,13 +79,7 @@ func main() {
 	}
 
 	show := func(st *server.Store, label string, w int) {
-		var top []engine.Entry
-		var err error
-		if w == 0 {
-			top, err = st.TopK(5, -1)
-		} else {
-			top, err = st.TopKWindow(5, -1, w)
-		}
+		top, err := st.TopK(5, -1, w)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -151,9 +151,8 @@ func TestBankMerge(t *testing.T) {
 
 // A Remark 2.4 merge starts at the larger register and steps at most the
 // smaller one's count of times, so a merged register never exceeds a + b
-// (nor the cap) and never falls below max(a, b). The windowed engine's run
-// bound (engine/window.go, windowCells.bound) ranks on the upper half of
-// this; every MergeAlgorithm must be listed here and keep it.
+// (nor the cap) and never falls below max(a, b). Every MergeAlgorithm must
+// be listed here and keep it.
 func TestMergeRegsAtMostSum(t *testing.T) {
 	rng := xrand.NewSeeded(12)
 	for _, alg := range []MergeAlgorithm{

@@ -64,6 +64,10 @@ type testClusterConfig struct {
 	// the test drives its rounds by hand.
 	tune    func(*Config)
 	noStart bool
+
+	// wrap, when set, wraps the node's HTTP handler (a test holding some
+	// requests back).
+	wrap func(http.Handler) http.Handler
 }
 
 func defaultClusterConfig() testClusterConfig {
@@ -149,7 +153,11 @@ func startNode(t testing.TB, dir, addr string, cc testClusterConfig, join []stri
 		go tn.wsrv.Serve(wln)
 		tn.st.SetWireInfo(tn.wire, wire.ProtocolVersion)
 	}
-	tn.srv = &http.Server{Handler: tn.node.Handler()}
+	h := tn.node.Handler()
+	if cc.wrap != nil {
+		h = cc.wrap(h)
+	}
+	tn.srv = &http.Server{Handler: h}
 	go func() {
 		defer close(tn.done)
 		tn.srv.Serve(ln)

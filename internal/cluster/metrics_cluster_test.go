@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,12 +30,31 @@ func (tn *testNode) readyz() int {
 // Kubernetes deployment: a joining node must answer /readyz with 503 the
 // whole time its partitions are still rebalancing onto it, and flip to 200
 // exactly when it is reconciled at the current ring version with nothing
-// pending — never before. It also scrapes /metrics on a live cluster node
-// and lint-validates the exposition, so the cluster-layer series
-// (counterd_cluster_*, counterd_rebalance_*) go through the same parser
-// roundtrip as the store's.
+// pending — never before. Both nodes hold back every request that could
+// land a partition on the joiner until the joiner has been seen reconciled
+// with its installs pending, so the gate is polled in that state on every
+// run instead of racing a join that may already be over. The test also
+// scrapes /metrics on a live cluster node and lint-validates the
+// exposition, so the cluster-layer series (counterd_cluster_*,
+// counterd_rebalance_*) go through the same parser roundtrip as the
+// store's.
 func TestReadinessGateOnJoin(t *testing.T) {
 	cc := defaultClusterConfig()
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseInstalls := func() { releaseOnce.Do(func() { close(release) }) }
+	cc.wrap = func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if landsPartition(r) {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return // the node is shutting down
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
 	n0 := startNode(t, t.TempDir(), "", cc, nil)
 	defer n0.shutdown()
 
@@ -56,12 +76,25 @@ func TestReadinessGateOnJoin(t *testing.T) {
 	})
 
 	// A fresh joiner must NOT be ready before it has reconciled the joined
-	// ring and installed every pulled partition.
+	// ring and installed every pulled partition. While the installs are
+	// held, 200 is wrong at every poll; once the joiner reports the joined
+	// ring reconciled with partitions pending, the poll that follows sees
+	// the gate with installs owed and nothing able to clear them.
 	n1 := startNode(t, t.TempDir(), "", cc, []string{n0.self})
 	defer n1.shutdown()
-	if code := n1.readyz(); code == http.StatusOK {
-		t.Fatalf("joining node reported ready before reconciling the ring")
-	}
+	defer releaseInstalls() // a failed poll lets the held requests through first
+	waitUntil(t, 5*time.Second, "joiner reconciled with installs pending", func() bool {
+		var rs RebalanceStatus
+		if err := getJSON(n1.self+"/v1/cluster/rebalance", &rs); err != nil {
+			t.Fatalf("rebalance status: %v", err)
+		}
+		if code := n1.readyz(); code == http.StatusOK {
+			t.Fatalf("joining node reported ready with its installs held (reconciled=%v pending=%v)",
+				rs.Reconciled, rs.Pending)
+		}
+		return rs.Reconciled && len(rs.Pending) > 0
+	})
+	releaseInstalls()
 
 	// The gate must hold (503) at every poll until the rebalance status
 	// itself says reconciled-with-nothing-pending, and then flip to 200.
@@ -133,6 +166,15 @@ func TestReadinessGateOnJoin(t *testing.T) {
 	if !strings.Contains(string(dash), "counterd ops") {
 		t.Fatalf("dashboard HTML missing title")
 	}
+}
+
+// landsPartition reports whether r can install partition state on the node
+// it reaches or, served, on the node that sent it: a rebalance handoff, a
+// block delta either way, or a pushed snapshot join.
+func landsPartition(r *http.Request) bool {
+	p := r.URL.Path
+	return strings.HasPrefix(p, "/v1/cluster/handoff/") || strings.HasPrefix(p, "/v1/cluster/bdelta/") ||
+		p == "/v1/merge" || p == "/v1/mergemax"
 }
 
 // waitUntil polls cond until it returns true or the deadline passes.

@@ -309,7 +309,7 @@ func (c *hllCells) join(j int, peer any, _ bool) {
 
 // scan reports the shard's cardinality over the live slots: their
 // register-wise maximum (the exact HLL union) fed through the estimator.
-func (c *hllCells) scan(slots []int, _ uint64, _, _ int, visit func(key, n int, v float64) float64) {
+func (c *hllCells) scan(slots []int, _, _ int, visit func(key, n int, v float64) float64) {
 	union := c.bucket(slots[0])
 	if len(slots) > 1 {
 		union = append([]uint8(nil), union...)

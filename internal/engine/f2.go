@@ -319,7 +319,7 @@ func f2BucketLess(aLen uint64, a []int64, bLen uint64, b []int64) bool {
 // scan reports the shard's F₂ over the live slots: the cell-wise sum of
 // their sketches (exact for time-disjoint substreams), then the median over
 // rows of the mean over cols of squared cells.
-func (c *amsCells) scan(slots []int, _ uint64, _, _ int, visit func(key, n int, v float64) float64) {
+func (c *amsCells) scan(slots []int, _, _ int, visit func(key, n int, v float64) float64) {
 	agg := make([]int64, c.t.cells())
 	total := uint64(0)
 	for _, j := range slots {

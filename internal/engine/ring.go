@@ -110,15 +110,15 @@ type cells interface {
 	// replica join. load installs a decoded shard wholesale — the restore.
 	join(j int, peer any, disjoint bool)
 	load(peer any)
-	// scan answers for keys [klo, khi) over the live slots (oldest first; cur
-	// is the shard clock): visit(key, n, v) says v is the estimate of the n
-	// keys starting at key, and returns the caller's floor — the estimate a
-	// key must exceed to matter to it (the k-th best of a ranking, 0 for a
-	// reader of every key). A per-key sketch visits its keys in ascending
-	// order and may skip any it can prove estimates at or below the floor
-	// visit last returned (0 before the first visit); a per-partition sketch
-	// visits once, for the whole shard.
-	scan(slots []int, cur uint64, klo, khi int, visit func(key, n int, v float64) float64)
+	// scan answers for keys [klo, khi) over the live slots (oldest first):
+	// visit(key, n, v) says v is the estimate of the n keys starting at key,
+	// and returns the caller's floor — the estimate a key must exceed to
+	// matter to it (the k-th best of a ranking, 0 for a reader of every
+	// key). A per-key sketch visits its keys in ascending order and may skip
+	// any it can prove estimates at or below the floor visit last returned
+	// (0 before the first visit); a per-partition sketch visits once, for
+	// the whole shard.
+	scan(slots []int, klo, khi int, visit func(key, n int, v float64) float64)
 	// hash folds the buckets exactly as a snapshot serializes them.
 	hash(h *fnv1a64)
 	// emit appends the shard's cell bytes to the payload and its registers to
@@ -466,7 +466,7 @@ func (r *ring) window(lo, hi, w int) ([]*ringShard, error) {
 func scanShards(shards []*ringShard, w int, visit func(key, n int, v float64) float64) {
 	for _, sh := range shards {
 		sh.mu.Lock()
-		sh.cells.scan(sh.live(w), sh.cur, sh.lo, sh.hi, visit)
+		sh.cells.scan(sh.live(w), sh.lo, sh.hi, visit)
 		sh.mu.Unlock()
 	}
 }
@@ -481,7 +481,7 @@ func (r *ring) estimate(key, w int) (v float64, err error) {
 	}
 	sh := r.shards[snapcodec.PartitionOf(key, r.n, r.parts)]
 	sh.mu.Lock()
-	sh.cells.scan(sh.live(w), sh.cur, key, key+1, func(_, _ int, est float64) float64 {
+	sh.cells.scan(sh.live(w), key, key+1, func(_, _ int, est float64) float64 {
 		v = est
 		return 0
 	})

@@ -276,7 +276,7 @@ early.blockhashes/0 32:408532801bf73b6f9cc5220afd64a9e4cc146bf77105b0d2e9911d3da
 early.blockhashes/4 8:25537b4d49cacb04c5f4ab2e50b94932bc4de426447b60d2aa8d815846c87db4
 early.dirtycount 31
 early.dirty true [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30]
-early.estimate 51.113454 0.000000
+early.estimate 54.063861 0.000000
 epoch@9.live8 120
 epoch@9.expired3 0
 epoch@9.future12 0
@@ -294,7 +294,7 @@ merged.blockhashes/0 32:a9757df8bb46256109cda8463d6b3dfaf443fde8d7d9a1da8f9e37ed
 merged.blockhashes/4 8:1a652b99b08d80324f039014084db849afca17d1a178c19ff2c6ad45cc00288d
 merged.dirtycount 32
 merged.dirty true [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31]
-merged.estimate 23.657492 0.000000
+merged.estimate 27.603458 0.000000
 evicted.checkpoint dce09fb63a5e3eb493055dbd30c00a5d8cb4d1ef409d8be83f697b83328fe912
 evicted.serving 1088f8d8ed6b3b6c71987b2a171f39e1066e0dd67d62f98ed347446116c633f5
 evicted.partition1 2b2f1080ae0432fa7f425d15034a3d318171739f12060ca6f204aa67842b3424
@@ -304,7 +304,7 @@ evicted.blockhashes/0 32:c986867a76323b4053bbecbd0867858e63c682fd71c1015e03547df
 evicted.blockhashes/4 8:1a652b99b08d80324f039014084db849afca17d1a178c19ff2c6ad45cc00288d
 evicted.dirtycount 9
 evicted.dirty true [15 16 17 18 19 20 21 22 23]
-evicted.estimate 23.657492 0.000000
+evicted.estimate 27.603458 0.000000
 restored.checkpoint 6c33ab690ca11055bc66e211fbaebeea98e12455f6aaec8ff68a730eb0c9eeaa
 restored.serving d9b575e03d4b86f94814990160e87aa073474a76f93f5cd735392aacb052f906
 restored.partition1 ef43145a9c8e42d2935eb671f781fcfa0b1e060b4ae3fc6a6b4f227637c9b5e5
@@ -314,7 +314,7 @@ restored.blockhashes/0 32:a118b6987f0b22ad469b7a1c73acd00774c789ca566a63b1607161
 restored.blockhashes/4 8:1dc90820d1ba7efa759fde0ffc3d60e6e09aa290c77b1b58c7d87c73496c948e
 restored.dirtycount 32
 restored.dirty true [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31]
-restored.estimate 19.598632 0.000000
+restored.estimate 20.575673 0.000000
 `
 
 const pinWindowCsuros = `

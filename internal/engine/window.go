@@ -17,15 +17,12 @@ const KindWindow = "window"
 // register vocabulary the bank uses for "how many ever": the bucket ring
 // (see ring) over register-bank cells — per partition, B time buckets of one
 // packed register per key. An increment steps the key's register in the
-// current bucket; a windowed query combines the trailing w live buckets —
-// via the paper's Remark 2.4 register merge when the algorithm supports it
-// (Morris), falling back to summing the per-bucket estimates (exact,
-// Csűrös) — and an expired bucket simply rotates out of the ring, which is
-// how old traffic is forgotten.
-//
-// Query-time register folds draw from a throwaway generator derived from
-// (seed, key, clock) — never from the replay streams — so reads cannot
-// perturb replay.
+// current bucket; a windowed query sums the per-bucket estimates of the
+// trailing w live buckets, and an expired bucket simply rotates out of the
+// ring, which is how old traffic is forgotten. The sum is unbiased because
+// each term is, draws nothing, and has no more variance than a Remark 2.4
+// merge of the same registers, so a read depends on the registers alone —
+// not on the clock, not on a generator.
 //
 // Merge (disjoint streams, e.g. two sites) Remark 2.4-folds epoch-aligned
 // buckets register by register; MergeMax (replicas of the same stream)
@@ -75,7 +72,6 @@ func WindowFromSnapshot(snap *snapcodec.Snapshot) (*WindowEngine, error) {
 type windowType struct {
 	a          bank.Algorithm
 	ma         bank.MergeAlgorithm // nil when the algorithm has no Remark 2.4 merge
-	rngSeed    uint64
 	shardSeeds []uint64
 }
 
@@ -89,7 +85,6 @@ func (t *windowType) kind() string        { return KindWindow }
 func (t *windowType) alg() bank.Algorithm { return t.a }
 
 func (t *windowType) seed(seed uint64, parts int) {
-	t.rngSeed = seed
 	sm := xrand.NewSplitMix64(seed)
 	t.shardSeeds = make([]uint64, parts)
 	for s := range t.shardSeeds {
@@ -136,17 +131,6 @@ func (t *windowType) newCells(sh *ringShard, layout regSpan) cells {
 	return c
 }
 
-// queryRand returns the throwaway generator a windowed fold for one key
-// draws from: deterministic in (seed, key, clock) — so replicas with equal
-// state and seed answer identically — and disjoint from the replay streams,
-// so reads never perturb recovery.
-func (t *windowType) queryRand(key int, cur uint64) *xrand.Rand {
-	h := t.rngSeed
-	h ^= (cur + 1) * 0x9E3779B97F4A7C15
-	h ^= (uint64(key) + 1) * 0xBF58476D1CE4E5B9
-	return xrand.NewRand(xrand.New(h))
-}
-
 // runLen is the key count of one run of a shard's keys — the granule the
 // cells keep a register maximum for, the bank's block size (shardbank's
 // block-max column is the same idea over a different layout).
@@ -162,8 +146,8 @@ const (
 // runMax[j][r] is the largest register bucket j holds for the shard's keys
 // [lo + r·runLen, lo + (r+1)·runLen): every write raises it, rotation and
 // evict clear it, a restore rebuilds it — all under the shard lock, so it
-// is always exact — and scan uses it to bound a whole run's fold without
-// reading a register (see bound).
+// is always exact — and scan uses it to bound a whole run's estimates
+// without reading a register (see bound).
 type windowCells struct {
 	t        *windowType
 	lo, span int
@@ -243,80 +227,49 @@ func (c *windowCells) join(j int, peer any, disjoint bool) {
 	}
 }
 
-// scan visits the fold of every key that can exceed the caller's floor: a
-// run whose bound is at or under the floor is skipped whole, so a ranking
-// folds the runs that can rank and a full read skips the all-zero ones. The
-// bank tracks every key per bucket, so a ranking over it is exact w.r.t.
-// the registers.
-func (c *windowCells) scan(slots []int, cur uint64, klo, khi int, visit func(key, n int, v float64) float64) {
+// scan visits the estimate of every key that can exceed the caller's
+// floor: a run whose bound is at or under the floor is skipped whole, so a
+// ranking reads the runs that can rank and a full read skips the all-zero
+// ones. The bank tracks every key per bucket, so a ranking over it is exact
+// w.r.t. the registers.
+func (c *windowCells) scan(slots []int, klo, khi int, visit func(key, n int, v float64) float64) {
 	floor := 0.0
 	for key := klo; key < khi; {
 		run := (key - c.lo) >> runShift
 		end := min(khi, c.lo+(run+1)<<runShift)
 		for bound := c.bound(slots, run); key < end && bound > floor; key++ {
-			floor = visit(key, 1, c.fold(slots, cur, key))
+			floor = visit(key, 1, c.estimate(slots, key))
 		}
 		key = end
 	}
 }
 
-// bound returns an upper bound on the fold of every key of a run over the
-// live slots, from the run maxima alone. Estimates increase with the
-// register, so for a summing fold Σⱼ Estimate(regⱼ) ≤ Σⱼ Estimate(maxⱼ), term
-// by term. A Remark 2.4 fold starts at the larger register and increments at
-// most the smaller one's count of times (MergeRegs(a, b) ≤ a + b, pinned by
-// TestMergeRegsAtMostSum next to the algorithm), so the folded register is
-// at most min(cap, Σⱼ regⱼ) ≤ min(cap, Σⱼ maxⱼ). That is loose on a hot run
-// and tight on the cold tail, which is the part worth skipping.
+// bound returns an upper bound on the estimate of every key of a run over
+// the live slots, from the run maxima alone: estimates increase with the
+// register, so Σⱼ Estimate(regⱼ) ≤ Σⱼ Estimate(maxⱼ) term by term. That is
+// loose on a hot run and tight on the cold tail, which is the part worth
+// skipping.
 func (c *windowCells) bound(slots []int, run int) float64 {
-	t := c.t
-	if t.ma == nil {
-		sum := 0.0
-		for _, j := range slots {
-			if m := c.runMax[j][run]; m != 0 {
-				sum += t.a.Estimate(m)
-			}
-		}
-		return sum
-	}
-	limit := uint64(1)<<uint(t.a.Width()) - 1
-	sum := uint64(0)
+	sum := 0.0
 	for _, j := range slots {
-		// Saturating: a register is ≤ limit < 2^63, so the sum cannot wrap.
-		sum = min(sum+c.runMax[j][run], limit)
+		if m := c.runMax[j][run]; m != 0 {
+			sum += c.t.a.Estimate(m)
+		}
 	}
-	return t.a.Estimate(sum)
+	return sum
 }
 
-// fold combines key's registers over the live slots: a Remark 2.4 register
-// fold (ascending epoch order) when the algorithm merges, a sum of
-// per-bucket estimates otherwise.
-func (c *windowCells) fold(slots []int, cur uint64, key int) float64 {
-	t, i := c.t, key-c.lo
-	if t.ma == nil {
-		sum := 0.0
-		for _, j := range slots {
-			if v := c.regs[j].Get(i); v != 0 {
-				sum += t.a.Estimate(v)
-			}
-		}
-		return sum
-	}
-	var rng *xrand.Rand
-	reg := uint64(0)
+// estimate sums key's per-bucket estimates over the live slots, oldest
+// first. An empty bucket adds nothing, so widening the window over buckets
+// the key never reached does not move the answer.
+func (c *windowCells) estimate(slots []int, key int) float64 {
+	i, sum := key-c.lo, 0.0
 	for _, j := range slots {
-		switch v := c.regs[j].Get(i); {
-		case v == 0: // merging an empty counter is the identity
-		case reg == 0:
-			reg = v
-		default:
-			if rng == nil {
-				rng = t.queryRand(key, cur)
-			}
-			reg = t.ma.MergeRegs(reg, v, rng)
+		if v := c.regs[j].Get(i); v != 0 {
+			sum += c.t.a.Estimate(v)
 		}
 	}
-	return t.a.Estimate(reg)
+	return sum
 }
 
 func (c *windowCells) hash(h *fnv1a64) {

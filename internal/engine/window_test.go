@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/bank"
@@ -397,11 +398,12 @@ func TestWindowShapeBounds(t *testing.T) {
 	}
 }
 
-// foldEveryKey is the windowed read path with nothing skipped: every key of
-// every shard folded over the trailing w buckets — the reference the
-// run-skipping scan must reproduce. It also holds the run maxima to the
-// registers they summarise.
-func foldEveryKey(t *testing.T, e *WindowEngine, w int) []float64 {
+// sumEveryKey is the windowed read with nothing skipped: every key of every
+// shard answered as the sum of its per-bucket estimates over the trailing w
+// buckets, read straight off the registers — the reference the run-skipping
+// scan must reproduce. It also holds the run maxima to the registers they
+// summarise.
+func sumEveryKey(t *testing.T, e *WindowEngine, w int) []float64 {
 	t.Helper()
 	out := make([]float64, e.Len())
 	for _, sh := range e.shards {
@@ -409,7 +411,11 @@ func foldEveryKey(t *testing.T, e *WindowEngine, w int) []float64 {
 		c := sh.cells.(*windowCells)
 		slots := sh.live(w)
 		for key := sh.lo; key < sh.hi; key++ {
-			out[key] = c.fold(slots, sh.cur, key)
+			for _, j := range slots {
+				if v := c.regs[j].Get(key - sh.lo); v != 0 {
+					out[key] += c.t.a.Estimate(v)
+				}
+			}
 		}
 		for j, arr := range c.regs {
 			for run := range c.runMax[j] {
@@ -430,11 +436,11 @@ func foldEveryKey(t *testing.T, e *WindowEngine, w int) []float64 {
 // TopKWindow, EstimateAllWindow and the ring's range sum skip whole runs of
 // keys by their bound; across rotations, a ≥B-jump relabel, disjoint and
 // max joins, an evict and a snapshot load they must answer exactly what
-// folding every key answers — for the Remark 2.4 fold (Morris) and the
-// summing one (Csűrös).
+// summing every key's per-bucket estimates answers — for Morris, Csűrös
+// and exact registers.
 func TestWindowReadsMatchFoldEveryKey(t *testing.T) {
 	const n, parts, buckets = 3000, 4, 4 // 750-key shards: 5 full runs and a partial one
-	for _, alg := range []bank.Algorithm{bank.NewMorrisAlg(0.05, 12), bank.NewCsurosAlg(12, 6)} {
+	for _, alg := range []bank.Algorithm{bank.NewMorrisAlg(0.05, 12), bank.NewCsurosAlg(12, 6), bank.NewExactAlg(12)} {
 		mk := func(seed uint64) *WindowEngine {
 			e, err := NewWindow(n, alg, parts, buckets, int64(1e9), seed)
 			if err != nil {
@@ -446,14 +452,14 @@ func TestWindowReadsMatchFoldEveryKey(t *testing.T) {
 		check := func(what string) {
 			t.Helper()
 			for _, w := range []int{1, 2, buckets} {
-				ref := foldEveryKey(t, e, w)
+				ref := sumEveryKey(t, e, w)
 				all, err := e.EstimateAllWindow(w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for key := range ref {
 					if all[key] != ref[key] {
-						t.Fatalf("%s %s w=%d: EstimateAllWindow[%d] = %v, fold %v", alg.Name(), what, w, key, all[key], ref[key])
+						t.Fatalf("%s %s w=%d: EstimateAllWindow[%d] = %v, sum %v", alg.Name(), what, w, key, all[key], ref[key])
 					}
 				}
 				lo1, _ := snapRange(t, e, 1)
@@ -464,7 +470,7 @@ func TestWindowReadsMatchFoldEveryKey(t *testing.T) {
 						sum += v
 					}
 					if got, err := e.rangeEstimate(r[0], r[1], w); err != nil || got != sum {
-						t.Fatalf("%s %s w=%d: range sum [%d, %d) = %v, %v; fold sum %v", alg.Name(), what, w, r[0], r[1], got, err, sum)
+						t.Fatalf("%s %s w=%d: range sum [%d, %d) = %v, %v; reference %v", alg.Name(), what, w, r[0], r[1], got, err, sum)
 					}
 					for _, k := range []int{1, 10, n + 5} {
 						want := make([]Entry, 0, min(k, r[1]-r[0])+1)
@@ -478,11 +484,11 @@ func TestWindowReadsMatchFoldEveryKey(t *testing.T) {
 							t.Fatal(err)
 						}
 						if len(got) != len(want) {
-							t.Fatalf("%s %s w=%d: TopKWindow(%d, %d, %d) ranks %d keys, fold %d", alg.Name(), what, w, k, r[0], r[1], len(got), len(want))
+							t.Fatalf("%s %s w=%d: TopKWindow(%d, %d, %d) ranks %d keys, reference %d", alg.Name(), what, w, k, r[0], r[1], len(got), len(want))
 						}
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("%s %s w=%d: TopKWindow(%d, %d, %d) rank %d = %+v, fold %+v", alg.Name(), what, w, k, r[0], r[1], i, got[i], want[i])
+								t.Fatalf("%s %s w=%d: TopKWindow(%d, %d, %d) rank %d = %+v, reference %+v", alg.Name(), what, w, k, r[0], r[1], i, got[i], want[i])
 							}
 						}
 					}
@@ -544,5 +550,38 @@ func TestWindowReadsMatchFoldEveryKey(t *testing.T) {
 		}
 		e = restored
 		check("restored")
+	}
+}
+
+// TestWindowReadIgnoresTheClock: a windowed read is a function of the
+// registers alone. A tick with no writes opens an empty bucket, so the
+// window one bucket wider answers, bit for bit, what the narrower window
+// answered before the tick — also for Morris, whose buckets a read once
+// merged with draws seeded by the clock.
+func TestWindowReadIgnoresTheClock(t *testing.T) {
+	const n, buckets = 4000, 8
+	for w := 2; w < buckets; w++ {
+		e, err := NewWindow(n, bank.NewMorrisAlg(0.005, 14), 4, buckets, int64(1e9), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for epoch := range uint64(w) {
+			e.Advance(epoch)
+			e.ApplyBatch(zipfKeys(n, 20_000, 1.1, epoch+1))
+		}
+		before, err := e.EstimateAllWindow(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Advance(e.Epoch() + 1)
+		after, err := e.EstimateAllWindow(w + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key := range before {
+			if math.Float64bits(after[key]) != math.Float64bits(before[key]) {
+				t.Fatalf("w=%d: key %d reads %v after an empty tick, %v before", w, key, after[key], before[key])
+			}
+		}
 	}
 }

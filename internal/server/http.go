@@ -97,44 +97,29 @@ func Handler(st *Store) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad key: %w", err))
 			return
 		}
-		if q := r.URL.Query().Get("window"); q != "" {
-			wn, err := st.ParseWindow(q)
-			if err != nil {
-				httpError(w, StatusFor(err), err)
-				return
-			}
-			est, err := st.EstimateWindow(key, wn)
-			if err != nil {
-				httpError(w, http.StatusNotFound, err)
-				return
-			}
-			writeJSON(w, map[string]any{"key": key, "estimate": est, "window": wn})
+		wn, ok := windowParam(w, r, st)
+		if !ok {
 			return
 		}
-		est, err := st.Estimate(key)
+		est, err := st.Estimate(key, wn)
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, map[string]any{"key": key, "estimate": est})
+		writeJSON(w, withWindow(map[string]any{"key": key, "estimate": est}, wn))
 	})
 
 	handle("GET", "/estimates", func(w http.ResponseWriter, r *http.Request) {
-		if q := r.URL.Query().Get("window"); q != "" {
-			wn, err := st.ParseWindow(q)
-			if err != nil {
-				httpError(w, StatusFor(err), err)
-				return
-			}
-			ests, err := st.EstimateAllWindow(wn)
-			if err != nil {
-				httpError(w, StatusFor(err), err)
-				return
-			}
-			writeJSON(w, map[string]any{"estimates": ests, "window": wn})
+		wn, ok := windowParam(w, r, st)
+		if !ok {
 			return
 		}
-		writeJSON(w, map[string]any{"estimates": st.EstimateAll()})
+		ests, err := st.EstimateAll(wn)
+		if err != nil {
+			httpError(w, StatusFor(err), err)
+			return
+		}
+		writeJSON(w, withWindow(map[string]any{"estimates": ests}, wn))
 	})
 
 	handle("GET", "/topk", func(w http.ResponseWriter, r *http.Request) {
@@ -150,25 +135,16 @@ func Handler(st *Store) http.Handler {
 				return
 			}
 		}
-		resp := map[string]any{"k": k, "engine": st.Engine().Kind()}
-		var top []engine.Entry
-		if q := r.URL.Query().Get("window"); q != "" {
-			wn, werr := st.ParseWindow(q)
-			if werr != nil {
-				httpError(w, StatusFor(werr), werr)
-				return
-			}
-			top, err = st.TopKWindow(k, part, wn)
-			resp["window"] = wn
-		} else {
-			top, err = st.TopK(k, part)
+		wn, ok := windowParam(w, r, st)
+		if !ok {
+			return
 		}
+		top, err := st.TopK(k, part, wn)
 		if err != nil {
 			httpError(w, StatusFor(err), err)
 			return
 		}
-		resp["topk"] = top
-		writeJSON(w, resp)
+		writeJSON(w, withWindow(map[string]any{"k": k, "engine": st.Engine().Kind(), "topk": top}, wn))
 	})
 
 	// Scalar range-estimate endpoints: /v1/distinct answers the cardinality of
@@ -190,13 +166,9 @@ func Handler(st *Store) http.Handler {
 					return
 				}
 			}
-			wn := 0
-			if q := r.URL.Query().Get("window"); q != "" {
-				var err error
-				if wn, err = st.ParseWindow(q); err != nil {
-					httpError(w, StatusFor(err), err)
-					return
-				}
+			wn, ok := windowParam(w, r, st)
+			if !ok {
+				return
 			}
 			est, err := st.RangeEstimate(part, wn)
 			if err != nil {
@@ -207,10 +179,7 @@ func Handler(st *Store) http.Handler {
 			if part >= 0 {
 				resp["partition"] = part
 			}
-			if wn > 0 {
-				resp["window"] = wn
-			}
-			writeJSON(w, resp)
+			writeJSON(w, withWindow(resp, wn))
 		}
 	}
 	handle("GET", "/distinct", scalarHandler(engine.KindDistinct))
@@ -363,6 +332,29 @@ func StatusFor(err error) int {
 		return http.StatusConflict
 	}
 	return http.StatusInternalServerError
+}
+
+// windowParam resolves a read's ?window= through Store.ParseWindow — 0, no
+// window, when the request names none — and answers a bad one itself.
+func windowParam(w http.ResponseWriter, r *http.Request, st *Store) (int, bool) {
+	q := r.URL.Query().Get("window")
+	if q == "" {
+		return 0, true
+	}
+	wn, err := st.ParseWindow(q)
+	if err != nil {
+		httpError(w, StatusFor(err), err)
+		return 0, false
+	}
+	return wn, true
+}
+
+// withWindow adds the resolved bucket count to a windowed read's reply.
+func withWindow(resp map[string]any, wn int) map[string]any {
+	if wn > 0 {
+		resp["window"] = wn
+	}
+	return resp
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

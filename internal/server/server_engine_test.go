@@ -90,7 +90,7 @@ func TestTopKStoreRestartExactness(t *testing.T) {
 		t.Fatalf("engine = %q", st.Stats().Engine)
 	}
 	want := snapshotBytes(t, st)
-	wantTop, err := st.TopK(10, -1)
+	wantTop, err := st.TopK(10, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTopKStoreRestartExactness(t *testing.T) {
 	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
 		t.Fatal("recovered topk /snapshot differs from pre-crash bytes")
 	}
-	gotTop, err := st2.TopK(10, -1)
+	gotTop, err := st2.TopK(10, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestWindowStoreRestartExactness(t *testing.T) {
 		t.Fatal("no ticks recorded")
 	}
 	want := snapshotBytes(t, st)
-	wantTop, err := st.TopKWindow(10, -1, 2)
+	wantTop, err := st.TopK(10, -1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWindowStoreRestartExactness(t *testing.T) {
 	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
 		t.Fatal("recovered window /snapshot differs from pre-crash bytes")
 	}
-	gotTop, err := st2.TopKWindow(10, -1, 2)
+	gotTop, err := st2.TopK(10, -1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestAdvanceWindowDurable(t *testing.T) {
 	if err := st.AdvanceWindow(); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := st.EstimateWindow(7, 4); err != nil || v != 0 {
+	if v, err := st.Estimate(7, 4); err != nil || v != 0 {
 		t.Fatalf("estimate after idle expiry = %v (%v)", v, err)
 	}
 	want := snapshotBytes(t, st)

@@ -147,20 +147,7 @@ type Store struct {
 	// the lock is never held across an fsync.
 	writeMu sync.Mutex
 
-	// partVer counts writes per key-space partition (increments, merges).
-	// The cluster's anti-entropy uses it as a quiescence signal: a
-	// partition whose version is still moving has replication in flight and
-	// should not be force-merged (see internal/cluster).
-	partVer []atomic.Uint64
-
-	// hashMemo and blockMemo remember each partition's last PartitionHash
-	// and PartitionBlockHashes answer together with the partVer it was
-	// computed at, so probing a partition nobody wrote to touches no
-	// register. Every mutation bumps partVer after it lands, which is what
-	// retires an entry.
-	hashMemo  []atomic.Pointer[memo[uint64]]
-	blockMemo []atomic.Pointer[memo[[]uint64]]
-
+	vers      *versions     // partition write versions and the probes memoised on them
 	ledger    ownership     // rebalance ownership, kept by apply
 	chain     *checkpointer // the checkpoint files; its lock comes before writeMu
 	recovered wal.ReplayStats
@@ -184,8 +171,6 @@ type Store struct {
 	mergeReceived *metrics.Counter // bytes of live max-join blobs as received
 	mergeLogged   *metrics.Counter // bytes of their WAL records' blobs
 
-	hashMemos *metrics.Counter   // partition hash probes answered from the memo
-	hashScans *metrics.Counter   // partition hash probes that read the registers
 	mApply    *metrics.Histogram // durable apply latency (stage+apply+commit)
 	mBatchLen *metrics.Histogram // keys per applied batch
 
@@ -283,9 +268,7 @@ func Open(cfg Config) (*Store, error) {
 		st.cfg.Partitions = ap
 	}
 
-	st.partVer = make([]atomic.Uint64, st.cfg.Partitions)
-	st.hashMemo = make([]atomic.Pointer[memo[uint64]], st.cfg.Partitions)
-	st.blockMemo = make([]atomic.Pointer[memo[[]uint64]], st.cfg.Partitions)
+	st.vers = newVersions(st.eng.Len(), st.cfg.Partitions)
 	st.initMetrics(cfg.Metrics)
 
 	// A snapshot restore marks the whole register layout dirty (the engine
@@ -344,9 +327,7 @@ func (st *Store) initMetrics(reg *metrics.Registry) {
 	st.mergeReceived, st.mergeLogged = bv.With("received"), bv.With("logged")
 	st.stales = reg.Counter("counterd_store_stale_hint_keys_total",
 		"Epoch-tagged hint keys dropped because their origin bucket rotated out in transit.")
-	hv := reg.CounterVec("counterd_store_partition_hash_total",
-		"Partition hash and block-hash probes, by source: memo (partition unwritten since the last probe, no register read) or scan (registers re-read and re-hashed).", "source")
-	st.hashMemos, st.hashScans = hv.With("memo"), hv.With("scan")
+	st.vers.register(reg)
 	st.evicts = reg.Counter("counterd_store_evicts_total",
 		"Partitions truncated after a rebalance surrender.")
 	st.ticks = reg.Counter("counterd_store_ticks_total",
@@ -442,9 +423,8 @@ func (st *Store) check(o *op) error {
 			// A delta re-materializes against the partition as it stands at
 			// this log position — byte-identical on replay to the live base
 			// (log order = apply order), so both land the same registers.
-			p := o.snap.Partition
-			if o.wantVer != VersionAny && st.partVer[p].Load() != o.wantVer {
-				return fmt.Errorf("%w: partition %d moved past version %d", ErrConflict, p, o.wantVer)
+			if err := st.vers.guard(o.snap.Partition, o.wantVer); err != nil {
+				return err
 			}
 			full, err := st.materializeLocked(o.snap)
 			if err != nil {
@@ -560,7 +540,7 @@ func (st *Store) write(o *op, clock bool) error {
 	// Versions move only after the registers did: the hash memo reads a
 	// partition's version before it scans.
 	if ticked {
-		st.bumpAll()
+		st.vers.bumpAll()
 	}
 	if err != nil || ticket == 0 {
 		return err
@@ -569,16 +549,16 @@ func (st *Store) write(o *op, clock bool) error {
 		switch o.rec.Type {
 		case wal.RecBatch, wal.RecBatchAt:
 			if o.applied > 0 {
-				st.bumpPartitions(o.rec.Keys)
+				st.vers.bumpKeys(o.rec.Keys)
 			}
 		case wal.RecMergeMax:
 			st.mergeReceived.Add(uint64(received))
 			st.mergeLogged.Add(uint64(len(o.rec.Blob)))
-			st.bumpRange(st.peerSpan(o.snap))
+			st.vers.bumpRange(st.peerSpan(o.snap))
 		case wal.RecMerge:
-			st.bumpRange(st.peerSpan(o.snap))
+			st.vers.bumpRange(st.peerSpan(o.snap))
 		case wal.RecEvict:
-			st.bumpRange(snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, int(o.rec.Epoch)))
+			st.vers.bumpRange(snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, int(o.rec.Epoch)))
 		}
 	}
 	return st.log.Commit(ticket)
@@ -750,103 +730,12 @@ func (st *Store) ingest(rec wal.Record) (int, error) {
 	return o.applied, err
 }
 
-// bumpAll advances every partition's write version — a bucket rotation
-// mutates all partitions' serialized state at once.
-func (st *Store) bumpAll() {
-	for p := range st.partVer {
-		st.partVer[p].Add(1)
-	}
-}
-
 // AdvanceWindow rotates a windowed engine to the current bucket epoch even
 // when no writes arrive (counterd runs this on a timer so idle traffic
 // still expires), committing the WAL tick before returning. A no-op —
 // including on non-windowed engines — when there is nothing to advance.
 func (st *Store) AdvanceWindow() error {
 	return st.write(nil, true)
-}
-
-// bumpPartitions advances the write version of every partition the batch
-// touches.
-func (st *Store) bumpPartitions(keys []int) {
-	parts := len(st.partVer)
-	if parts == 1 {
-		st.partVer[0].Add(1)
-		return
-	}
-	n := st.eng.Len()
-	last := -1
-	for _, k := range keys {
-		if p := snapcodec.PartitionOf(k, n, parts); p != last {
-			st.partVer[p].Add(1)
-			last = p
-		}
-	}
-}
-
-// bumpRange advances the write version of every partition overlapping the
-// key range [lo, hi).
-func (st *Store) bumpRange(lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	parts := len(st.partVer)
-	n := st.eng.Len()
-	for p := snapcodec.PartitionOf(lo, n, parts); p <= snapcodec.PartitionOf(hi-1, n, parts); p++ {
-		st.partVer[p].Add(1)
-	}
-}
-
-// PartitionVersion returns the write version of partition p: any local
-// mutation of the partition's registers (increment, merge, restore) moves
-// it. Monotone within a process lifetime; not persisted.
-func (st *Store) PartitionVersion(p int) uint64 {
-	if p < 0 || p >= len(st.partVer) {
-		return 0
-	}
-	return st.partVer[p].Load()
-}
-
-// memo is one memoised per-partition answer and the partition write version
-// it holds for.
-type memo[T any] struct {
-	ver uint64
-	val T
-}
-
-// memoised answers a per-partition probe from slot when the partition has
-// not been written since the slot was filled, and otherwise runs scan and
-// refills it. The version is read BEFORE the scan and the result kept only
-// if it is unchanged after, so an entry is never newer than its version
-// says: a caller that reads PartitionVersion first and finds it equal to a
-// later read saw the hashes of exactly that version.
-func memoised[T any](st *Store, slot *atomic.Pointer[memo[T]], p int, scan func() (T, error)) (T, error) {
-	ver := st.partVer[p].Load()
-	if m := slot.Load(); m != nil && m.ver == ver {
-		st.hashMemos.Inc()
-		return m.val, nil
-	}
-	st.hashScans.Inc()
-	val, err := scan()
-	if err == nil && st.partVer[p].Load() == ver {
-		slot.Store(&memo[T]{ver: ver, val: val})
-	}
-	return val, err
-}
-
-// PartitionHash returns an order-dependent 64-bit hash of partition p's
-// engine state — equal hashes across replicas mean (up to hash collision)
-// identical state, which is what the cluster's anti-entropy checks before
-// deciding a merge is needed. Memoised against PartitionVersion(p): a
-// partition unwritten since the last call answers without a register read.
-func (st *Store) PartitionHash(p int) (uint64, error) {
-	if p < 0 || p >= st.cfg.Partitions {
-		return 0, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
-	}
-	return memoised(st, &st.hashMemo[p], p, func() (uint64, error) {
-		lo, hi := snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, p)
-		return st.eng.HashRange(lo, hi)
-	})
 }
 
 // Merge ingests a peer snapshot (snapcodec bytes, whole or one partition)
@@ -909,25 +798,6 @@ func (st *Store) MergeMaxDelta(blob []byte, wantVer uint64) error {
 		return fmt.Errorf("%w: delta join of a non-delta snapshot", ErrBadInput)
 	}
 	return st.write(&op{rec: wal.Record{Type: wal.RecMergeMax, Blob: blob}, snap: d, wantVer: wantVer}, false)
-}
-
-// PartitionBlockHashes returns per-block FNV-1a fingerprints of partition
-// p's snapshot register section — the block-granular refinement of
-// PartitionHash the delta anti-entropy diffs to decide which blocks to
-// ship. Engines without a register block layout (top-k) return ErrBadInput;
-// callers fall back to whole-partition sync. Memoised like PartitionHash;
-// the returned slice is shared with later callers — treat it as read-only.
-func (st *Store) PartitionBlockHashes(p int) ([]uint64, error) {
-	if p < 0 || p >= st.cfg.Partitions {
-		return nil, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, p, st.cfg.Partitions)
-	}
-	return memoised(st, &st.blockMemo[p], p, func() ([]uint64, error) {
-		hashes, err := st.eng.BlockHashes(p, st.cfg.Partitions)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
-		}
-		return hashes, nil
-	})
 }
 
 // PartitionDeltaTo streams a block delta of partition p restricted to the
@@ -996,17 +866,35 @@ func (st *Store) InstallPartition(blob []byte, disjoint bool) error {
 	return st.mergeBlob(blob, wal.RecMergeMax, true)
 }
 
-// Estimate returns N̂ for one key.
-func (st *Store) Estimate(key int) (float64, error) {
+// Estimate returns N̂ for one key over the trailing w buckets of a windowed
+// engine; w = 0 asks for no window — the whole ring of a windowed engine,
+// the only answer of any other.
+func (st *Store) Estimate(key, w int) (float64, error) {
 	if key < 0 || key >= st.eng.Len() {
 		return 0, fmt.Errorf("%w: key %d out of range [0,%d)", ErrBadInput, key, st.eng.Len())
 	}
-	return st.eng.Estimate(key), nil
+	if w == 0 {
+		return st.eng.Estimate(key), nil
+	}
+	if st.windowed == nil {
+		return 0, st.errNoWindow()
+	}
+	v, err := st.windowed.EstimateWindow(key, w)
+	return v, badInput(err)
 }
 
 // EstimateAll returns all estimates in a fresh slice (see
-// engine.Engine.EstimateAll).
-func (st *Store) EstimateAll() []float64 { return st.eng.EstimateAll() }
+// engine.Engine.EstimateAll), over the trailing w buckets as Estimate does.
+func (st *Store) EstimateAll(w int) ([]float64, error) {
+	if w == 0 {
+		return st.eng.EstimateAll(), nil
+	}
+	if st.windowed == nil {
+		return nil, st.errNoWindow()
+	}
+	out, err := st.windowed.EstimateAllWindow(w)
+	return out, badInput(err)
+}
 
 // MaxTopK is the largest k a top-k query may ask for. Every engine selects
 // its k winners by insertion into a sorted buffer — right for a report, and
@@ -1015,18 +903,14 @@ func (st *Store) EstimateAll() []float64 { return st.eng.EstimateAll() }
 // far past any ranking a person or a dashboard reads.
 const MaxTopK = 4096
 
-// topKRange validates a top-k query's report size and partition scope
-// (partition >= 0, or < 0 for the whole key space) and returns the key range
-// it ranks.
-func (st *Store) topKRange(k, partition int) (lo, hi int, err error) {
-	if k <= 0 || k > MaxTopK {
-		return 0, 0, fmt.Errorf("%w: k = %d out of [1, %d]", ErrBadInput, k, MaxTopK)
-	}
+// keyRange returns the key range of one partition (partition >= 0) or of
+// the whole key space (partition < 0).
+func (st *Store) keyRange(partition int) (lo, hi int, err error) {
 	if partition < 0 {
 		return 0, st.eng.Len(), nil
 	}
-	if partition >= st.cfg.Partitions {
-		return 0, 0, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, partition, st.cfg.Partitions)
+	if err := st.checkPartition(partition); err != nil {
+		return 0, 0, err
 	}
 	lo, hi = snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, partition)
 	return lo, hi, nil
@@ -1034,13 +918,23 @@ func (st *Store) topKRange(k, partition int) (lo, hi int, err error) {
 
 // TopK returns the top-k keys (k ≤ MaxTopK) of one partition (partition >=
 // 0) or of the whole key space (partition < 0), ranked by descending
-// estimate.
-func (st *Store) TopK(k, partition int) ([]engine.Entry, error) {
-	lo, hi, err := st.topKRange(k, partition)
+// estimate over the trailing w buckets as Estimate does.
+func (st *Store) TopK(k, partition, w int) ([]engine.Entry, error) {
+	if k <= 0 || k > MaxTopK {
+		return nil, fmt.Errorf("%w: k = %d out of [1, %d]", ErrBadInput, k, MaxTopK)
+	}
+	lo, hi, err := st.keyRange(partition)
 	if err != nil {
 		return nil, err
 	}
-	return st.eng.TopK(k, lo, hi)
+	if w == 0 {
+		return st.eng.TopK(k, lo, hi)
+	}
+	if st.windowed == nil {
+		return nil, st.errNoWindow()
+	}
+	top, err := st.windowed.TopKWindow(k, lo, hi, w)
+	return top, badInput(err)
 }
 
 // Windowed reports whether the store serves a sliding-window engine.
@@ -1063,7 +957,7 @@ func (st *Store) WindowEpoch() uint64 {
 // input error, not a silent truncation.
 func (st *Store) ParseWindow(q string) (int, error) {
 	if st.windowed == nil {
-		return 0, fmt.Errorf("%w: engine %q serves no windowed queries", ErrBadInput, st.eng.Kind())
+		return 0, st.errNoWindow()
 	}
 	b := st.windowed.WindowBuckets()
 	var w int
@@ -1087,47 +981,17 @@ func (st *Store) ParseWindow(q string) (int, error) {
 	return w, nil
 }
 
-// EstimateWindow returns N̂ for one key over the trailing w buckets.
-func (st *Store) EstimateWindow(key, w int) (float64, error) {
-	if st.windowed == nil {
-		return 0, fmt.Errorf("%w: engine %q serves no windowed queries", ErrBadInput, st.eng.Kind())
-	}
-	if key < 0 || key >= st.eng.Len() {
-		return 0, fmt.Errorf("%w: key %d out of range [0,%d)", ErrBadInput, key, st.eng.Len())
-	}
-	v, err := st.windowed.EstimateWindow(key, w)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	return v, nil
+// errNoWindow answers a windowed query on an engine without a ring.
+func (st *Store) errNoWindow() error {
+	return fmt.Errorf("%w: engine %q serves no windowed queries", ErrBadInput, st.eng.Kind())
 }
 
-// EstimateAllWindow returns all estimates over the trailing w buckets.
-func (st *Store) EstimateAllWindow(w int) ([]float64, error) {
-	if st.windowed == nil {
-		return nil, fmt.Errorf("%w: engine %q serves no windowed queries", ErrBadInput, st.eng.Kind())
-	}
-	out, err := st.windowed.EstimateAllWindow(w)
+// badInput marks an engine's refusal of a query as the caller's fault.
+func badInput(err error) error {
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
+		return fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
-	return out, nil
-}
-
-// TopKWindow is TopK restricted to the trailing w buckets.
-func (st *Store) TopKWindow(k, partition, w int) ([]engine.Entry, error) {
-	if st.windowed == nil {
-		return nil, fmt.Errorf("%w: engine %q serves no windowed queries", ErrBadInput, st.eng.Kind())
-	}
-	lo, hi, err := st.topKRange(k, partition)
-	if err != nil {
-		return nil, err
-	}
-	top, err := st.windowed.TopKWindow(k, lo, hi, w)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	return top, nil
+	return nil
 }
 
 // RangeEstimate returns the engine's scalar range estimate — a distinct
@@ -1137,12 +1001,9 @@ func (st *Store) TopKWindow(k, partition, w int) ([]engine.Entry, error) {
 // the cumulative (or full-ring) estimate. Engines without the scalar query
 // surface (bank, topk, window) reject with ErrBadInput.
 func (st *Store) RangeEstimate(partition, w int) (float64, error) {
-	lo, hi := 0, st.eng.Len()
-	if partition >= 0 {
-		if partition >= st.cfg.Partitions {
-			return 0, fmt.Errorf("%w: partition %d out of [0, %d)", ErrBadInput, partition, st.cfg.Partitions)
-		}
-		lo, hi = snapcodec.PartitionRange(st.eng.Len(), st.cfg.Partitions, partition)
+	lo, hi, err := st.keyRange(partition)
+	if err != nil {
+		return 0, err
 	}
 	if w > 0 {
 		wre, ok := st.eng.(engine.WindowRangeEstimator)
@@ -1150,20 +1011,14 @@ func (st *Store) RangeEstimate(partition, w int) (float64, error) {
 			return 0, fmt.Errorf("%w: engine %q serves no windowed range estimates", ErrBadInput, st.eng.Kind())
 		}
 		v, err := wre.RangeEstimateWindow(lo, hi, w)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %w", ErrBadInput, err)
-		}
-		return v, nil
+		return v, badInput(err)
 	}
 	re, ok := st.eng.(engine.RangeEstimator)
 	if !ok {
 		return 0, fmt.Errorf("%w: engine %q serves no range estimates", ErrBadInput, st.eng.Kind())
 	}
 	v, err := re.RangeEstimate(lo, hi)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	return v, nil
+	return v, badInput(err)
 }
 
 // Engine exposes the serving engine.

@@ -35,14 +35,14 @@ func TestApplyAtHealsOriginBucket(t *testing.T) {
 	}
 	// The trailing 1-bucket window saw no epoch-0 traffic; the full window
 	// saw all five events.
-	narrow, err := st.EstimateWindow(7, 1)
+	narrow, err := st.Estimate(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if narrow != 0 {
 		t.Fatalf("smeared: trailing bucket estimates %v for key 7", narrow)
 	}
-	wide, err := st.EstimateWindow(7, 4)
+	wide, err := st.Estimate(7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestApplyAtOnBankEngine(t *testing.T) {
 	if applied != 3 {
 		t.Fatalf("applied %d of 3", applied)
 	}
-	if est, _ := st.Estimate(1); est == 0 {
+	if est, _ := st.Estimate(1, 0); est == 0 {
 		t.Fatal("key 1 not counted")
 	}
 }
